@@ -30,9 +30,9 @@ rw::cic::CicProgram h264_like() {
     const auto tq = p.add_task("tq" + std::to_string(s), 70'000, {"mv"},
                                {"coef"});
     p.set_preferred_pe(me, sim::PeClass::kDsp);
-    p.connect(cam, "y" + std::to_string(s), me, "in", 16 * 1024);
+    p.connect(cam, strformat("y%d", s), me, "in", 16 * 1024);
     p.connect(me, "mv", tq, "mv", 4 * 1024);
-    p.connect(tq, "coef", cabac, "c" + std::to_string(s), 8 * 1024);
+    p.connect(tq, "coef", cabac, strformat("c%d", s), 8 * 1024);
   }
   return p;
 }

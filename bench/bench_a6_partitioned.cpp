@@ -35,7 +35,7 @@ int main() {
         const DurationPs period =
             milliseconds(static_cast<std::uint64_t>(rng.next_int(2, 50)));
         RtTask task;
-        task.name = "t" + std::to_string(i++);
+        task.name = strformat("t%d", i++);
         task.period = period;
         task.wcet = static_cast<Cycles>(ui * static_cast<double>(period) /
                                         1e12 * mhz(100));

@@ -24,13 +24,13 @@ rw::cic::CicProgram h264_like(std::uint32_t slices) {
   const auto cam = p.add_task("camera", 4'000, {}, [&] {
     std::vector<std::string> outs;
     for (std::uint32_t s = 0; s < slices; ++s)
-      outs.push_back("y" + std::to_string(s));
+      outs.push_back(strformat("y%u", s));
     return outs;
   }());
   p.set_period(cam, microseconds(900));
   std::vector<std::string> cabac_ins;
   for (std::uint32_t s = 0; s < slices; ++s)
-    cabac_ins.push_back("c" + std::to_string(s));
+    cabac_ins.push_back(strformat("c%u", s));
   const auto cabac =
       p.add_task("cabac", 110'000, cabac_ins, {});
   for (std::uint32_t s = 0; s < slices; ++s) {
@@ -39,9 +39,9 @@ rw::cic::CicProgram h264_like(std::uint32_t slices) {
     const auto tq = p.add_task("tq" + std::to_string(s), 70'000, {"mv"},
                                {"coef"});
     p.set_preferred_pe(me, rw::sim::PeClass::kDsp);
-    p.connect(cam, "y" + std::to_string(s), me, "in", 16 * 1024);
+    p.connect(cam, strformat("y%u", s), me, "in", 16 * 1024);
     p.connect(me, "mv", tq, "mv", 4 * 1024);
-    p.connect(tq, "coef", cabac, "c" + std::to_string(s), 8 * 1024);
+    p.connect(tq, "coef", cabac, strformat("c%u", s), 8 * 1024);
   }
   return p;
 }

@@ -3,6 +3,7 @@
 // the simulator's own performance so the experiment sweeps stay fast.
 #include <benchmark/benchmark.h>
 
+#include "common/strings.hpp"
 #include "dataflow/executor.hpp"
 #include "maps/mapping.hpp"
 #include "maps/partition.hpp"
@@ -95,7 +96,7 @@ void BM_ResponseTimeAnalysis(benchmark::State& state) {
   sched::TaskSet ts;
   ts.frequency = mhz(200);
   for (int i = 0; i < 12; ++i)
-    ts.add("t" + std::to_string(i), 50'000 + i * 10'000,
+    ts.add(strformat("t%d", i), 50'000 + i * 10'000,
            milliseconds(2 + i));
   sched::assign_rm_priorities(ts);
   for (auto _ : state) {

@@ -1,13 +1,11 @@
 #include "critpath/driver.hpp"
 
-#include <cmath>
-#include <fstream>
-
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "maps/mapping.hpp"
 #include "maps/partition.hpp"
+#include "maps/perf_bounds.hpp"
 #include "maps/workloads.hpp"
 
 namespace rw::critpath {
@@ -15,13 +13,6 @@ namespace rw::critpath {
 namespace {
 
 constexpr double kErrorBound = 0.10;  // the what-if accuracy contract
-
-bool write_text(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return false;
-  f << content;
-  return f.good();
-}
 
 sim::PlatformConfig platform_for(const CritOptions& opts, bool hetero) {
   sim::PlatformConfig cfg;
@@ -31,26 +22,13 @@ sim::PlatformConfig platform_for(const CritOptions& opts, bool hetero) {
   } else {
     cfg = sim::PlatformConfig::homogeneous(opts.cores);
   }
-  if (opts.mesh) {
-    cfg.interconnect = sim::PlatformConfig::Icn::kMesh;
-    std::uint32_t w = 1;
-    while (static_cast<std::size_t>(w) * w < opts.cores) ++w;
-    cfg.mesh.width = w;
-    cfg.mesh.height = (static_cast<std::uint32_t>(opts.cores) + w - 1) / w;
-  }
+  if (opts.mesh) cfg.use_square_mesh();
   // Critical-path replay is cross-core by construction (every task can
   // touch every PE), so cores stay on tile 0 and --threads only selects
   // the parallel engine for any event-driven phases.
   if (opts.threads > 1)
     sim::apply_tiling(cfg, opts.threads, /*partition_cores=*/false);
   return cfg;
-}
-
-std::vector<maps::PeDesc> pes_of(const sim::PlatformConfig& cfg) {
-  std::vector<maps::PeDesc> pes;
-  pes.reserve(cfg.cores.size());
-  for (const auto& c : cfg.cores) pes.push_back({c.cls, c.frequency});
-  return pes;
 }
 
 void write_owners(json::Writer& w, const std::vector<Owner>& owners,
@@ -161,28 +139,6 @@ std::vector<Edit> sweep_edits(const DepGraph& dep, const Attribution& attr) {
   return edits;
 }
 
-maps::CommCost comm_cost_for(const sim::PlatformConfig& cfg) {
-  if (cfg.interconnect == sim::PlatformConfig::Icn::kSharedBus) {
-    const sim::SharedBus::Config bus = cfg.bus;
-    return [bus](std::size_t src, std::size_t dst,
-                 std::uint64_t bytes) -> DurationPs {
-      if (src == dst) return 0;
-      return sim::bus_transfer_duration(bus, bytes);
-    };
-  }
-  const sim::MeshNoc::Config mesh = cfg.mesh;
-  return [mesh](std::size_t src, std::size_t dst,
-                std::uint64_t bytes) -> DurationPs {
-    if (src == dst) return 0;
-    const auto route = sim::mesh_route(
-        mesh, sim::CoreId{static_cast<std::uint32_t>(src)},
-        sim::CoreId{static_cast<std::uint32_t>(dst)});
-    if (route.empty()) return 0;
-    return route.size() *
-           (sim::mesh_serialization_time(mesh, bytes) + mesh.hop_latency);
-  };
-}
-
 std::vector<std::string> corpus_names() {
   return {"pipeline3", "jpeg", "h264", "mixed"};
 }
@@ -213,8 +169,9 @@ Result<CorpusCase> build_corpus_case(const std::string& name,
   } else {
     return make_error("unknown workload: " + name + " (try --list)");
   }
-  c.task_to_pe =
-      maps::heft_map(c.graph, pes_of(c.cfg), comm_cost_for(c.cfg)).task_to_pe;
+  c.task_to_pe = maps::heft_map(c.graph, maps::pes_from_platform(c.cfg),
+                                maps::comm_cost_from_platform(c.cfg))
+                     .task_to_pe;
   return c;
 }
 
@@ -324,7 +281,7 @@ CritReport run_critpath(const CritOptions& opts, std::ostream& out) {
 
     if (opts.write_files) {
       r.json_path = opts.out_dir + "/CRITPATH_" + name + ".json";
-      if (!write_text(r.json_path, workload_json(opts, r))) {
+      if (!cli::write_text(r.json_path, workload_json(opts, r))) {
         out << "error: failed writing " << r.json_path << "\n";
         rep.exit_code = 1;
       }
@@ -333,11 +290,9 @@ CritReport run_critpath(const CritOptions& opts, std::ostream& out) {
   }
 
   if (opts.json_stdout) {
-    const std::string legacy = critpath_json(opts, rep.workloads);
-    if (opts.legacy_json)
-      out << legacy;
-    else
-      out << cli::envelope("rwcritpath", opts.seed, legacy) << "\n";
+    out << cli::envelope("rwcritpath", opts.seed,
+                         critpath_json(opts, rep.workloads))
+        << "\n";
     return rep;
   }
 

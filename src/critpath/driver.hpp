@@ -40,10 +40,6 @@ std::vector<std::string> corpus_names();
 Result<CorpusCase> build_corpus_case(const std::string& name,
                                      const CritOptions& opts);
 
-/// The planner-facing communication estimate for a platform config — the
-/// same arithmetic the live fabrics delegate to (nominal, uncontended).
-maps::CommCost comm_cost_for(const sim::PlatformConfig& cfg);
-
 /// The standard single-edit sweep the CLI (and E17 bench) validate:
 /// hottest core faster, fabric faster/wider, heaviest critical-path
 /// dependence removed.

@@ -168,12 +168,12 @@ ErtReport run_ert(const ErtOptions& opts, std::ostream& out) {
 
   if (opts.write_files) {
     rep.json_path = opts.out_dir + "/ERT_service.json";
-    if (!perf::write_text(rep.json_path, ert_json(opts, rep.tenants))) {
+    if (!cli::write_text(rep.json_path, ert_json(opts, rep.tenants))) {
       out << "rwert: error: failed writing " << rep.json_path << "\n";
       rep.exit_code = 1;
     }
     rep.trace_path = opts.out_dir + "/ERT_trace.json";
-    if (!perf::write_text(rep.trace_path,
+    if (!cli::write_text(rep.trace_path,
                           perf::to_chrome_trace(service.trace()))) {
       out << "rwert: error: failed writing " << rep.trace_path << "\n";
       rep.exit_code = 1;
@@ -181,11 +181,8 @@ ErtReport run_ert(const ErtOptions& opts, std::ostream& out) {
   }
 
   if (opts.json_stdout) {
-    const std::string legacy = ert_json(opts, rep.tenants);
-    if (opts.legacy_json)
-      out << legacy;
-    else
-      out << cli::envelope("rwert", opts.seed, legacy) << "\n";
+    out << cli::envelope("rwert", opts.seed, ert_json(opts, rep.tenants))
+        << "\n";
     return rep;
   }
 

@@ -13,13 +13,6 @@ namespace rw::fault {
 
 namespace {
 
-bool write_text(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return false;
-  f << content;
-  return f.good();
-}
-
 Result<RecoveryPolicy> parse_policy(const std::string& name) {
   for (RecoveryPolicy p :
        {RecoveryPolicy::kNone, RecoveryPolicy::kWatchdogRestart,
@@ -217,7 +210,7 @@ FaultReport run_fault(const FaultOptions& opts, std::ostream& out) {
     if (opts.write_files) {
       po.json_path = opts.out_dir + "/FAULT_" +
                      std::string(recovery_policy_name(policy)) + ".json";
-      if (!write_text(po.json_path, policy_json(opts, po))) {
+      if (!cli::write_text(po.json_path, policy_json(opts, po))) {
         out << "error: failed writing " << po.json_path << "\n";
         rep.exit_code = 1;
       }
@@ -226,11 +219,8 @@ FaultReport run_fault(const FaultOptions& opts, std::ostream& out) {
   }
 
   if (opts.json_stdout) {
-    const std::string legacy = fault_json(opts, rep.outcomes);
-    if (opts.legacy_json)
-      out << legacy;
-    else
-      out << cli::envelope("rwfault", opts.seed, legacy) << "\n";
+    out << cli::envelope("rwfault", opts.seed, fault_json(opts, rep.outcomes))
+        << "\n";
     return rep;
   }
 

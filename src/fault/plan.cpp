@@ -192,7 +192,7 @@ Result<FaultPlan> FaultPlan::from_json_value(const json::Value& doc) {
     for (const char* field : {"time_ps", "target", "a", "b"}) {
       const json::Value* v = ev.get(field);
       bool integral = false;
-      if (v != nullptr && v->is_number()) v->u64(&integral);
+      if (v != nullptr && v->is_number()) (void)v->u64(&integral);
       if (!integral)
         return make_error(where + ": field '" + field +
                           "' missing or not an integer");

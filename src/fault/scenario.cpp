@@ -1,7 +1,6 @@
 #include "fault/scenario.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -39,7 +38,7 @@ struct RunCtx {
   std::uint64_t items_dropped = 0;
   TimePs finish_time = 0;
   bool finished = false;
-  std::vector<bool> seen;           // delivered-id set, sized items
+  std::vector<bool> seen{};         // delivered-id set, sized items
   std::uint64_t alien_items = 0;     // delivered id not in [0, items)
   std::uint64_t duplicate_items = 0;  // delivered id seen twice
 
@@ -267,14 +266,7 @@ ScenarioOutcome run_one(const ScenarioConfig& cfg, const FaultPlan& plan,
         std::min<std::size_t>(cfg.threads, cfg.cores));
     pc.kernel.exec = sim::ExecMode::kParallel;
   }
-  if (cfg.mesh) {
-    pc.interconnect = sim::PlatformConfig::Icn::kMesh;
-    const auto side = static_cast<std::uint32_t>(
-        std::ceil(std::sqrt(static_cast<double>(cfg.cores))));
-    pc.mesh.width = side < 1 ? 1 : side;
-    pc.mesh.height = static_cast<std::uint32_t>(
-        (cfg.cores + pc.mesh.width - 1) / pc.mesh.width);
-  }
+  if (cfg.mesh) pc.use_square_mesh();
   sim::Platform plat(pc);
   if (num_links_out != nullptr) {
     auto* mesh = dynamic_cast<sim::MeshNoc*>(&plat.interconnect());

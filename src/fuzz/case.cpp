@@ -1,7 +1,5 @@
 #include "fuzz/case.hpp"
 
-#include <cmath>
-
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "sim/parallel.hpp"
@@ -87,13 +85,7 @@ sim::PlatformConfig CampaignCase::platform_config(sim::QueuePolicy policy,
                                                   bool parallel) const {
   sim::PlatformConfig pc = sim::PlatformConfig::homogeneous(cores);
   pc.kernel.policy = policy;
-  if (mesh) {
-    pc.interconnect = sim::PlatformConfig::Icn::kMesh;
-    const auto side = static_cast<std::uint32_t>(
-        std::ceil(std::sqrt(static_cast<double>(cores))));
-    pc.mesh.width = side < 1 ? 1 : side;
-    pc.mesh.height = (cores + pc.mesh.width - 1) / pc.mesh.width;
-  }
+  if (mesh) pc.use_square_mesh();
   if (tiles > 1) {
     sim::apply_tiling(pc, tiles, family == Family::kTiledPipeline);
     // apply_tiling arms kParallel; the oracle's exec twin keeps the tile

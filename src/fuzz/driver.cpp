@@ -10,13 +10,6 @@
 namespace rw::fuzz {
 namespace {
 
-bool write_text(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return false;
-  f << content;
-  return f.good();
-}
-
 Result<std::string> read_text(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return make_error("cannot open " + path);
@@ -170,7 +163,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::ostream& out) {
   bool write_failed = false;
   if (opts.write_files) {
     const std::string path = opts.out_dir + "/FUZZ_campaign.json";
-    if (write_text(path, camp.to_json() + "\n"))
+    if (cli::write_text(path, camp.to_json() + "\n"))
       wrote.push_back(path);
     else
       write_failed = true;
@@ -181,11 +174,11 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::ostream& out) {
       const std::string stub_path =
           strformat("%s/FUZZ_stub_%llu.cpp", opts.out_dir.c_str(),
                     static_cast<unsigned long long>(f.case_seed));
-      if (write_text(case_path, f.minimal.to_json() + "\n"))
+      if (cli::write_text(case_path, f.minimal.to_json() + "\n"))
         wrote.push_back(case_path);
       else
         write_failed = true;
-      if (write_text(stub_path, f.regression_stub()))
+      if (cli::write_text(stub_path, f.regression_stub()))
         wrote.push_back(stub_path);
       else
         write_failed = true;
@@ -194,11 +187,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::ostream& out) {
   if (write_failed && rep.exit_code == 0) rep.exit_code = 2;
 
   if (opts.json_stdout) {
-    const std::string legacy = camp.to_json() + "\n";
-    if (opts.legacy_json)
-      out << legacy;
-    else
-      out << cli::envelope("rwfuzz", opts.seed, legacy) << "\n";
+    out << cli::envelope("rwfuzz", opts.seed, camp.to_json()) << "\n";
     return rep;
   }
 

@@ -42,6 +42,43 @@ void violate(CaseOutcome& out, std::string invariant, std::string detail) {
   out.violations.push_back({std::move(invariant), std::move(detail)});
 }
 
+/// The determinism twins of one case, checked against its base run `base`:
+/// a rerun, the other queue policy, and (tiled cases only) the sequential
+/// executor, each as enabled by `opts`. `run(policy, parallel)` runs the
+/// family once; `seq_name` names the sequential twin in violation texts.
+template <typename Probe, typename RunOnce>
+void check_twins(const CampaignCase& c, const OracleOptions& opts,
+                 CaseOutcome& out, const Probe& base, bool par,
+                 const RunOnce& run, const char* seq_name) {
+  if (opts.rerun_twin) {
+    const Probe again = run(c.queue, par);
+    ++out.sub_runs;
+    if (!(again == base))
+      violate(out, "determinism.rerun",
+              base.describe() + " vs rerun " + again.describe());
+  }
+  if (opts.policy_twin) {
+    const sim::QueuePolicy other = c.queue == sim::QueuePolicy::kCalendar
+                                       ? sim::QueuePolicy::kBinaryHeap
+                                       : sim::QueuePolicy::kCalendar;
+    const Probe twin = run(other, par);
+    ++out.sub_runs;
+    mark_cells(out, c, other, par);
+    if (!(twin == base))
+      violate(out, "determinism.policy",
+              base.describe() + " vs " + sim::queue_policy_name(other) +
+                  " " + twin.describe());
+  }
+  if (opts.exec_twin && par) {
+    const Probe twin = run(c.queue, false);
+    ++out.sub_runs;
+    mark_cells(out, c, c.queue, false);
+    if (!(twin == base))
+      violate(out, "determinism.exec",
+              base.describe() + " vs " + seq_name + " " + twin.describe());
+  }
+}
+
 // ---------------------------------------------------------------- workloads
 
 struct SimProbe {
@@ -89,33 +126,12 @@ void run_workload_family(const CampaignCase& c, const OracleOptions& opts,
   if (base.budget_hit)
     violate(out, "liveness.budget", "base run: " + base.describe());
 
-  if (opts.rerun_twin) {
-    const SimProbe again = run_workload_once(c, c.queue, par);
-    ++out.sub_runs;
-    if (again != base)
-      violate(out, "determinism.rerun",
-              base.describe() + " vs rerun " + again.describe());
-  }
-  if (opts.policy_twin) {
-    const sim::QueuePolicy other = c.queue == sim::QueuePolicy::kCalendar
-                                       ? sim::QueuePolicy::kBinaryHeap
-                                       : sim::QueuePolicy::kCalendar;
-    const SimProbe twin = run_workload_once(c, other, par);
-    ++out.sub_runs;
-    mark_cells(out, c, other, par);
-    if (twin != base)
-      violate(out, "determinism.policy",
-              base.describe() + " vs " + sim::queue_policy_name(other) +
-                  " " + twin.describe());
-  }
-  if (opts.exec_twin && par) {
-    const SimProbe twin = run_workload_once(c, c.queue, false);
-    ++out.sub_runs;
-    mark_cells(out, c, c.queue, false);
-    if (twin != base)
-      violate(out, "determinism.exec",
-              base.describe() + " vs sequential " + twin.describe());
-  }
+  check_twins(
+      c, opts, out, base, par,
+      [&](sim::QueuePolicy policy, bool parallel) {
+        return run_workload_once(c, policy, parallel);
+      },
+      "sequential");
 }
 
 // ----------------------------------------------------------- fault pipeline
@@ -142,7 +158,7 @@ fault::ScenarioConfig scenario_config(const CampaignCase& c,
 struct FaultProbe {
   fault::ScenarioOutcome o;
 
-  [[nodiscard]] bool equal(const FaultProbe& b) const {
+  [[nodiscard]] bool operator==(const FaultProbe& b) const {
     const fault::ScenarioOutcome& x = o;
     const fault::ScenarioOutcome& y = b.o;
     return x.items_done == y.items_done && x.finish_time == y.finish_time &&
@@ -206,36 +222,13 @@ void run_fault_family(const CampaignCase& c, const OracleOptions& opts,
       (o.deadlocked || o.items_done != o.items_target))
     violate(out, "liveness.fault_free", "no faults, yet " + base.describe());
 
-  if (opts.rerun_twin) {
-    const FaultProbe again{
-        fault::run_fault_scenario(scenario_config(c, c.queue, c.tiles))};
-    ++out.sub_runs;
-    if (!again.equal(base))
-      violate(out, "determinism.rerun",
-              base.describe() + " vs rerun " + again.describe());
-  }
-  if (opts.policy_twin) {
-    const sim::QueuePolicy other = c.queue == sim::QueuePolicy::kCalendar
-                                       ? sim::QueuePolicy::kBinaryHeap
-                                       : sim::QueuePolicy::kCalendar;
-    const FaultProbe twin{
-        fault::run_fault_scenario(scenario_config(c, other, c.tiles))};
-    ++out.sub_runs;
-    mark_cells(out, c, other, par);
-    if (!twin.equal(base))
-      violate(out, "determinism.policy",
-              base.describe() + " vs " + sim::queue_policy_name(other) +
-                  " " + twin.describe());
-  }
-  if (opts.exec_twin && par) {
-    const FaultProbe twin{
-        fault::run_fault_scenario(scenario_config(c, c.queue, 1))};
-    ++out.sub_runs;
-    mark_cells(out, c, c.queue, false);
-    if (!twin.equal(base))
-      violate(out, "determinism.exec",
-              base.describe() + " vs threads=1 " + twin.describe());
-  }
+  check_twins(
+      c, opts, out, base, par,
+      [&](sim::QueuePolicy policy, bool parallel) {
+        return FaultProbe{fault::run_fault_scenario(
+            scenario_config(c, policy, parallel ? c.tiles : 1))};
+      },
+      "threads=1");
 }
 
 // -------------------------------------------------------------------- maps
@@ -287,35 +280,12 @@ void run_maps_family(const CampaignCase& c, const OracleOptions& opts,
                           contract.makespan.bound.bound)));
   }
 
-  if (opts.rerun_twin) {
-    const SimProbe again =
-        run_maps_once(c, g, mapping.task_to_pe, c.queue, par);
-    ++out.sub_runs;
-    if (again != base)
-      violate(out, "determinism.rerun",
-              base.describe() + " vs rerun " + again.describe());
-  }
-  if (opts.policy_twin) {
-    const sim::QueuePolicy other = c.queue == sim::QueuePolicy::kCalendar
-                                       ? sim::QueuePolicy::kBinaryHeap
-                                       : sim::QueuePolicy::kCalendar;
-    const SimProbe twin = run_maps_once(c, g, mapping.task_to_pe, other, par);
-    ++out.sub_runs;
-    mark_cells(out, c, other, par);
-    if (twin != base)
-      violate(out, "determinism.policy",
-              base.describe() + " vs " + sim::queue_policy_name(other) +
-                  " " + twin.describe());
-  }
-  if (opts.exec_twin && par) {
-    const SimProbe twin =
-        run_maps_once(c, g, mapping.task_to_pe, c.queue, false);
-    ++out.sub_runs;
-    mark_cells(out, c, c.queue, false);
-    if (twin != base)
-      violate(out, "determinism.exec",
-              base.describe() + " vs sequential " + twin.describe());
-  }
+  check_twins(
+      c, opts, out, base, par,
+      [&](sim::QueuePolicy policy, bool parallel) {
+        return run_maps_once(c, g, mapping.task_to_pe, policy, parallel);
+      },
+      "sequential");
 }
 
 // --------------------------------------------------------------------- ert

@@ -166,13 +166,9 @@ DriverReport run_driver(const DriverOptions& opts, std::ostream& out) {
     report.outcomes.push_back(std::move(outcome));
   }
 
-  if (opts.json_stdout) {
-    const std::string legacy = driver_json(report.outcomes);
-    if (opts.legacy_json)
-      out << legacy << "\n";
-    else
-      out << cli::envelope("rwlint", opts.seed, legacy) << "\n";
-  }
+  if (opts.json_stdout)
+    out << cli::envelope("rwlint", opts.seed, driver_json(report.outcomes))
+        << "\n";
   return report;
 }
 

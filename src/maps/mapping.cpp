@@ -294,48 +294,13 @@ TimePs best_sequential_time(const TaskGraph& g,
   return best;
 }
 
-TimePs execute_on_platform(const TaskGraph& g,
-                           const std::vector<std::size_t>& task_to_pe,
-                           sim::Platform& platform) {
-  const auto order = g.topological_order();
-  if (order.empty()) throw std::invalid_argument("cyclic task graph");
-  std::vector<TimePs> data_ready(g.tasks().size(), 0);
-  std::vector<TimePs> finish(g.tasks().size(), 0);
-  TimePs makespan = 0;
+namespace {
 
-  for (const TaskNodeId t : order) {
-    const std::size_t pe = task_to_pe.at(t.index()) % platform.core_count();
-    auto& core = platform.core(pe);
-    TimePs ready = 0;
-    for (const auto& e : g.edges()) {
-      if (e.dst != t) continue;
-      const std::size_t src_pe =
-          task_to_pe.at(e.src.index()) % platform.core_count();
-      TimePs avail = finish[e.src.index()];
-      if (src_pe != pe) {
-        // Real transfer through the platform interconnect (contended).
-        avail = platform.interconnect()
-                    .reserve_transfer(sim::CoreId{static_cast<std::uint32_t>(
-                                          src_pe)},
-                                      sim::CoreId{static_cast<std::uint32_t>(
-                                          pe)},
-                                      e.bytes, avail)
-                    .second;
-      }
-      ready = std::max(ready, avail);
-    }
-    data_ready[t.index()] = ready;
-    const auto [start, end] =
-        core.reserve_from(ready, g.task(t).cycles_on(core.pe_class()));
-    finish[t.index()] = end;
-    makespan = std::max(makespan, end);
-  }
-  return makespan;
-}
-
-TimePs execute_on_platform_traced(const TaskGraph& g,
-                                  const std::vector<std::size_t>& task_to_pe,
-                                  sim::Platform& platform) {
+/// The one replay loop behind execute_on_platform and its traced twin:
+/// timing never depends on `traced`, which only adds the trace records.
+TimePs replay_on_platform(const TaskGraph& g,
+                          const std::vector<std::size_t>& task_to_pe,
+                          sim::Platform& platform, bool traced) {
   const auto order = g.topological_order();
   if (order.empty()) throw std::invalid_argument("cyclic task graph");
   std::vector<TimePs> finish(g.tasks().size(), 0);
@@ -354,33 +319,52 @@ TimePs execute_on_platform_traced(const TaskGraph& g,
       TimePs xstart = avail;
       TimePs xfinish = avail;
       if (src_pe != pe) {
+        // Real transfer through the platform interconnect (contended).
         std::tie(xstart, xfinish) =
             platform.interconnect().reserve_transfer(
                 sim::CoreId{static_cast<std::uint32_t>(src_pe)},
                 sim::CoreId{static_cast<std::uint32_t>(pe)}, e.bytes, avail);
       }
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(e.src.value()) << 32) | e.dst.value();
-      const std::string label =
-          g.task(e.src).name + ">" + g.task(e.dst).name;
-      tracer.record(xstart, sim::TraceKind::kMsgSend,
-                    sim::CoreId{static_cast<std::uint32_t>(src_pe)}, label,
-                    key, e.bytes);
-      tracer.record(xfinish, sim::TraceKind::kMsgRecv,
-                    sim::CoreId{static_cast<std::uint32_t>(pe)}, label, key,
-                    e.bytes);
+      if (traced) {
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(e.src.value()) << 32) | e.dst.value();
+        const std::string label =
+            g.task(e.src).name + ">" + g.task(e.dst).name;
+        tracer.record(xstart, sim::TraceKind::kMsgSend,
+                      sim::CoreId{static_cast<std::uint32_t>(src_pe)}, label,
+                      key, e.bytes);
+        tracer.record(xfinish, sim::TraceKind::kMsgRecv,
+                      sim::CoreId{static_cast<std::uint32_t>(pe)}, label, key,
+                      e.bytes);
+      }
       ready = std::max(ready, xfinish);
     }
     const Cycles cyc = g.task(t).cycles_on(core.pe_class());
     const auto [start, end] = core.reserve_from(ready, cyc);
-    tracer.record(start, sim::TraceKind::kTaskStart, core.id(),
-                  g.task(t).name, t.value(), cyc);
-    tracer.record(end, sim::TraceKind::kTaskEnd, core.id(), g.task(t).name,
-                  t.value(), g.task(t).ref_cycles);
+    if (traced) {
+      tracer.record(start, sim::TraceKind::kTaskStart, core.id(),
+                    g.task(t).name, t.value(), cyc);
+      tracer.record(end, sim::TraceKind::kTaskEnd, core.id(), g.task(t).name,
+                    t.value(), g.task(t).ref_cycles);
+    }
     finish[t.index()] = end;
     makespan = std::max(makespan, end);
   }
   return makespan;
+}
+
+}  // namespace
+
+TimePs execute_on_platform(const TaskGraph& g,
+                           const std::vector<std::size_t>& task_to_pe,
+                           sim::Platform& platform) {
+  return replay_on_platform(g, task_to_pe, platform, /*traced=*/false);
+}
+
+TimePs execute_on_platform_traced(const TaskGraph& g,
+                                  const std::vector<std::size_t>& task_to_pe,
+                                  sim::Platform& platform) {
+  return replay_on_platform(g, task_to_pe, platform, /*traced=*/true);
 }
 
 MappingResult replan_survivors(const TaskGraph& g,

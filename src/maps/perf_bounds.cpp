@@ -90,37 +90,19 @@ std::vector<PeDesc> pes_from_platform(const sim::PlatformConfig& cfg) {
 
 CommCost comm_cost_from_platform(const sim::PlatformConfig& cfg) {
   if (cfg.interconnect == sim::PlatformConfig::Icn::kSharedBus) {
-    const auto bus = cfg.bus;
-    return [bus](std::size_t src, std::size_t dst,
-                 std::uint64_t bytes) -> DurationPs {
-      if (src == dst) return 0;
-      const Cycles data =
-          (bytes + bus.width_bytes - 1) / bus.width_bytes;
-      return cycles_to_ps(bus.arbitration_cycles + data, bus.frequency);
+    return [bus = cfg.bus](std::size_t src, std::size_t dst,
+                           std::uint64_t bytes) -> DurationPs {
+      return src == dst ? 0 : sim::bus_transfer_duration(bus, bytes);
     };
   }
-  const auto mesh = cfg.mesh;
-  return [mesh](std::size_t src, std::size_t dst,
-                std::uint64_t bytes) -> DurationPs {
-    if (src == dst) return 0;
-    // Same coordinate math as MeshNoc::coord_of / hop_count: core index
-    // wraps onto the w x h grid, XY route length is the Manhattan
-    // distance. Distinct cores folding onto one node route zero hops.
-    const std::uint64_t nodes =
-        std::uint64_t{mesh.width} * std::uint64_t{mesh.height};
-    const std::uint64_t si = src % nodes;
-    const std::uint64_t di = dst % nodes;
-    const auto dx = static_cast<std::int64_t>(si % mesh.width) -
-                    static_cast<std::int64_t>(di % mesh.width);
-    const auto dy = static_cast<std::int64_t>(si / mesh.width) -
-                    static_cast<std::int64_t>(di / mesh.width);
-    const std::uint64_t hops = static_cast<std::uint64_t>(dx < 0 ? -dx : dx) +
-                               static_cast<std::uint64_t>(dy < 0 ? -dy : dy);
-    const Cycles flits = std::max<std::uint64_t>(
-        (bytes + mesh.link_width_bytes - 1) / mesh.link_width_bytes, 1);
-    const DurationPs per_link =
-        cycles_to_ps(flits, mesh.link_frequency) + mesh.hop_latency;
-    return static_cast<DurationPs>(hops) * per_link;
+  return [mesh = cfg.mesh](std::size_t src, std::size_t dst,
+                           std::uint64_t bytes) -> DurationPs {
+    const std::uint32_t hops =
+        sim::mesh_hops(mesh, sim::CoreId{static_cast<std::uint32_t>(src)},
+                       sim::CoreId{static_cast<std::uint32_t>(dst)});
+    if (hops == 0) return 0;
+    return hops *
+           (sim::mesh_serialization_time(mesh, bytes) + mesh.hop_latency);
   };
 }
 

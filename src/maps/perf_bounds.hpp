@@ -63,7 +63,8 @@ struct MakespanBound {
     const sim::PlatformConfig& cfg);
 
 /// Uncontended per-transfer fabric occupancy of `cfg`'s interconnect,
-/// as a CommCost. Mirrors the simulator's occupancy formulas exactly:
+/// as a CommCost. Calls the simulator's own timing functions
+/// (sim::bus_transfer_duration, sim::mesh_hops, sim::mesh_serialization_time):
 /// shared bus = arbitration + ceil(bytes/width) bus cycles; mesh NoC =
 /// XY hops x (per-link serialization + hop latency), store-and-forward.
 /// Same-PE transfers are free (the replay never issues them). This is

@@ -1,6 +1,5 @@
 #include "perf/driver.hpp"
 
-#include <cmath>
 #include <memory>
 
 #include "common/json.hpp"
@@ -54,14 +53,7 @@ std::unique_ptr<sim::Platform> build_platform(const ProfOptions& opts,
                                               std::string_view workload) {
   sim::PlatformConfig cfg = sim::PlatformConfig::homogeneous(opts.cores);
   cfg.trace_enabled = true;
-  if (opts.mesh) {
-    cfg.interconnect = sim::PlatformConfig::Icn::kMesh;
-    const auto side = static_cast<std::uint32_t>(
-        std::ceil(std::sqrt(static_cast<double>(opts.cores))));
-    cfg.mesh.width = side;
-    cfg.mesh.height =
-        (static_cast<std::uint32_t>(opts.cores) + side - 1) / side;
-  }
+  if (opts.mesh) cfg.use_square_mesh();
   if (opts.threads > 1)
     sim::apply_tiling(cfg, opts.threads,
                       /*partition_cores=*/workload_tileable(workload));
@@ -173,15 +165,15 @@ ProfReport run_prof(const ProfOptions& opts, std::ostream& out) {
     if (opts.write_files) {
       const std::string base = opts.out_dir + "/PERF_" + name;
       oc.json_path = base + ".json";
-      bool ok = write_text(oc.json_path, to_json(oc.report));
-      ok = write_text(base + ".trace.json",
-                      to_chrome_trace(platform->tracer().events())) &&
+      bool ok = cli::write_text(oc.json_path, to_json(oc.report));
+      ok = cli::write_text(base + ".trace.json",
+                           to_chrome_trace(platform->tracer().events())) &&
            ok;
-      ok = write_text(base + ".folded",
-                      to_folded_stacks(oc.report.profile)) &&
+      ok = cli::write_text(base + ".folded",
+                           to_folded_stacks(oc.report.profile)) &&
            ok;
-      ok = write_text(base + ".csv",
-                      to_csv(oc.report.epochs, oc.report.num_cores)) &&
+      ok = cli::write_text(base + ".csv",
+                           to_csv(oc.report.epochs, oc.report.num_cores)) &&
            ok;
       if (!ok) {
         out << "error: failed writing exports for " << name << "\n";
@@ -192,11 +184,7 @@ ProfReport run_prof(const ProfOptions& opts, std::ostream& out) {
   }
 
   if (opts.json_stdout) {
-    const std::string legacy = prof_json(rep.outcomes);
-    if (opts.legacy_json)
-      out << legacy;
-    else
-      out << cli::envelope("rwprof", opts.seed, legacy) << "\n";
+    out << cli::envelope("rwprof", opts.seed, prof_json(rep.outcomes)) << "\n";
   } else {
     for (const auto& oc : rep.outcomes) print_outcome(opts, oc, out);
   }

@@ -1,6 +1,5 @@
 #include "perf/export.hpp"
 
-#include <fstream>
 #include <vector>
 
 #include "common/json.hpp"
@@ -190,14 +189,6 @@ std::string to_json(const PerfReport& r) {
   json::Writer w;
   write_report(w, r);
   return w.str() + "\n";
-}
-
-bool write_text(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  f.write(content.data(),
-          static_cast<std::streamsize>(content.size()));
-  return static_cast<bool>(f);
 }
 
 }  // namespace rw::perf

@@ -38,7 +38,4 @@ std::string to_json(const PerfReport& report);
 /// embeds reports in its combined doc; to_json wraps this).
 void write_report(json::Writer& w, const PerfReport& report);
 
-/// Write `content` to `path` byte-exactly; returns false on I/O failure.
-bool write_text(const std::string& path, const std::string& content);
-
 }  // namespace rw::perf

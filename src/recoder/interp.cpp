@@ -265,8 +265,7 @@ class Interp {
       scopes_.back()[s.name] =
           s.expr ? eval(*s.expr) : Value{Pointer{nullptr, 0}};
     } else {
-      scopes_.back()[s.name] =
-          s.expr ? Value{as_int(eval(*s.expr))} : Value{std::int64_t{0}};
+      scopes_.back()[s.name] = s.expr ? as_int(eval(*s.expr)) : 0;
     }
   }
 

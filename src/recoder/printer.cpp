@@ -33,9 +33,9 @@ std::string print_expr_prec(const Expr& e, int parent_prec) {
       return print_expr_prec(*e.kids[0], 7) + "[" +
              print_expr_prec(*e.kids[1], 0) + "]";
     case ExprKind::kDeref:
-      return "*" + print_expr_prec(*e.kids[0], 7);
     case ExprKind::kAddrOf:
-      return "&" + print_expr_prec(*e.kids[0], 7);
+      return std::string(e.kind == ExprKind::kDeref ? "*" : "&")
+          .append(print_expr_prec(*e.kids[0], 7));
     case ExprKind::kCall: {
       std::string s = e.name + "(";
       for (std::size_t i = 0; i < e.kids.size(); ++i) {
@@ -84,7 +84,8 @@ std::string print_stmt(const Stmt& s, int indent) {
       std::string out = p + "int ";
       if (s.is_pointer) out += "*";
       out += s.name;
-      if (s.is_array) out += "[" + std::to_string(s.array_size) + "]";
+      if (s.is_array)
+        out.append("[").append(std::to_string(s.array_size)).append("]");
       if (s.expr) out += " = " + print_expr(*s.expr);
       return out + ";\n";
     }
@@ -107,9 +108,11 @@ std::string print_stmt(const Stmt& s, int indent) {
     case StmtKind::kWhile:
       return p + "while (" + print_expr(*s.expr) + ") {\n" +
              print_body(s.body, indent + 1) + p + "}\n";
-    case StmtKind::kReturn:
-      return p + "return" + (s.expr ? " " + print_expr(*s.expr) : "") +
-             ";\n";
+    case StmtKind::kReturn: {
+      std::string out = p + "return";
+      if (s.expr) out.append(" ").append(print_expr(*s.expr));
+      return out + ";\n";
+    }
     case StmtKind::kBlock:
       return p + "{\n" + print_body(s.body, indent + 1) + p + "}\n";
   }

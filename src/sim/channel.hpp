@@ -49,15 +49,7 @@ class Channel {
     T value;
     std::coroutine_handle<> handle{};
 
-    bool await_ready() {
-      if (ch.try_deliver_direct(value)) return true;
-      if (ch.buffer_.size() < ch.capacity_) {
-        ch.buffer_.push_back(std::move(value));
-        ++ch.total_sent_;
-        return true;
-      }
-      return false;
-    }
+    bool await_ready() { return ch.offer(value); }
     void await_suspend(std::coroutine_handle<> h) {
       handle = h;
       ch.send_waiters_.push_back(this);
@@ -70,16 +62,7 @@ class Channel {
     std::optional<T> value{};
     std::coroutine_handle<> handle{};
 
-    bool await_ready() {
-      if (!ch.buffer_.empty()) {
-        value = std::move(ch.buffer_.front());
-        ch.buffer_.pop_front();
-        ++ch.total_received_;
-        ch.refill_from_sender();
-        return true;
-      }
-      return false;
-    }
+    bool await_ready() { return ch.take(value); }
     void await_suspend(std::coroutine_handle<> h) {
       handle = h;
       ch.recv_waiters_.push_back(this);
@@ -213,23 +196,12 @@ class Channel {
   }
 
   /// Non-blocking send; returns false if it would have blocked.
-  bool try_send(T value) {
-    if (try_deliver_direct(value)) return true;
-    if (buffer_.size() < capacity_) {
-      buffer_.push_back(std::move(value));
-      ++total_sent_;
-      return true;
-    }
-    return false;
-  }
+  bool try_send(T value) { return offer(value); }
 
   /// Non-blocking receive.
   std::optional<T> try_recv() {
-    if (buffer_.empty()) return std::nullopt;
-    T v = std::move(buffer_.front());
-    buffer_.pop_front();
-    ++total_received_;
-    refill_from_sender();
+    std::optional<T> v;
+    take(v);
     return v;
   }
 
@@ -238,6 +210,29 @@ class Channel {
   friend struct RecvAwaitable;
   friend struct RecvForAwaitable;
   friend struct SendForAwaitable;
+
+  /// The one non-blocking send path (send() and try_send()): hand `value`
+  /// to a blocked receiver, else buffer it. Returns false, leaving `value`
+  /// untouched, when the send would block.
+  bool offer(T& value) {
+    if (try_deliver_direct(value)) return true;
+    if (buffer_.size() >= capacity_) return false;
+    buffer_.push_back(std::move(value));
+    ++total_sent_;
+    return true;
+  }
+
+  /// The one non-blocking receive path (recv() and try_recv()): move the
+  /// oldest buffered message into `out` and let one blocked sender refill
+  /// the freed slot. Returns false when the buffer is empty.
+  bool take(std::optional<T>& out) {
+    if (buffer_.empty()) return false;
+    out = std::move(buffer_.front());
+    buffer_.pop_front();
+    ++total_received_;
+    refill_from_sender();
+    return true;
+  }
 
   /// Hand `value` straight to a blocked receiver, if any. Returns true when
   /// delivered. The receiver is resumed via a kernel event at the current

@@ -82,6 +82,14 @@ std::vector<std::size_t> mesh_route(const MeshNoc::Config& cfg, CoreId src,
   return links;
 }
 
+std::uint32_t mesh_hops(const MeshNoc::Config& cfg, CoreId src, CoreId dst) {
+  const MeshCoord a = mesh_coord_of(cfg, src);
+  const MeshCoord b = mesh_coord_of(cfg, dst);
+  const auto dx = a.x > b.x ? a.x - b.x : b.x - a.x;
+  const auto dy = a.y > b.y ? a.y - b.y : b.y - a.y;
+  return dx + dy;
+}
+
 // ---------------------------------------------------------------- SharedBus
 
 DurationPs SharedBus::transfer_duration(std::uint64_t bytes) const {
@@ -125,26 +133,12 @@ MeshNoc::MeshNoc(Kernel& kernel, Config cfg) : kernel_(kernel), cfg_(cfg) {
       static_cast<std::size_t>(cfg_.width) * cfg_.height * 4, 0);
 }
 
-MeshNoc::Coord MeshNoc::coord_of(CoreId c) const {
-  const MeshCoord m = mesh_coord_of(cfg_, c);
-  return Coord{m.x, m.y};
-}
-
-std::size_t MeshNoc::link_index(Coord from, Coord to) const {
-  return mesh_link_index(cfg_, MeshCoord{from.x, from.y},
-                         MeshCoord{to.x, to.y});
-}
-
 std::vector<std::size_t> MeshNoc::route(CoreId src, CoreId dst) const {
   return mesh_route(cfg_, src, dst);
 }
 
 std::uint32_t MeshNoc::hop_count(CoreId src, CoreId dst) const {
-  const Coord a = coord_of(src);
-  const Coord b = coord_of(dst);
-  const auto dx = a.x > b.x ? a.x - b.x : b.x - a.x;
-  const auto dy = a.y > b.y ? a.y - b.y : b.y - a.y;
-  return dx + dy;
+  return mesh_hops(cfg_, src, dst);
 }
 
 void MeshNoc::set_link_degrade(std::size_t link, double factor) {

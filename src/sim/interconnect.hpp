@@ -147,12 +147,6 @@ class MeshNoc final : public Interconnect {
   }
 
  private:
-  struct Coord {
-    std::uint32_t x, y;
-  };
-  [[nodiscard]] Coord coord_of(CoreId c) const;
-  /// Directed link index from node (x,y) towards a neighbour.
-  [[nodiscard]] std::size_t link_index(Coord from, Coord to) const;
   [[nodiscard]] std::vector<std::size_t> route(CoreId src, CoreId dst) const;
   [[nodiscard]] DurationPs serialization_time(std::uint64_t bytes) const;
 
@@ -163,9 +157,10 @@ class MeshNoc final : public Interconnect {
 };
 
 /// Static fabric timing model, exposed as pure functions of the configs so
-/// trace-driven analysis (rw::critpath) can replay exactly the arithmetic
-/// the live fabric uses — any drift between the two would silently bias
-/// what-if predictions, so the member functions delegate here.
+/// planners (maps::comm_cost_from_platform) and trace-driven analysis
+/// (rw::critpath) use exactly the arithmetic the live fabric uses — any
+/// drift would silently bias mappings and what-if predictions, so the
+/// member functions delegate here.
 [[nodiscard]] DurationPs bus_transfer_duration(const SharedBus::Config& cfg,
                                                std::uint64_t bytes);
 [[nodiscard]] DurationPs mesh_serialization_time(const MeshNoc::Config& cfg,
@@ -174,6 +169,10 @@ class MeshNoc final : public Interconnect {
 /// geometry (same encoding as MeshNoc: node*4 + direction).
 [[nodiscard]] std::vector<std::size_t> mesh_route(const MeshNoc::Config& cfg,
                                                   CoreId src, CoreId dst);
+/// Length of that route (Manhattan distance), without building it. Distinct
+/// cores that wrap onto one node are zero hops apart.
+[[nodiscard]] std::uint32_t mesh_hops(const MeshNoc::Config& cfg, CoreId src,
+                                      CoreId dst);
 
 /// Smallest latency the fabric can impose on any cross-core message — the
 /// conservative lookahead floor of the tiled engine (parallel.hpp). For

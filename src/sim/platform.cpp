@@ -24,6 +24,14 @@ PlatformConfig PlatformConfig::heterogeneous(std::size_t riscs,
 
 Status PlatformConfig::validate() const { return validate_tiling(*this); }
 
+void PlatformConfig::use_square_mesh() {
+  interconnect = Icn::kMesh;
+  std::uint32_t w = 1;
+  while (static_cast<std::size_t>(w) * w < cores.size()) ++w;
+  mesh.width = w;
+  mesh.height = static_cast<std::uint32_t>((cores.size() + w - 1) / w);
+}
+
 Platform::Platform(PlatformConfig cfg)
     : cfg_(std::move(cfg)), kernel_(cfg_.kernel), memory_(kernel_, tracer_) {
   if (cfg_.cores.empty())

@@ -54,6 +54,10 @@ struct PlatformConfig {
   /// of a throw check it first.
   [[nodiscard]] Status validate() const;
 
+  /// Switch the fabric to the most nearly square mesh that holds every
+  /// core: width ceil(sqrt(n)), height ceil(n / width).
+  void use_square_mesh();
+
   /// Homogeneous platform: `n` identical RISC cores (Sec. II's preferred
   /// architecture).
   static PlatformConfig homogeneous(std::size_t n, HertzT freq = mhz(400));

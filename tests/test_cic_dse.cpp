@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cic/dse.hpp"
+#include "common/strings.hpp"
 
 namespace rw::cic {
 namespace {
@@ -9,18 +10,18 @@ CicProgram parallel_app(std::uint32_t branches = 3) {
   CicProgram p("fanout");
   std::vector<std::string> outs;
   for (std::uint32_t b = 0; b < branches; ++b)
-    outs.push_back("o" + std::to_string(b));
+    outs.push_back(strformat("o%u", b));
   const auto src = p.add_task("src", 2'000, {}, outs);
   p.set_period(src, microseconds(600));
   std::vector<std::string> ins;
   for (std::uint32_t b = 0; b < branches; ++b)
-    ins.push_back("i" + std::to_string(b));
+    ins.push_back(strformat("i%u", b));
   const auto snk = p.add_task("snk", 3'000, ins, {});
   for (std::uint32_t b = 0; b < branches; ++b) {
     const auto w = p.add_task("work" + std::to_string(b), 120'000, {"in"},
                               {"out"});
-    p.connect(src, "o" + std::to_string(b), w, "in", 1024);
-    p.connect(w, "out", snk, "i" + std::to_string(b), 512);
+    p.connect(src, strformat("o%u", b), w, "in", 1024);
+    p.connect(w, "out", snk, strformat("i%u", b), 512);
   }
   return p;
 }
@@ -55,7 +56,9 @@ TEST(Dse, ExploresAndMarksPareto) {
   for (const auto& p : points) {
     feasible += p.feasible;
     pareto += p.pareto;
-    if (p.pareto) EXPECT_TRUE(p.feasible);
+    if (p.pareto) {
+      EXPECT_TRUE(p.feasible);
+    }
   }
   EXPECT_EQ(feasible, 8);
   EXPECT_GE(pareto, 1);

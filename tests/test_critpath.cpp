@@ -10,6 +10,7 @@
 #include "critpath/driver.hpp"
 #include "critpath/whatif.hpp"
 #include "maps/mapping.hpp"
+#include "maps/perf_bounds.hpp"
 #include "maps/workloads.hpp"
 #include "perf/traceview.hpp"
 #include "sched/spacealloc.hpp"
@@ -77,21 +78,38 @@ TEST(DepGraph, AcyclicAndEdgeConservation) {
 }
 
 TEST(DepGraph, TraceEventAccounting) {
-  const maps::TaskGraph app = three_stage();
-  sim::PlatformConfig cfg = bus2();
-  cfg.trace_enabled = true;
-  sim::Platform platform(cfg);
-  platform.tracer().set_enabled(true);
-  const TimePs makespan =
-      maps::execute_on_platform_traced(app, {0, 1, 0}, platform);
-  const auto view = perf::TraceView::from_events(platform.tracer().events());
-  // The executor emits exactly two events per span, nothing half-open.
-  EXPECT_EQ(view.consumed_events(), view.total_events());
-  EXPECT_EQ(view.span_count(), app.tasks().size() + app.edges().size());
-  EXPECT_EQ(view.makespan(), makespan);
-  // Timing is bit-identical to the untraced executor.
-  sim::Platform quiet(bus2());
-  EXPECT_EQ(maps::execute_on_platform(app, {0, 1, 0}, quiet), makespan);
+  // The hand-built pipeline, then every rwcritpath corpus graph with its
+  // HEFT mapping on the bus and on the mesh.
+  std::vector<CorpusCase> inputs{{three_stage(), bus2(), {0, 1, 0}}};
+  for (const bool mesh : {false, true}) {
+    CritOptions opts;
+    opts.mesh = mesh;
+    for (const std::string& name : corpus_names()) {
+      auto built = build_corpus_case(name, opts);
+      ASSERT_TRUE(built.ok()) << name;
+      inputs.push_back(std::move(built.value()));
+    }
+  }
+  for (const CorpusCase& in : inputs) {
+    const maps::TaskGraph& app = in.graph;
+    sim::PlatformConfig cfg = in.cfg;
+    cfg.trace_enabled = true;
+    sim::Platform platform(cfg);
+    platform.tracer().set_enabled(true);
+    const TimePs makespan =
+        maps::execute_on_platform_traced(app, in.task_to_pe, platform);
+    const auto view =
+        perf::TraceView::from_events(platform.tracer().events());
+    // The executor emits exactly two events per span, nothing half-open.
+    EXPECT_EQ(view.consumed_events(), view.total_events()) << app.name;
+    EXPECT_EQ(view.span_count(), app.tasks().size() + app.edges().size())
+        << app.name;
+    EXPECT_EQ(view.makespan(), makespan) << app.name;
+    // Timing is bit-identical to the untraced executor.
+    sim::Platform quiet(in.cfg);
+    EXPECT_EQ(maps::execute_on_platform(app, in.task_to_pe, quiet), makespan)
+        << app.name;
+  }
 }
 
 TEST(DepGraph, SamePeDependencesSurviveAsLocalTransfers) {
@@ -114,12 +132,8 @@ TEST(DepGraph, SamePeDependencesSurviveAsLocalTransfers) {
 TEST(Retime, BaselineReproducesObservedTimesExactly) {
   for (const sim::PlatformConfig& cfg : {bus2(), mesh4()}) {
     const maps::TaskGraph app = maps::h264_encoder_taskgraph(3);
-    const auto heft =
-        maps::heft_map(app, [&] {
-          std::vector<maps::PeDesc> pes;
-          for (const auto& c : cfg.cores) pes.push_back({c.cls, c.frequency});
-          return pes;
-        }(), comm_cost_for(cfg));
+    const auto heft = maps::heft_map(app, maps::pes_from_platform(cfg),
+                                     maps::comm_cost_from_platform(cfg));
     const DepGraph g = trace_mapping(app, cfg, heft.task_to_pe);
     const Retimed r = retime(g, {}, &app);
     EXPECT_EQ(r.makespan, g.observed_makespan());
@@ -191,9 +205,8 @@ TEST(Attribution, MeshChargesLinks) {
 TEST(WhatIf, SingleEditsPredictResimExactly) {
   const maps::TaskGraph app = maps::h264_encoder_taskgraph(3);
   for (const sim::PlatformConfig& cfg : {bus2(), mesh4()}) {
-    std::vector<maps::PeDesc> pes;
-    for (const auto& c : cfg.cores) pes.push_back({c.cls, c.frequency});
-    const auto heft = maps::heft_map(app, pes, comm_cost_for(cfg));
+    const auto heft = maps::heft_map(app, maps::pes_from_platform(cfg),
+                                     maps::comm_cost_from_platform(cfg));
     const std::vector<Edit> sweep{
         Edit::faster_core(0, 2.0),       Edit::faster_core(1, 4.0),
         Edit::faster_link(2.0),          Edit::wider_link(2.0),
@@ -395,7 +408,6 @@ TEST(Driver, JsonOutputIsDeterministic) {
   CritOptions opts;
   opts.workloads = {"pipeline3"};
   opts.write_files = false;
-  opts.legacy_json = true;
   opts.json_stdout = true;
   std::ostringstream a, b;
   run_critpath(opts, a);

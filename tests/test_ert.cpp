@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "ert/adapters.hpp"
 #include "ert/driver.hpp"
 #include "ert/service.hpp"
@@ -432,7 +433,7 @@ std::vector<std::uint64_t> run_tenants_and_fingerprint(bool threaded) {
   std::vector<Session> sessions;
   for (std::size_t t = 0; t < kTenants; ++t) {
     auto s = service.open_session(TenantConfig{
-        .name = "t" + std::to_string(t),
+        .name = strformat("t%zu", t),
         .share = 1.0 / static_cast<double>(kTenants)});
     EXPECT_TRUE(s.ok());
     sessions.push_back(s.value());
@@ -537,7 +538,6 @@ TEST(ErtDriver, ParsesCommonAndToolFlags) {
                                     "--out-dir", "/tmp/x", "pipeline"});
   ASSERT_TRUE(opts.ok());
   EXPECT_TRUE(opts.value().json_stdout);
-  EXPECT_FALSE(opts.value().legacy_json);
   EXPECT_FALSE(opts.value().write_files);
   EXPECT_EQ(opts.value().seed, 9u);
   EXPECT_EQ(opts.value().tenants, 3u);
@@ -563,12 +563,6 @@ TEST(ErtDriver, JsonEnvelopeWrapsLegacyDocDeterministically) {
   EXPECT_NE(a.str().find("\"schema\": \"rw-tool-1\""), std::string::npos);
   EXPECT_NE(a.str().find("\"tool\": \"rwert\""), std::string::npos);
   EXPECT_NE(a.str().find("\"schema\": \"rw-ert-run-1\""), std::string::npos);
-
-  opts.legacy_json = true;
-  std::ostringstream c;
-  EXPECT_EQ(run_ert(opts, c).exit_code, 0);
-  EXPECT_EQ(c.str().find("rw-tool-1"), std::string::npos);
-  EXPECT_EQ(c.str().rfind("{", 0), 0u);  // bare legacy document
 }
 
 TEST(ErtDriver, ListPrintsTemplateRegistry) {

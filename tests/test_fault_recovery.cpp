@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
 #include "fault/scenario.hpp"
@@ -249,7 +250,7 @@ RtTask util_task(const std::string& name, double u,
 std::vector<RtTask> uniform_tasks(int n, double u) {
   std::vector<RtTask> out;
   for (int i = 0; i < n; ++i)
-    out.push_back(util_task("t" + std::to_string(i), u));
+    out.push_back(util_task(strformat("t%d", i), u));
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "cic/dse.hpp"
+#include "common/strings.hpp"
 #include "harness/harness.hpp"
 
 namespace rw::harness {
@@ -52,7 +53,7 @@ TEST(SeedDerivation, StableAcrossCalls) {
 Scenario counting_scenario(std::size_t n) {
   Scenario s("count");
   for (std::size_t i = 0; i < n; ++i) {
-    s.add_run("r" + std::to_string(i), [](const RunContext& ctx) {
+    s.add_run(strformat("r%zu", i), [](const RunContext& ctx) {
       RunMetrics m;
       m.makespan = ctx.index * 100;  // deterministic function of identity
       m.deadline_misses = ctx.seed % 7;
@@ -68,7 +69,7 @@ TEST(Runner, CollectsInSubmissionOrderRegardlessOfThreads) {
   ASSERT_EQ(r.runs.size(), 100u);
   for (std::size_t i = 0; i < r.runs.size(); ++i) {
     EXPECT_EQ(r.runs[i].index, i);
-    EXPECT_EQ(r.runs[i].label, "r" + std::to_string(i));
+    EXPECT_EQ(r.runs[i].label, strformat("r%zu", i));
     EXPECT_EQ(r.runs[i].seed, s.seed_for(i));
     EXPECT_EQ(r.runs[i].metrics.makespan, i * 100);
     EXPECT_TRUE(r.runs[i].ok);
@@ -148,8 +149,8 @@ TEST(HarnessDse, ParallelSweepByteIdenticalToSerial) {
   for (int b = 0; b < 2; ++b) {
     const auto w = p.add_task("work" + std::to_string(b), 120'000, {"in"},
                               {"out"});
-    p.connect(src, "o" + std::to_string(b), w, "in", 1024);
-    p.connect(w, "out", snk, "i" + std::to_string(b), 512);
+    p.connect(src, strformat("o%d", b), w, "in", 1024);
+    p.connect(w, "out", snk, strformat("i%d", b), 512);
   }
 
   const auto candidates = default_candidates(4);

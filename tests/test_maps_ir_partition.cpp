@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "maps/ir.hpp"
 #include "maps/partition.hpp"
 #include "maps/workloads.hpp"
@@ -55,8 +56,8 @@ TEST(Ir, CriticalPathOfChainEqualsTotal) {
 TEST(Ir, CriticalPathOfIndependentWork) {
   SeqProgram p;
   for (int i = 0; i < 4; ++i) {
-    const auto v = p.add_var("v" + std::to_string(i));
-    p.add_stmt("s" + std::to_string(i), 100, {}, {v});
+    const auto v = p.add_var(strformat("v%d", i));
+    p.add_stmt(strformat("s%d", i), 100, {}, {v});
   }
   EXPECT_EQ(p.critical_path(), 100u);
   EXPECT_DOUBLE_EQ(p.ideal_speedup(), 4.0);

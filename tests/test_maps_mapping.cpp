@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "maps/concurrency.hpp"
 #include "maps/mapping.hpp"
 #include "maps/osip.hpp"
 #include "maps/partition.hpp"
+#include "maps/perf_bounds.hpp"
 #include "maps/workloads.hpp"
 
 namespace rw::maps {
@@ -146,6 +148,36 @@ TEST(Mapping, ExecuteOnPlatformMatchesEstimateShape) {
   EXPECT_LT(measured, m.makespan * 3);
 }
 
+TEST(Mapping, CommCostEqualsFabricNominalLatency) {
+  // The planner's cost model and the live fabric's uncontended latency are
+  // one formula: every core pair, every size, bus and mesh, including a
+  // mesh where several cores share a node.
+  const auto mesh = [](std::size_t cores, std::uint32_t w, std::uint32_t h) {
+    sim::PlatformConfig cfg = sim::PlatformConfig::homogeneous(cores);
+    cfg.interconnect = sim::PlatformConfig::Icn::kMesh;
+    cfg.mesh.width = w;
+    cfg.mesh.height = h;
+    return cfg;
+  };
+  for (const sim::PlatformConfig& cfg :
+       {sim::PlatformConfig::homogeneous(4), mesh(4, 2, 2), mesh(6, 3, 2),
+        mesh(6, 2, 2)}) {
+    sim::Platform platform(cfg);
+    const CommCost comm = comm_cost_from_platform(cfg);
+    for (std::uint32_t s = 0; s < cfg.cores.size(); ++s)
+      for (std::uint32_t d = 0; d < cfg.cores.size(); ++d)
+        for (const std::uint64_t b : {0u, 1u, 7u, 64u, 4096u}) {
+          const DurationPs want =
+              s == d ? 0
+                     : platform.interconnect().nominal_latency(
+                           sim::CoreId{s}, sim::CoreId{d}, b);
+          EXPECT_EQ(comm(s, d, b), want)
+              << platform.interconnect().describe() << " " << s << "->" << d
+              << " " << b << "B";
+        }
+  }
+}
+
 TEST(Mapping, CyclicGraphRejected) {
   TaskGraph g;
   const auto a = g.add_task("a", 10);
@@ -182,7 +214,7 @@ TEST(Concurrency, SingleAppWorstCase) {
 
 TEST(Concurrency, CompleteGraphSumsEverything) {
   ConcurrencyGraph cg;
-  for (int i = 0; i < 5; ++i) cg.add_app("a" + std::to_string(i), 0.4);
+  for (int i = 0; i < 5; ++i) cg.add_app(strformat("a%d", i), 0.4);
   for (int i = 0; i < 5; ++i)
     for (int j = i + 1; j < 5; ++j) cg.add_conflict(i, j);
   EXPECT_NEAR(cg.worst_case_load().load, 2.0, 1e-9);

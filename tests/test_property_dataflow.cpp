@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "dataflow/buffers.hpp"
 #include "dataflow/executor.hpp"
 
@@ -28,7 +29,7 @@ Graph random_graph(Rng& rng) {
     std::vector<ActorId> cur;
     for (int w = 0; w < width; ++w) {
       const auto a =
-          g.add_actor("a" + std::to_string(id++),
+          g.add_actor(strformat("a%d", id++),
                       1'000 + rng.next_below(20'000), rng.next_below(4));
       cur.push_back(a);
       for (const auto p : prev) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "dataflow/executor.hpp"
 #include "dataflow/throughput.hpp"
 #include "lint/perf_contract.hpp"
@@ -41,7 +42,7 @@ dataflow::Graph random_csdf(Rng& rng, std::vector<std::uint64_t>& q_out) {
   std::vector<dataflow::ActorId> ids;
   ids.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    ids.push_back(g.add_actor("a" + std::to_string(i),
+    ids.push_back(g.add_actor(strformat("a%zu", i),
                               100 + rng.next_below(1900),
                               rng.next_below(3)));
   auto rates = [&q](std::size_t src, std::size_t dst) {
@@ -83,7 +84,7 @@ RandomMapped random_mapped(Rng& rng) {
   std::vector<maps::TaskNodeId> ids;
   ids.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    ids.push_back(m.graph.add_task("t" + std::to_string(i),
+    ids.push_back(m.graph.add_task(strformat("t%zu", i),
                                    500 + rng.next_below(19'500)));
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j)

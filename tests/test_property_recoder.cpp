@@ -93,13 +93,13 @@ TEST_P(RecoderProperty, RandomTransformSequencePreservesSemantics) {
         break;
       }
       case 4: {
-        const auto g = "g" + std::to_string(rng.next_int(0, 3));
+        const auto g = strformat("g%d", static_cast<int>(rng.next_int(0, 3)));
         st = s.cmd_insert_channel("main", g,
                                   rng.next_int(1, 9));
         break;
       }
       case 5: {
-        const auto g = "g" + std::to_string(rng.next_int(0, 3));
+        const auto g = strformat("g%d", static_cast<int>(rng.next_int(0, 3)));
         st = s.cmd_split_vector("main", g,
                                 static_cast<std::size_t>(
                                     rng.next_int(2, 3)));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "sched/partitioned.hpp"
 #include "sched/uniproc.hpp"
 
@@ -21,7 +22,7 @@ std::vector<RtTask> uniform_tasks(int n, double u,
   for (int i = 0; i < n; ++i) {
     const auto wcet = static_cast<Cycles>(
         u * static_cast<double>(period) / 1e12 * mhz(100));
-    out.push_back(make_task("t" + std::to_string(i), wcet, period));
+    out.push_back(make_task(strformat("t%d", i), wcet, period));
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "sched/dvfs.hpp"
 #include "sched/hybrid.hpp"
 #include "sched/spacealloc.hpp"
@@ -54,7 +55,7 @@ TEST(Gang, MoreCoresShortenMakespanNearLinearly) {
     cfg.arbitration_latency = 0;
     std::vector<GangRequest> reqs;
     for (int i = 0; i < 16; ++i)
-      reqs.push_back({make_app("a" + std::to_string(i), 8'000'000, 0.0,
+      reqs.push_back({make_app(strformat("a%d", i), 8'000'000, 0.0,
                                1, 1),
                       0});
     return run_gang_schedule(cfg, std::move(reqs)).makespan();
@@ -69,7 +70,7 @@ TEST(Gang, MoreCoresShortenMakespanNearLinearly) {
 TEST(Gang, CentralizedArbiterCausesWaiting) {
   std::vector<GangRequest> reqs;
   for (int i = 0; i < 64; ++i)
-    reqs.push_back({make_app("a" + std::to_string(i), 1'000, 0.0, 1, 1), 0});
+    reqs.push_back({make_app(strformat("a%d", i), 1'000, 0.0, 1, 1), 0});
 
   GangConfig central;
   central.total_cores = 64;
@@ -269,7 +270,7 @@ TEST(Hybrid, PoolNeverStarvesWhenOversubscribed) {
   HybridScheduler sched(cfg);
   std::vector<HybridScheduler::GangArrival> arr;
   for (int i = 0; i < 6; ++i)
-    arr.push_back({make_app("a" + std::to_string(i), 1'000'000, 0.1), 0});
+    arr.push_back({make_app(strformat("a%d", i), 1'000'000, 0.1), 0});
   HybridResult r = sched.run_pool(arr);
   for (const auto& a : r.pool_apps) EXPECT_GT(a.finish, 0u);
   EXPECT_LE(r.pool_utilization, 1.0 + 1e-9);

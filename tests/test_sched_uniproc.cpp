@@ -1,3 +1,4 @@
+#include "common/strings.hpp"
 #include "sched/uniproc.hpp"
 
 #include <gtest/gtest.h>
@@ -168,7 +169,7 @@ TEST_P(RtaSoundness, AnalysisAcceptedImpliesNoMisses) {
     // Keep per-task utilization small enough that many sets pass RTA.
     const Cycles wcet = static_cast<Cycles>(
         static_cast<double>(period) / 1e12 * mhz(200) * 0.15);
-    ts.add("t" + std::to_string(i), std::max<Cycles>(wcet, 1), period);
+    ts.add(strformat("t%d", i), std::max<Cycles>(wcet, 1), period);
   }
   assign_rm_priorities(ts);
   if (!response_time_analysis(ts).all_schedulable(ts)) GTEST_SKIP();

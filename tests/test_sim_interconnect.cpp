@@ -46,6 +46,14 @@ TEST(MeshNoc, HopCountIsManhattanDistance) {
   EXPECT_EQ(noc.hop_count(CoreId{0}, CoreId{1}), 1u);
   EXPECT_EQ(noc.hop_count(CoreId{0}, CoreId{5}), 2u);
   EXPECT_EQ(noc.hop_count(CoreId{0}, CoreId{15}), 6u);
+  // It is also the length of the XY route transfers reserve, including
+  // cores that wrap onto shared nodes (3x2 mesh, 8 cores: 6->0, 7->1).
+  const MeshNoc::Config wrap{3, 2, nanoseconds(5), mhz(500), 4};
+  for (std::uint32_t s = 0; s < 8; ++s)
+    for (std::uint32_t d = 0; d < 8; ++d)
+      EXPECT_EQ(mesh_hops(wrap, CoreId{s}, CoreId{d}),
+                mesh_route(wrap, CoreId{s}, CoreId{d}).size())
+          << s << "->" << d;
 }
 
 TEST(MeshNoc, LocalTransferIsFree) {

@@ -76,7 +76,7 @@ TEST(Debugger, InspectionWhileSuspended) {
   EXPECT_EQ(dbg.peripheral_register(
                 "irqc", sim::InterruptController::kRegPending),
             0u);
-  EXPECT_THROW(dbg.peripheral_register("nope", 0), std::invalid_argument);
+  EXPECT_THROW((void)dbg.peripheral_register("nope", 0), std::invalid_argument);
   const std::string snap = dbg.snapshot();
   EXPECT_NE(snap.find("core0"), std::string::npos);
   EXPECT_NE(snap.find("timer"), std::string::npos);

@@ -1,16 +1,15 @@
 // Shared command-line machinery for the rw tool CLIs (rwlint, rwprof,
-// rwfault, rwert).
+// rwfault, rwert, rwcritpath, rwfuzz).
 //
-// Before this header each tool hand-rolled the same flags with drifting
-// spellings and emitted its own top-level JSON schema. Every CLI now
-// parses the common surface through parse_common_flag() and wraps its
-// machine output in one envelope (schema "rw-tool-1") whose header names
-// the tool and the seed, so downstream tooling can dispatch on a single
-// document shape. The pre-envelope per-tool documents remain available
-// behind --legacy-json for one release.
+// Every CLI parses the common surface through parse_common_flag(), writes
+// its files through write_text() and wraps its machine output in one
+// envelope (schema "rw-tool-1") whose header names the tool and the seed,
+// so downstream tooling can dispatch on a single document shape. Each
+// tool's own document travels inside the envelope as `payload`.
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,7 +24,6 @@ namespace rw::cli {
 struct CommonOptions {
   bool list = false;         // --list: print the registry and exit
   bool json_stdout = false;  // --json: rw-tool-1 envelope on stdout
-  bool legacy_json = false;  // --legacy-json: pre-envelope tool schema
   bool write_files = true;   // cleared by --no-files
   std::uint64_t seed = 1;    // --seed S
   std::string out_dir = ".";  // --out-dir DIR (also --out=DIR)
@@ -62,20 +60,16 @@ inline Result<bool> parse_common_flag(const std::vector<std::string>& args,
     opts.list = true;
   } else if (a == "--json") {
     opts.json_stdout = true;
-  } else if (a == "--legacy-json") {
-    opts.json_stdout = true;
-    opts.legacy_json = true;
   } else if (a == "--no-files") {
     opts.write_files = false;
   } else if (a == "--seed") {
     opts.seed = RW_TRY(arg_u64(args, i, a));
   } else if (a == "--out-dir") {
     if (i + 1 >= args.size()) return make_error("--out-dir requires a value");
-    opts.out_dir = args[++i];
-    if (opts.out_dir.empty()) opts.out_dir = ".";
+    const std::string& dir = args[++i];
+    opts.out_dir = dir.empty() ? std::string(".") : dir;
   } else if (a.rfind("--out=", 0) == 0) {
-    opts.out_dir = a.substr(6);
-    if (opts.out_dir.empty()) opts.out_dir = ".";
+    opts.out_dir = a.size() > 6 ? a.substr(6) : std::string(".");
   } else if (a == "--threads") {
     const std::uint64_t t = RW_TRY(arg_u64(args, i, a));
     if (t == 0) return make_error("--threads must be at least 1");
@@ -88,24 +82,23 @@ inline Result<bool> parse_common_flag(const std::vector<std::string>& args,
 
 /// The usage fragment for the shared flags, for per-tool --help text.
 inline const char* common_usage() {
-  return "[--list] [--json] [--legacy-json] [--no-files] [--seed S]"
+  return "[--list] [--json] [--no-files] [--seed S]"
          " [--out-dir DIR] [--threads N]";
 }
 
-/// Wrap a pre-rendered legacy tool document in the rw-tool-1 envelope:
-/// {schema, tool, seed, payload}. The payload keeps its own (legacy)
-/// schema field, so consumers of the old format can migrate by reading
-/// `.payload`. Deterministic: pure function of its inputs.
+/// Wrap a pre-rendered tool document in the rw-tool-1 envelope:
+/// {schema, tool, seed, payload}. The payload keeps its own schema field.
+/// Deterministic: pure function of its inputs.
 inline std::string envelope(std::string_view tool, std::uint64_t seed,
-                            std::string legacy_doc) {
+                            std::string tool_doc) {
   // Drop the trailing newline tool docs carry, then re-indent the payload
   // one level so the envelope stays readable.
-  while (!legacy_doc.empty() &&
-         (legacy_doc.back() == '\n' || legacy_doc.back() == ' '))
-    legacy_doc.pop_back();
+  while (!tool_doc.empty() &&
+         (tool_doc.back() == '\n' || tool_doc.back() == ' '))
+    tool_doc.pop_back();
   std::string indented;
-  indented.reserve(legacy_doc.size());
-  for (const char c : legacy_doc) {
+  indented.reserve(tool_doc.size());
+  for (const char c : tool_doc) {
     indented += c;
     if (c == '\n') indented += "  ";
   }
@@ -117,6 +110,14 @@ inline std::string envelope(std::string_view tool, std::uint64_t seed,
   w.key("payload").raw(indented);
   w.end_object();
   return w.str();
+}
+
+/// Write `content` to `path` byte-exactly; returns false on I/O failure.
+inline bool write_text(const std::string& path, const std::string& content) {
+  std::ofstream f(path, std::ios::binary);
+  if (!f) return false;
+  f.write(content.data(), static_cast<std::streamsize>(content.size()));
+  return static_cast<bool>(f);
 }
 
 }  // namespace rw::cli
