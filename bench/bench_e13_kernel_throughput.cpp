@@ -19,7 +19,10 @@
 // threaded code path). Gates: the parallel fingerprint must equal the
 // sequential one on every cell (unconditional), and on machines with
 // enough hardware threads the 4-tile parallel run must clear a >=2x
-// wall-clock speedup over its own sequential reference.
+// wall-clock speedup over its own sequential reference. End to end, the
+// tiled_pipeline workload runs sequential, forced-parallel and adaptive
+// (kParallel without force_threads); all three must be identical, and the
+// adaptive executor must keep this sparse workload off threads.
 //
 // Results land in BENCH_kernel.json with wall-clock-derived fields
 // scrubbed (byte-identical across reruns, like BENCH_contracts.json); the
@@ -319,16 +322,20 @@ RunMetrics run_tiled_storm(sim::QueuePolicy policy, const BenchConfig& cfg,
 }
 
 // End-to-end tiled identity: the tiled_pipeline workload on a 4-core
-// platform partitioned into 4 tiles, sequential vs threaded, fingerprinted
-// through ExecutionRecorder — the whole-stack version of the storm gate.
-RunMetrics run_e2e_tiled(const BenchConfig& cfg, bool parallel) {
+// platform partitioned into 4 tiles, fingerprinted through
+// ExecutionRecorder — the whole-stack version of the storm gate. Three
+// runs: the sequential reference, kParallel with force_threads (every
+// epoch on threads), and kParallel as users get it (the adaptive
+// executor, which must keep this sparse workload on the caller thread).
+RunMetrics run_e2e_tiled(const BenchConfig& cfg,
+                         sim::TiledEngine::Options opts) {
+  const bool parallel = opts.mode == sim::ExecMode::kParallel;
   sim::PlatformConfig pcfg = sim::PlatformConfig::homogeneous(4);
   pcfg.trace_enabled = true;
   sim::apply_tiling(pcfg, 4, /*partition_cores=*/true);
-  pcfg.kernel.exec =
-      parallel ? sim::ExecMode::kParallel : sim::ExecMode::kSequential;
+  pcfg.kernel.exec = opts.mode;
   sim::Platform plat(std::move(pcfg));
-  if (parallel) plat.engine()->set_force_threads(true);
+  plat.engine()->set_force_threads(opts.force_threads);
   vpdebug::ExecutionRecorder rec(plat);
   perf::spawn_workload("tiled_pipeline", plat, /*seed=*/7, cfg.e2e_scale);
 
@@ -409,10 +416,13 @@ int main(int argc, char** argv) {
                            });
       }
   scenario.add_run("e2e_tiled_seq", [&cfg](const harness::RunContext&) {
-    return run_e2e_tiled(cfg, false);
+    return run_e2e_tiled(cfg, {sim::ExecMode::kSequential, false});
   });
   scenario.add_run("e2e_tiled_par", [&cfg](const harness::RunContext&) {
-    return run_e2e_tiled(cfg, true);
+    return run_e2e_tiled(cfg, {sim::ExecMode::kParallel, true});
+  });
+  scenario.add_run("e2e_tiled_auto", [&cfg](const harness::RunContext&) {
+    return run_e2e_tiled(cfg, {sim::ExecMode::kParallel, false});
   });
   // Timing bench: one thread, so runs never contend for cores.
   const auto result = harness::Runner(harness::RunnerConfig{1}).run(scenario);
@@ -528,18 +538,31 @@ int main(int argc, char** argv) {
 
   const auto* ets = result.find("e2e_tiled_seq");
   const auto* etp = result.find("e2e_tiled_par");
-  const bool e2e_tiled_identical =
-      ets->metrics.makespan == etp->metrics.makespan &&
-      ets->metrics.extra_or("fingerprint_lo") ==
-          etp->metrics.extra_or("fingerprint_lo") &&
-      ets->metrics.extra_or("fingerprint_hi") ==
-          etp->metrics.extra_or("fingerprint_hi");
-  std::printf("end-to-end tiled_pipeline (4 cores / 4 tiles): seq %.0fms, "
-              "par %.0fms, fingerprints %s\n",
+  const auto* eta = result.find("e2e_tiled_auto");
+  const auto same_run = [](const auto* a, const auto* b) {
+    return a->metrics.makespan == b->metrics.makespan &&
+           a->metrics.extra_or("fingerprint_lo") ==
+               b->metrics.extra_or("fingerprint_lo") &&
+           a->metrics.extra_or("fingerprint_hi") ==
+               b->metrics.extra_or("fingerprint_hi");
+  };
+  const bool e2e_tiled_identical = same_run(ets, etp) && same_run(ets, eta);
+  std::printf("end-to-end tiled_pipeline (4 cores / 4 tiles): seq %.1fms, "
+              "par %.1fms, auto %.1fms, fingerprints %s\n",
               ets->metrics.extra_or("wall_ms"),
               etp->metrics.extra_or("wall_ms"),
+              eta->metrics.extra_or("wall_ms"),
               e2e_tiled_identical ? "identical" : "DIVERGENT");
   tiled_identical = tiled_identical && e2e_tiled_identical;
+  // The adaptive executor's end-to-end decision: this workload runs a
+  // couple of events per epoch, far below break-even, so threads lose.
+  const bool auto_sequential = eta->metrics.extra_or("used_parallel") == 0.0;
+  std::printf("adaptive executor: e2e_tiled_auto %s (break-even %llu "
+              "events/epoch)\n",
+              auto_sequential ? "stayed on the caller thread"
+                              : "used threads: DECISION FAIL",
+              static_cast<unsigned long long>(
+                  sim::TiledEngine::kParallelBreakEven));
 
   const bool speedup_ok = !parallel_capable || tiled_speedup >= 2.0;
   std::printf("parallel gates: fingerprints %s; %u-tile speedup %.2fx "
@@ -560,7 +583,8 @@ int main(int argc, char** argv) {
               "pays O(log n)\nper event); >=2x at 10k pending "
               "(measured %.2fx, floor %s); every row identical.\n",
               deep_speedup, queue_perf_ok ? "held" : "BROKEN");
-  return deterministic && queue_perf_ok && tiled_identical && speedup_ok
+  return deterministic && queue_perf_ok && tiled_identical && speedup_ok &&
+                 auto_sequential
              ? 0
              : 1;
 }

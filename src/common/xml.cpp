@@ -13,7 +13,7 @@ class Parser {
 
   Result<std::unique_ptr<Element>> parse_document() {
     skip_prolog();
-    auto root = parse_element();
+    auto root = parse_element(0);
     if (!root.ok()) return root;
     skip_ws_and_comments();
     if (pos_ != in_.size())
@@ -22,6 +22,10 @@ class Parser {
   }
 
  private:
+  // Element nesting bound: parse_element recurses once per level, so
+  // hostile input must not be able to exhaust the stack.
+  static constexpr int kMaxDepth = 256;
+
   [[nodiscard]] bool eof() const { return pos_ >= in_.size(); }
   [[nodiscard]] char peek() const { return eof() ? '\0' : in_[pos_]; }
 
@@ -110,7 +114,8 @@ class Parser {
     return out;
   }
 
-  Result<std::unique_ptr<Element>> parse_element() {
+  Result<std::unique_ptr<Element>> parse_element(int depth) {
+    if (depth > kMaxDepth) return fail("nesting too deep");
     skip_ws_and_comments();
     if (!consume("<")) return fail("expected '<'");
     auto elem = std::make_unique<Element>();
@@ -157,7 +162,7 @@ class Parser {
         return elem;
       }
       if (peek() == '<') {
-        auto child = parse_element();
+        auto child = parse_element(depth + 1);
         if (!child.ok()) return child;
         elem->children.push_back(std::move(child).take());
         continue;

@@ -184,6 +184,24 @@ class Parser {
   }
 
  private:
+  // Nesting bound for the recursive descent: every nested block and every
+  // unary/parenthesized operand level goes one deeper, so hostile input
+  // cannot exhaust the stack.
+  static constexpr int kMaxDepth = 256;
+
+  // Holds one nesting level for the enclosing scope.
+  class Nest {
+   public:
+    explicit Nest(int& depth) : depth_(depth) { ++depth_; }
+    ~Nest() { --depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    [[nodiscard]] bool too_deep() const { return depth_ > kMaxDepth; }
+
+   private:
+    int& depth_;
+  };
+
   Error err(std::string msg) {
     return make_error(std::move(msg), lex_.peek().line, lex_.peek().col);
   }
@@ -230,6 +248,8 @@ class Parser {
   }
 
   Result<std::vector<StmtPtr>> parse_block() {
+    const Nest nest(depth_);
+    if (nest.too_deep()) return err("nesting too deep");
     RW_TRY_STATUS(expect(Tok::kLBrace, "'{'"));
     std::vector<StmtPtr> body;
     while (lex_.peek().kind != Tok::kRBrace) {
@@ -374,6 +394,8 @@ class Parser {
   }
 
   Result<ExprPtr> parse_unary() {
+    const Nest nest(depth_);
+    if (nest.too_deep()) return err("nesting too deep");
     if (is_punct("-") || is_punct("!")) {
       const std::string op = lex_.take().text;
       return make_unary(op, RW_TRY(parse_unary()));
@@ -433,6 +455,7 @@ class Parser {
   }
 
   Lexer lex_;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -68,7 +68,9 @@ TiledEngine::TiledEngine(std::vector<Kernel*> kernels, DurationPs lookahead,
     throw std::invalid_argument("TiledEngine: lookahead must be positive");
   mail_.resize(tiles_.size() * tiles_.size());
   mail_seq_.assign(tiles_.size() * tiles_.size(), 0);
+  posted_.assign(tiles_.size(), 0);
   window_live_only_.assign(tiles_.size(), 0);
+  tile_next_.assign(tiles_.size(), UINT64_MAX);
 }
 
 std::uint64_t TiledEngine::events_executed() const {
@@ -92,9 +94,13 @@ void TiledEngine::post(std::uint32_t src, std::uint32_t dst, TimePs t,
   const std::size_t pair = src * tiles_.size() + dst;
   mail_[pair].push_back(
       Mail{t, priority, src, mail_seq_[pair]++, std::move(fn), daemon});
+  posted_[src] = 1;
 }
 
 void TiledEngine::drain_mailboxes() {
+  // Most sparse epochs post nothing: skip the T x T scan.
+  if (std::find(posted_.begin(), posted_.end(), 1) == posted_.end()) return;
+  std::fill(posted_.begin(), posted_.end(), 0);
   const std::size_t t = tiles_.size();
   for (std::size_t dst = 0; dst < t; ++dst) {
     merge_scratch_.clear();
@@ -131,13 +137,17 @@ bool TiledEngine::plan_epoch(TimePs until, std::uint64_t max_events,
   drain_mailboxes();
   for (const Kernel* k : tiles_)
     if (k->stop_requested()) return false;
-  if (events_executed() - base_executed >= max_events) return false;
+  // events_executed() walks every tile; an unbounded run has no budget.
+  if (max_events != UINT64_MAX &&
+      events_executed() - base_executed >= max_events)
+    return false;
 
   TimePs next = UINT64_MAX;
   std::size_t total_live = 0;
-  for (const Kernel* k : tiles_) {
-    next = std::min(next, k->next_event_time());
-    total_live += k->live_events();
+  for (std::size_t k = 0; k < tiles_.size(); ++k) {
+    tile_next_[k] = tiles_[k]->next_event_time();
+    next = std::min(next, tile_next_[k]);
+    total_live += tiles_[k]->live_events();
   }
   if (live_gated && total_live == 0) return false;
   if (next == UINT64_MAX || next > until) return false;
@@ -164,63 +174,37 @@ void TiledEngine::run_epochs(TimePs until, std::uint64_t max_events,
   if (running_)
     throw std::logic_error("TiledEngine: re-entrant run");
   running_ = true;
-  last_parallel_ = false;
   done_ = false;
   for (Kernel* k : tiles_) k->clear_stop();
   const std::uint64_t base = events_executed();
   const std::size_t t = tiles_.size();
 
-  bool use_threads = opts_.mode == ExecMode::kParallel && t > 1;
+  // Adaptive executor: epochs run on this thread until one executes at
+  // least kParallelBreakEven events; the rest of the run then goes to
+  // worker threads. Epochs are bit-identical in both modes, so the switch
+  // is exact, and it reads only event counts, so it repeats exactly.
+  bool may_thread = opts_.mode == ExecMode::kParallel && t > 1;
+  bool threaded = may_thread && opts_.force_threads;
   std::uint32_t permits = 0;
-  if (use_threads && !opts_.force_threads) {
-    const auto wanted = static_cast<std::uint32_t>(t - 1);
-    if (common::thread_budget_try_acquire(wanted)) {
-      permits = wanted;
-    } else {
-      // Budget exhausted (e.g. a harness sweep owns the machine): fall
-      // back to the bit-identical sequential mode.
-      use_threads = false;
-    }
-  }
-
-  if (!use_threads) {
+  if (!threaded) {
     while (plan_epoch(until, max_events, base, live_gated)) {
       ++epochs_;
-      for (std::size_t k = 0; k < t; ++k)
-        tiles_[k]->run_window(window_limit_, window_live_only_[k] != 0);
+      std::uint64_t ran = 0;
+      for (std::size_t k = 0; k < t; ++k) ran += run_tile(k);
+      if (!may_thread || ran < kParallelBreakEven) continue;
+      // One try per run. With the budget exhausted (e.g. a harness sweep
+      // owns the machine) the run stays on this bit-identical loop.
+      may_thread = false;
+      const auto wanted = static_cast<std::uint32_t>(t - 1);
+      if (common::thread_budget_try_acquire(wanted)) {
+        permits = wanted;
+        threaded = true;
+        break;
+      }
     }
-  } else {
-    last_parallel_ = true;
-    // Two-phase epochs: the coordinator plans single-threaded, the start
-    // barrier publishes the window, every participant runs its tile's
-    // window, the finish barrier returns control to the coordinator. The
-    // barriers carry all synchronization; no tile state is touched
-    // concurrently. The coordinator doubles as tile 0's worker.
-    std::barrier start_barrier(static_cast<std::ptrdiff_t>(t));
-    std::barrier finish_barrier(static_cast<std::ptrdiff_t>(t));
-    std::vector<std::jthread> workers;
-    workers.reserve(t - 1);
-    for (std::size_t k = 1; k < t; ++k) {
-      workers.emplace_back([this, k, &start_barrier, &finish_barrier] {
-        for (;;) {
-          start_barrier.arrive_and_wait();
-          if (done_) return;
-          tiles_[k]->run_window(window_limit_, window_live_only_[k] != 0);
-          finish_barrier.arrive_and_wait();
-        }
-      });
-    }
-    for (;;) {
-      const bool go = plan_epoch(until, max_events, base, live_gated);
-      done_ = !go;
-      start_barrier.arrive_and_wait();
-      if (!go) break;
-      ++epochs_;
-      tiles_[0]->run_window(window_limit_, window_live_only_[0] != 0);
-      finish_barrier.arrive_and_wait();
-    }
-    workers.clear();  // join
   }
+  last_parallel_ = threaded;
+  if (threaded) run_threaded(until, max_events, base, live_gated);
   if (permits > 0) common::thread_budget_release(permits);
 
   if (until != UINT64_MAX) {
@@ -230,6 +214,48 @@ void TiledEngine::run_epochs(TimePs until, std::uint64_t max_events,
       for (Kernel* k : tiles_) k->advance_to(until);
   }
   running_ = false;
+}
+
+void TiledEngine::run_threaded(TimePs until, std::uint64_t max_events,
+                               std::uint64_t base_executed,
+                               bool live_gated) {
+  const std::size_t t = tiles_.size();
+  // Two-phase epochs: the coordinator plans single-threaded, the start
+  // barrier publishes the window, every participant runs its tile's
+  // window, the finish barrier returns control to the coordinator. The
+  // barriers carry all synchronization; no tile state is touched
+  // concurrently. The coordinator doubles as tile 0's worker.
+  std::barrier start_barrier(static_cast<std::ptrdiff_t>(t));
+  std::barrier finish_barrier(static_cast<std::ptrdiff_t>(t));
+  std::vector<std::jthread> workers;
+  workers.reserve(t - 1);
+  for (std::size_t k = 1; k < t; ++k) {
+    workers.emplace_back([this, k, &start_barrier, &finish_barrier] {
+      for (;;) {
+        start_barrier.arrive_and_wait();
+        if (done_) return;
+        run_tile(k);
+        finish_barrier.arrive_and_wait();
+      }
+    });
+  }
+  for (;;) {
+    const bool go = plan_epoch(until, max_events, base_executed, live_gated);
+    done_ = !go;
+    start_barrier.arrive_and_wait();
+    if (!go) break;
+    ++epochs_;
+    run_tile(0);
+    finish_barrier.arrive_and_wait();
+  }
+  workers.clear();  // join
+}
+
+std::uint64_t TiledEngine::run_tile(std::size_t k) {
+  // Nothing due in this window. Tiles share no state, so no other tile's
+  // window can have queued an earlier event since plan_epoch looked.
+  if (tile_next_[k] > window_limit_) return 0;
+  return tiles_[k]->run_window(window_limit_, window_live_only_[k] != 0);
 }
 
 void TiledEngine::run(std::uint64_t max_events) {

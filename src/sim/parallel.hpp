@@ -31,11 +31,21 @@
 // construction. The sequential mode is the reference; the parallel mode
 // only buys wall-clock time.
 //
+// Because every epoch is bit-identical in both modes, the engine may also
+// switch modes between epochs. kParallel is therefore adaptive: every
+// run()/run_until() starts on the sequential epoch loop, and the first
+// epoch that executes at least kParallelBreakEven events (summed over the
+// tiles) moves the rest of the run onto worker threads. The decision
+// reads only that deterministic event count, never wall time, so whether
+// a run used threads repeats exactly. Sparse runs — a handful of events
+// per epoch, the common case for platform workloads — never pay a thread
+// barrier at all.
+//
 // Worker threads come out of the process-wide thread budget
-// (common/thread_budget.hpp). When the budget is exhausted — e.g. inside
-// a harness sweep that already owns the machine — the engine silently
-// falls back to sequential execution, which is safe precisely because of
-// the identity above.
+// (common/thread_budget.hpp), acquired at the switch. When the budget is
+// exhausted — e.g. inside a harness sweep that already owns the machine —
+// the run stays sequential, which is safe precisely because of the
+// identity above.
 #pragma once
 
 #include <cstdint>
@@ -74,11 +84,20 @@ void apply_tiling(PlatformConfig& cfg, std::uint32_t num_tiles,
 /// build one directly over bare kernels.
 class TiledEngine {
  public:
+  /// Events per epoch (all tiles) at which worker threads pay for their
+  /// barriers. Measured on a 4-vCPU x86 host: one two-phase std::barrier
+  /// epoch costs ~20 us, a platform event ~0.1 us, and 4 tiles hide 3/4
+  /// of an epoch's event work — break-even near 270 events. tiled_pipeline
+  /// runs ~1.7 events per epoch and the E13 storm ~80k, so the exact value
+  /// moves no workload across the line.
+  static constexpr std::uint64_t kParallelBreakEven = 256;
+
   struct Options {
     ExecMode mode = ExecMode::kSequential;
-    /// Testing hook: spawn worker threads even when the thread budget is
-    /// exhausted (the TSan racing-mailbox tests must exercise real
-    /// threads on any machine).
+    /// Testing hook: in kParallel mode, run every epoch on worker threads
+    /// from the first one on, skipping the break-even, and spawn them even
+    /// when the thread budget is exhausted (the TSan racing-mailbox tests
+    /// and the seq==par corpus must exercise real threads on any machine).
     bool force_threads = false;
   };
 
@@ -116,7 +135,8 @@ class TiledEngine {
   [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
   [[nodiscard]] std::uint64_t cross_posts() const { return cross_posts_; }
   /// Whether the last run()/run_until() actually used worker threads
-  /// (false in sequential mode and on thread-budget fallback).
+  /// (false in sequential mode, when no epoch reached the break-even, and
+  /// on thread-budget fallback).
   [[nodiscard]] bool last_run_parallel() const { return last_parallel_; }
 
   /// Sum of events executed across tiles / max of tile clocks.
@@ -139,10 +159,15 @@ class TiledEngine {
   /// Shared epoch driver for run()/run_until(); `until` bounds windows
   /// (UINT64_MAX for run()), `live_gated` selects run()'s termination.
   void run_epochs(TimePs until, std::uint64_t max_events, bool live_gated);
-  /// Compute the next window into window_limit_/window_live_only_.
-  /// Returns false when this epoch terminates the run.
+  /// The remaining epochs of a run on one worker thread per tile.
+  void run_threaded(TimePs until, std::uint64_t max_events,
+                    std::uint64_t base_executed, bool live_gated);
+  /// Compute the next window into window_limit_/window_live_only_/
+  /// tile_next_. Returns false when this epoch terminates the run.
   bool plan_epoch(TimePs until, std::uint64_t max_events,
                   std::uint64_t base_executed, bool live_gated);
+  /// Run tile `k`'s window of the planned epoch; returns its event count.
+  std::uint64_t run_tile(std::size_t k);
 
   std::vector<Kernel*> tiles_;
   DurationPs lookahead_;
@@ -150,6 +175,9 @@ class TiledEngine {
 
   std::vector<std::vector<Mail>> mail_;  // [src * T + dst]
   std::vector<std::uint64_t> mail_seq_;  // per-pair emission counters
+  // Per source tile: posted since the last drain. Only tile `src`'s own
+  // window writes entry `src`, so no two workers share one.
+  std::vector<std::uint8_t> posted_;
   std::vector<Mail> merge_scratch_;
 
   // Window parameters for the current epoch: written by the coordinator
@@ -157,6 +185,7 @@ class TiledEngine {
   // barrier provides the ordering).
   TimePs window_limit_ = 0;
   std::vector<std::uint8_t> window_live_only_;
+  std::vector<TimePs> tile_next_;  // each tile's next event time
   bool done_ = false;
 
   std::uint64_t epochs_ = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace rw::xml {
 namespace {
 
@@ -81,6 +83,31 @@ TEST(Xml, RejectsUnterminatedInput) {
   EXPECT_FALSE(parse("<a foo=>").ok());
   EXPECT_FALSE(parse("<a foo=\"x>").ok());
   EXPECT_FALSE(parse("").ok());
+}
+
+std::string nested_elements(int depth) {
+  std::string doc;
+  for (int i = 0; i < depth; ++i) doc += "<e>";
+  for (int i = 0; i < depth; ++i) doc += "</e>";
+  return doc;
+}
+
+TEST(Xml, RejectsHostileNestingWithTypedError) {
+  // 100k levels used to overflow the stack; now a typed error.
+  auto r = parse(nested_elements(100'000));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("nesting too deep"), std::string::npos)
+      << r.error().to_string();
+}
+
+TEST(Xml, ParsesDeepButBoundedNesting) {
+  auto r = parse(nested_elements(200));
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  int depth = 1;
+  for (const Element* e = r.value().get(); !e->children.empty();
+       e = e->children.front().get())
+    ++depth;
+  EXPECT_EQ(depth, 200);
 }
 
 TEST(Xml, ErrorCarriesLineNumber) {

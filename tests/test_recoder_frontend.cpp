@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "recoder/analysis.hpp"
 #include "recoder/interp.hpp"
 #include "recoder/parser.hpp"
@@ -85,6 +88,58 @@ TEST(Parser, RejectsBrokenInput) {
   EXPECT_FALSE(parse_program("float x;").ok());
   EXPECT_FALSE(parse_program("int main() { 1 = 2; }").ok());
   EXPECT_FALSE(parse_program("int a[x];").ok());  // non-literal size
+}
+
+std::string repeated(std::string_view s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// `depth` nested blocks inside main's body.
+std::string nested_blocks(int depth) {
+  std::string src = "int main() { ";
+  src += repeated("{ ", depth);
+  src += "return 0; ";
+  src += repeated("} ", depth);
+  src += "}";
+  return src;
+}
+
+// A return expression wrapped in `depth` parentheses.
+std::string nested_parens(int depth) {
+  std::string src = "int main() { return ";
+  src += repeated("(", depth);
+  src += "1";
+  src += repeated(")", depth);
+  src += "; }";
+  return src;
+}
+
+TEST(Parser, RejectsHostileNestingWithTypedError) {
+  // 100k levels used to overflow the stack; now a typed error.
+  for (const std::string& src :
+       {nested_blocks(100'000), nested_parens(100'000)}) {
+    auto r = parse_program(src);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().message.find("nesting too deep"), std::string::npos)
+        << r.error().to_string();
+  }
+  std::string negations = repeated("-", 100'000);
+  negations += "1";
+  auto e = parse_expression(negations);
+  ASSERT_FALSE(e.ok());
+  EXPECT_NE(e.error().message.find("nesting too deep"), std::string::npos);
+}
+
+TEST(Parser, ParsesDeepButBoundedNesting) {
+  auto blocks = parse_program(nested_blocks(200));
+  ASSERT_TRUE(blocks.ok()) << blocks.error().to_string();
+  auto parens = parse_program(nested_parens(200));
+  ASSERT_TRUE(parens.ok()) << parens.error().to_string();
+  auto r = interpret(parens.value());
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_EQ(r.value().return_value, 1);
 }
 
 TEST(Printer, RoundTripsPrograms) {

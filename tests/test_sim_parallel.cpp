@@ -1,8 +1,9 @@
 // Tile-partitioned parallel kernel (sim/parallel.hpp): config validation,
 // conservative-window mechanics on deliberately tiny calendar wheels, the
-// racing-mailbox stress the CI TSan job runs with real threads, and the
-// headline contract — ExecMode::kParallel is bit-identical to the
-// kSequential reference across the whole workload/fault corpus.
+// racing-mailbox stress the CI TSan job runs with real threads, the
+// adaptive executor's sparse/dense/mid-run decision, and the headline
+// contract — ExecMode::kParallel is bit-identical to the kSequential
+// reference across the whole workload/fault corpus.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -155,13 +156,37 @@ struct Soup {
   }
 };
 
+// Soup start per tile. The default 4 roots make the first epochs sparse;
+// `sparse_epochs` prepends that many lone events per tile, one lookahead
+// apart (one sparse epoch each), before the roots.
+struct SoupShape {
+  std::uint64_t roots = 4;
+  std::uint32_t sparse_epochs = 0;
+};
+
+// Every tile starts with break-even roots inside the first window, so
+// every epoch from the first on is dense enough for threads.
+constexpr SoupShape kDenseSoup{sim::TiledEngine::kParallelBreakEven, 0};
+
+struct SoupRun {
+  std::vector<std::uint64_t> digest;
+  std::uint64_t events = 0;
+  std::uint64_t epochs = 0;
+  bool used_parallel = false;
+};
+
+constexpr sim::TiledEngine::Options kSeqOpts{sim::ExecMode::kSequential,
+                                             false};
+constexpr sim::TiledEngine::Options kAutoOpts{sim::ExecMode::kParallel,
+                                              false};
+constexpr sim::TiledEngine::Options kForcedOpts{sim::ExecMode::kParallel,
+                                                true};
+
 // Run one soup over `tiles` kernels with a tiny wheel (16 ps buckets, 8 of
 // them = 128 ps horizon — far smaller than the event span, so cross posts
 // and rebase churn constantly) and return the per-tile digests.
-std::vector<std::uint64_t> run_soup(std::uint32_t tiles, std::uint64_t seed,
-                                    bool parallel, bool force_threads,
-                                    std::uint64_t* events = nullptr,
-                                    bool* used_parallel = nullptr) {
+SoupRun run_soup(std::uint32_t tiles, std::uint64_t seed,
+                 sim::TiledEngine::Options opts, const SoupShape& shape = {}) {
   constexpr DurationPs kLookahead = 128;
   sim::KernelConfig kcfg;
   kcfg.policy = sim::QueuePolicy::kCalendar;
@@ -173,47 +198,48 @@ std::vector<std::uint64_t> run_soup(std::uint32_t tiles, std::uint64_t seed,
     kernels.push_back(std::make_unique<sim::Kernel>(kcfg));
     ptrs.push_back(kernels.back().get());
   }
-  sim::TiledEngine engine(
-      ptrs, kLookahead,
-      {parallel ? sim::ExecMode::kParallel : sim::ExecMode::kSequential,
-       force_threads});
+  sim::TiledEngine engine(ptrs, kLookahead, opts);
   Soup soup;
   soup.engine = &engine;
   soup.lookahead = kLookahead;
   soup.tiles.resize(tiles);
+  const TimePs roots_at = shape.sparse_epochs * kLookahead;
   for (std::uint32_t t = 0; t < tiles; ++t) {
     Soup::Tile& tl = soup.tiles[t];
     tl.k = ptrs[t];
     tl.budget = 4000;
-    for (std::uint64_t r = 0; r < 4; ++r)
+    for (std::uint32_t e = 0; e < shape.sparse_epochs; ++e)
+      tl.k->schedule_at(e * kLookahead, [&tl] {
+        tl.order_hash = (tl.order_hash ^ tl.k->now()) * 1099511628211ULL;
+      });
+    for (std::uint64_t r = 0; r < shape.roots; ++r)
       tl.k->schedule_at(
-          mix64(seed ^ (t * 977) ^ r) % 50,
+          roots_at + mix64(seed ^ (t * 977) ^ r) % 50,
           Soup::Ev{&soup, t,
                    (static_cast<std::uint64_t>(t) << 40) | tl.scheduled++});
   }
   engine.run();
-  if (events != nullptr) *events = engine.events_executed();
-  if (used_parallel != nullptr) *used_parallel = engine.last_run_parallel();
-  return soup.digest();
+  return {soup.digest(), engine.events_executed(), engine.epochs(),
+          engine.last_run_parallel()};
 }
 
 TEST(TiledEngine, TinyWheelSpillRebaseIdentity) {
   for (const std::uint32_t tiles : {2u, 3u}) {
     for (const std::uint64_t seed : {1ull, 42ull, 1234ull}) {
-      const auto seq = run_soup(tiles, seed, /*parallel=*/false, false);
-      const auto par = run_soup(tiles, seed, /*parallel=*/true,
-                                /*force_threads=*/true);
-      EXPECT_EQ(seq, par) << "tiles=" << tiles << " seed=" << seed;
+      const SoupRun seq = run_soup(tiles, seed, kSeqOpts);
+      const SoupRun par = run_soup(tiles, seed, kForcedOpts);
+      EXPECT_TRUE(par.used_parallel);
+      EXPECT_EQ(seq.digest, par.digest) << "tiles=" << tiles
+                                        << " seed=" << seed;
     }
   }
 }
 
 TEST(TiledEngine, SoupActuallyExecutesAndReruns) {
-  std::uint64_t ev = 0;
-  const auto a = run_soup(3, 42, false, false, &ev);
-  EXPECT_GE(ev, 3u * 4000u);  // every scheduled child executed
-  const auto b = run_soup(3, 42, false, false);
-  EXPECT_EQ(a, b);  // rerun-stable, not just mode-stable
+  const SoupRun a = run_soup(3, 42, kSeqOpts);
+  EXPECT_GE(a.events, 3u * 4000u);  // every scheduled child executed
+  const SoupRun b = run_soup(3, 42, kSeqOpts);
+  EXPECT_EQ(a.digest, b.digest);  // rerun-stable, not just mode-stable
 }
 
 // The CI TSan job runs this with real threads: every tile posts to every
@@ -296,13 +322,61 @@ TEST(TiledEngine, RunUntilAdvancesAllTiles) {
 
 TEST(TiledEngine, BudgetExhaustionFallsBackSequentially) {
   const BudgetGuard guard(0);  // no permits: kParallel must degrade
-  std::uint64_t ev_a = 0;
-  bool used = true;
-  const auto fallback = run_soup(3, 7, /*parallel=*/true,
-                                 /*force_threads=*/false, &ev_a, &used);
-  EXPECT_FALSE(used);  // the engine refused to spawn workers
-  const auto reference = run_soup(3, 7, /*parallel=*/false, false);
-  EXPECT_EQ(fallback, reference);
+  // Dense from the first epoch, so the engine does ask for threads.
+  const SoupRun fallback = run_soup(3, 7, kAutoOpts, kDenseSoup);
+  EXPECT_FALSE(fallback.used_parallel);  // it refused to spawn workers
+  const SoupRun reference = run_soup(3, 7, kSeqOpts, kDenseSoup);
+  EXPECT_EQ(fallback.digest, reference.digest);
+}
+
+// ------------------------------------------------------ adaptive executor
+
+TEST(AdaptiveExecutor, DenseSoupRunsOnThreads) {
+  const BudgetGuard guard(8);
+  for (const std::uint32_t tiles : {2u, 4u}) {
+    const SoupRun seq = run_soup(tiles, 5, kSeqOpts, kDenseSoup);
+    const SoupRun par = run_soup(tiles, 5, kAutoOpts, kDenseSoup);
+    EXPECT_FALSE(seq.used_parallel);
+    EXPECT_TRUE(par.used_parallel) << "tiles=" << tiles;
+    EXPECT_EQ(seq.digest, par.digest) << "tiles=" << tiles;
+    EXPECT_EQ(seq.epochs, par.epochs) << "tiles=" << tiles;
+  }
+}
+
+TEST(AdaptiveExecutor, SwitchesToThreadsMidRun) {
+  const BudgetGuard guard(8);
+  SoupShape shape = kDenseSoup;
+  shape.sparse_epochs = 20;  // 20 epochs of one event per tile first
+  const SoupRun seq = run_soup(4, 9, kSeqOpts, shape);
+  const SoupRun par = run_soup(4, 9, kAutoOpts, shape);
+  EXPECT_GT(seq.epochs, 20u);
+  EXPECT_TRUE(par.used_parallel);
+  EXPECT_EQ(seq.digest, par.digest);
+  EXPECT_EQ(seq.events, par.events);
+  EXPECT_EQ(seq.epochs, par.epochs);
+}
+
+TEST(AdaptiveExecutor, SparseRunHoldsNoPermits) {
+  const BudgetGuard guard(8);
+  const std::uint32_t free_before = common::thread_budget_available();
+  std::vector<std::unique_ptr<sim::Kernel>> kernels;
+  std::vector<sim::Kernel*> ptrs;
+  for (int t = 0; t < 4; ++t) {
+    kernels.push_back(std::make_unique<sim::Kernel>());
+    ptrs.push_back(kernels.back().get());
+  }
+  sim::TiledEngine engine(ptrs, /*lookahead=*/1000, kAutoOpts);
+  std::uint32_t free_during = 0;
+  ptrs[0]->schedule_at(500, [&] {
+    engine.post(0, 3, ptrs[0]->now() + 1000, [&] {
+      free_during = common::thread_budget_available();
+    });
+  });
+  engine.run();
+  EXPECT_EQ(engine.epochs(), 2u);
+  EXPECT_FALSE(engine.last_run_parallel());
+  EXPECT_EQ(free_during, free_before);  // nothing acquired up front
+  EXPECT_EQ(common::thread_budget_available(), free_before);
 }
 
 // ------------------------------------------------------ platform corpus
@@ -311,6 +385,7 @@ struct CorpusRun {
   std::uint64_t fingerprint = 0;
   std::uint64_t tile0_fingerprint = 0;
   std::uint64_t events = 0;
+  bool used_parallel = false;
 };
 
 CorpusRun run_corpus(const sim::PlatformConfig& cfg, const std::string& wl,
@@ -323,7 +398,8 @@ CorpusRun run_corpus(const sim::PlatformConfig& cfg, const std::string& wl,
   if (profile) sess.emplace(p, perf::PerfConfig{});
   perf::spawn_workload(wl, p, seed, /*scale=*/2);
   p.run();
-  return {rec.fingerprint(), rec.tile_fingerprint(0), rec.events()};
+  return {rec.fingerprint(), rec.tile_fingerprint(0), rec.events(),
+          p.engine() != nullptr && p.engine()->last_run_parallel()};
 }
 
 sim::PlatformConfig corpus_config(std::uint32_t tiles, bool partition) {
@@ -350,11 +426,29 @@ TEST(ParallelCorpus, SequentialVsParallelFingerprints) {
         cfg.kernel.exec = sim::ExecMode::kParallel;
         const CorpusRun par =
             run_corpus(cfg, wl.name, seed, profile, /*force_threads=*/true);
+        EXPECT_TRUE(par.used_parallel) << wl.name;
         EXPECT_EQ(seq.fingerprint, par.fingerprint)
             << wl.name << " seed=" << seed << " profile=" << profile;
         EXPECT_EQ(seq.events, par.events) << wl.name;
       }
     }
+  }
+}
+
+// tiled_pipeline runs a couple of events per epoch: far below break-even,
+// so kParallel without force_threads never leaves the caller thread.
+TEST(AdaptiveExecutor, SparseTiledPipelineStaysOnCallerThread) {
+  const BudgetGuard guard(8);
+  for (const std::uint64_t seed : {3ull, 99ull}) {
+    sim::PlatformConfig cfg = corpus_config(4, /*partition=*/true);
+    const CorpusRun seq =
+        run_corpus(cfg, "tiled_pipeline", seed, false, false);
+    cfg.kernel.exec = sim::ExecMode::kParallel;
+    const CorpusRun par =
+        run_corpus(cfg, "tiled_pipeline", seed, false, false);
+    EXPECT_FALSE(par.used_parallel) << "seed=" << seed;
+    EXPECT_EQ(seq.fingerprint, par.fingerprint) << "seed=" << seed;
+    EXPECT_EQ(seq.events, par.events) << "seed=" << seed;
   }
 }
 

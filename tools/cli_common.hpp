@@ -29,8 +29,9 @@ struct CommonOptions {
   std::string out_dir = ".";  // --out-dir DIR (also --out=DIR)
   /// --threads N: simulation-kernel tile partitions. 1 (the default) is
   /// the sequential reference kernel; N > 1 runs the conservative tiled
-  /// engine in parallel mode. Results are bit-identical for every value —
-  /// the flag only changes wall-clock time.
+  /// engine in parallel mode, which uses worker threads only once an
+  /// epoch is dense enough to pay for them. Results are bit-identical for
+  /// every value — the flag only changes wall-clock time.
   std::uint32_t threads = 1;
 };
 
