@@ -3,17 +3,22 @@
 // the simulator's own performance so the experiment sweeps stay fast.
 #include <benchmark/benchmark.h>
 
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "dataflow/executor.hpp"
 #include "maps/mapping.hpp"
 #include "maps/partition.hpp"
 #include "maps/workloads.hpp"
+#include "perf/export.hpp"
+#include "perf/session.hpp"
+#include "perf/workload.hpp"
 #include "recoder/interp.hpp"
 #include "recoder/parser.hpp"
 #include "sched/analysis.hpp"
 #include "sched/uniproc.hpp"
 #include "sim/channel.hpp"
 #include "sim/kernel.hpp"
+#include "sim/platform.hpp"
 #include "sim/process.hpp"
 
 namespace {
@@ -191,6 +196,71 @@ void BM_MiniCInterpret(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MiniCInterpret);
+
+// One fixed traced forkjoin run (4 cores on the bus, seed 1, scale 256:
+// 5120 compute blocks) whose trace and report the export benches re-emit.
+struct TracedRun {
+  std::vector<sim::TraceEvent> events;
+  perf::PerfReport report;
+};
+
+const TracedRun& traced_forkjoin() {
+  static const TracedRun run = [] {
+    auto cfg = sim::PlatformConfig::homogeneous(4, mhz(400));
+    cfg.trace_enabled = true;
+    sim::Platform plat(std::move(cfg));
+    perf::PerfConfig pc;
+    pc.epoch_width = microseconds(25);
+    perf::PerfSession session(plat, pc);
+    perf::spawn_workload("forkjoin", plat, /*seed=*/1, /*scale=*/256);
+    plat.kernel().run();
+    return TracedRun{plat.tracer().events(), session.report()};
+  }();
+  return run;
+}
+
+void BM_ExportChromeTrace(benchmark::State& state) {
+  const TracedRun& run = traced_forkjoin();
+  for (auto _ : state) {
+    const std::string doc = perf::to_chrome_trace(run.events);
+    benchmark::DoNotOptimize(doc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(run.events.size()));
+}
+BENCHMARK(BM_ExportChromeTrace)->Unit(benchmark::kMicrosecond);
+
+void BM_ExportCsv(benchmark::State& state) {
+  const TracedRun& run = traced_forkjoin();
+  for (auto _ : state) {
+    const std::string doc =
+        perf::to_csv(run.report.epochs, run.report.num_cores);
+    benchmark::DoNotOptimize(doc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(run.report.epochs.size()));
+}
+BENCHMARK(BM_ExportCsv)->Unit(benchmark::kMicrosecond);
+
+// The chrome exporter's number shape: picosecond times in microseconds.
+void BM_JsonWriterDouble(benchmark::State& state) {
+  std::vector<double> values;
+  for (const auto& ev : traced_forkjoin().events)
+    values.push_back(static_cast<double>(ev.time) * 1e-6);
+  for (auto _ : state) {
+    json::Writer w(/*pretty=*/false);
+    w.begin_array();
+    for (const double v : values) w.value(v);
+    w.end_array();
+    benchmark::DoNotOptimize(w.str().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_JsonWriterDouble)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,31 +1,41 @@
 #include "common/json.hpp"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 
 #include "common/strings.hpp"
 
 namespace rw::json {
 
-std::string Writer::escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+namespace {
+
+// Append `s` with JSON string escaping (quotes, backslash, control
+// characters); each run of bytes that needs none goes in with one append.
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += strformat("\\u%04x", c);
-        else
-          out += c;
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
 }
+
+}  // namespace
 
 void Writer::indent() {
   if (!pretty_) return;
@@ -88,15 +98,18 @@ Writer& Writer::key(std::string_view k) {
   if (has_items_.back()) out_ += ',';
   has_items_.back() = true;
   indent();
-  out_ += '"' + escape(k) + "\":";
-  if (pretty_) out_ += ' ';
+  out_ += '"';
+  append_escaped(out_, k);
+  out_ += pretty_ ? "\": " : "\":";
   after_key_ = true;
   return *this;
 }
 
 Writer& Writer::value(std::string_view s) {
   prepare_value();
-  out_ += '"' + escape(s) + '"';
+  out_ += '"';
+  append_escaped(out_, s);
+  out_ += '"';
   return *this;
 }
 
@@ -106,24 +119,30 @@ Writer& Writer::value(double v) {
     out_ += "null";  // JSON has no Inf/NaN
     return *this;
   }
-  // %.17g round-trips any double; trim when a shorter form is exact.
-  std::string s = strformat("%.17g", v);
-  if (const std::string shorter = strformat("%.15g", v);
-      std::stod(shorter) == v)
-    s = shorter;
-  out_ += s;
+  // %.15g when it reads back exactly, else %.17g, which round-trips any
+  // double. to_chars with a precision writes exactly printf's %.*g; a
+  // form from_chars cannot read back in range (DBL_MAX rounds up) simply
+  // takes the 17-digit path.
+  char buf[32];
+  auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                         15);
+  double back = 0.0;
+  if (std::from_chars(buf, r.ptr, back).ec != std::errc() || back != v)
+    r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                      17);
+  out_.append(buf, r.ptr);
   return *this;
 }
 
 Writer& Writer::value(std::uint64_t v) {
   prepare_value();
-  out_ += std::to_string(v);
+  append_chars(out_, v);
   return *this;
 }
 
 Writer& Writer::value(std::int64_t v) {
   prepare_value();
-  out_ += std::to_string(v);
+  append_chars(out_, v);
   return *this;
 }
 

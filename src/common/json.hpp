@@ -4,8 +4,12 @@
 // tooling (plots, regression tracking) can parse without scraping ASCII
 // tables; the fuzz campaign closes the loop by reading shrunk cases and
 // fault plans back in (rwfault --plan, rwfuzz --replay). Output is
-// deterministic: keys appear in insertion order and doubles render with
-// enough digits to round-trip. The reader keeps each number's raw token so
+// deterministic: keys appear in insertion order, and a double renders as
+// printf's %.15g when that reads back exactly, else as %.17g, which
+// always does (non-finite values become null). The writer implements this
+// rule with std::to_chars / std::from_chars, which the standard defines to
+// match printf byte for byte, so it allocates no temporaries and never
+// throws on a finite double. The reader keeps each number's raw token so
 // 64-bit integers (picosecond timestamps, addresses) survive a
 // parse/re-emit cycle byte-for-byte.
 #pragma once
@@ -57,9 +61,6 @@ class Writer {
 
   /// The document so far. Call once nesting is back to depth zero.
   [[nodiscard]] const std::string& str() const { return out_; }
-
-  /// JSON string escaping (quotes, backslash, control characters).
-  static std::string escape(std::string_view s);
 
  private:
   void prepare_value();  // comma/newline/indent bookkeeping before a value

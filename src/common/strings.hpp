@@ -1,6 +1,9 @@
 // Small string utilities shared by the parsers and report printers.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,6 +34,18 @@ std::string replace_all(std::string s, std::string_view from,
 /// printf-style formatting into a std::string.
 std::string strformat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Append what std::to_chars(v, args...) writes: one number, no printf
+/// and no temporary string. With a chars_format and a precision the bytes
+/// are, by the standard, exactly printf's "%.*g" / "%.*f" in the C locale.
+/// The buffer fits any integer, and any double in fixed notation with up
+/// to 20 decimals.
+template <typename T, typename... Args>
+void append_chars(std::string& out, T v, Args... args) {
+  char buf[std::numeric_limits<double>::max_exponent10 + 32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v, args...);
+  out.append(buf, r.ptr);
+}
 
 /// Parse a non-negative integer; returns false on any non-digit content.
 bool parse_u64(std::string_view s, std::uint64_t& out);

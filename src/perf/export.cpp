@@ -1,5 +1,7 @@
 #include "perf/export.hpp"
 
+#include <charconv>
+#include <initializer_list>
 #include <vector>
 
 #include "common/json.hpp"
@@ -14,32 +16,29 @@ std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
   w.key("displayTimeUnit").value("ns");
   w.key("traceEvents").begin_array();
   // Pair ComputeStart/ComputeEnd per core into "X" complete events. One
-  // block at a time per core, so a single open slot per core suffices.
-  struct Open {
-    TimePs start = 0;
-    std::string label;
-    bool live = false;
-  };
-  std::vector<Open> open;
+  // block at a time per core, so a single open start event per core
+  // suffices; it points into `trace`, which outlives the loop.
+  std::vector<const sim::TraceEvent*> open;
   for (const auto& ev : trace) {
     if (!ev.core.is_valid()) continue;
     const std::size_t c = ev.core.index();
-    if (c >= open.size()) open.resize(c + 1);
+    if (c >= open.size()) open.resize(c + 1, nullptr);
     if (ev.kind == sim::TraceKind::kComputeStart) {
-      open[c] = Open{ev.time, ev.label, true};
-    } else if (ev.kind == sim::TraceKind::kComputeEnd && open[c].live &&
-               ev.label == open[c].label) {
+      open[c] = &ev;
+    } else if (ev.kind == sim::TraceKind::kComputeEnd && open[c] != nullptr &&
+               ev.label == open[c]->label) {
+      const TimePs start = open[c]->time;
       w.begin_object();
       w.key("name").value(ev.label);
       w.key("cat").value("compute");
       w.key("ph").value("X");
       // Chrome trace timestamps are microseconds; 1 ps = 1e-6 us.
-      w.key("ts").value(static_cast<double>(open[c].start) * 1e-6);
-      w.key("dur").value(static_cast<double>(ev.time - open[c].start) * 1e-6);
+      w.key("ts").value(static_cast<double>(start) * 1e-6);
+      w.key("dur").value(static_cast<double>(ev.time - start) * 1e-6);
       w.key("pid").value(std::uint64_t{0});
       w.key("tid").value(static_cast<std::uint64_t>(c));
       w.end_object();
-      open[c].live = false;
+      open[c] = nullptr;
     }
   }
   w.end_array();
@@ -49,9 +48,15 @@ std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
 
 std::string to_folded_stacks(const SamplingProfiler::Profile& profile) {
   std::string out;
-  for (const auto& e : profile.entries)
-    out += strformat("core%zu;%s %llu\n", e.core, e.label.c_str(),
-                     static_cast<unsigned long long>(e.samples));
+  for (const auto& e : profile.entries) {
+    out += "core";
+    append_chars(out, e.core);
+    out += ';';
+    out += e.label;
+    out += ' ';
+    append_chars(out, e.samples);
+    out += '\n';
+  }
   return out;
 }
 
@@ -60,9 +65,22 @@ std::string to_csv(const std::vector<Epoch>& epochs, std::size_t num_cores) {
       "epoch,start_ps,end_ps,mean_util,busy_cycles,stall_cycles,mem_reads,"
       "mem_writes,local_accesses,shared_accesses,icn_transfers,icn_bytes,"
       "icn_wait_ps,icn_busy_ps,dma_bytes";
-  for (std::size_t c = 0; c < num_cores; ++c)
-    out += strformat(",core%zu_util", c);
-  out += "\n";
+  for (std::size_t c = 0; c < num_cores; ++c) {
+    out += ",core";
+    append_chars(out, c);
+    out += "_util";
+  }
+  out += '\n';
+  // Each field as printf's %llu / %.6f would write it: to_chars with
+  // chars_format::fixed and precision 6 is specified to match "%.6f".
+  const auto field = [&out](std::uint64_t v) {
+    out += ',';
+    append_chars(out, v);
+  };
+  const auto util = [&out](double u) {
+    out += ',';
+    append_chars(out, u, std::chars_format::fixed, 6);
+  };
   for (const auto& ep : epochs) {
     CoreCounters t;
     for (const auto& c : ep.cores) {
@@ -75,31 +93,21 @@ std::string to_csv(const std::vector<Epoch>& epochs, std::size_t num_cores) {
     }
     t.mem_reads += ep.unattributed.mem_reads;
     t.mem_writes += ep.unattributed.mem_writes;
-    out += strformat(
-        "%zu,%llu,%llu,%.6f,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-        "%llu,%llu",
-        ep.index, static_cast<unsigned long long>(ep.start),
-        static_cast<unsigned long long>(ep.end), ep.mean_utilization(),
-        static_cast<unsigned long long>(t.busy_cycles),
-        static_cast<unsigned long long>(t.stall_cycles),
-        static_cast<unsigned long long>(t.mem_reads),
-        static_cast<unsigned long long>(t.mem_writes),
-        static_cast<unsigned long long>(t.local_accesses),
-        static_cast<unsigned long long>(t.shared_accesses),
-        static_cast<unsigned long long>(ep.icn.transfers),
-        static_cast<unsigned long long>(ep.icn.bytes),
-        static_cast<unsigned long long>(ep.icn.wait_ps),
-        static_cast<unsigned long long>(ep.icn.busy_ps),
-        static_cast<unsigned long long>(ep.dma.bytes));
-    for (std::size_t c = 0; c < num_cores; ++c) {
-      const double u =
-          c < ep.cores.size() && ep.width() > 0
-              ? static_cast<double>(ep.cores[c].busy_ps) /
-                    static_cast<double>(ep.width())
-              : 0.0;
-      out += strformat(",%.6f", u);
-    }
-    out += "\n";
+    append_chars(out, ep.index);
+    field(ep.start);
+    field(ep.end);
+    util(ep.mean_utilization());
+    for (const std::uint64_t v :
+         {t.busy_cycles, t.stall_cycles, t.mem_reads, t.mem_writes,
+          t.local_accesses, t.shared_accesses, ep.icn.transfers, ep.icn.bytes,
+          ep.icn.wait_ps, ep.icn.busy_ps, ep.dma.bytes})
+      field(v);
+    for (std::size_t c = 0; c < num_cores; ++c)
+      util(c < ep.cores.size() && ep.width() > 0
+               ? static_cast<double>(ep.cores[c].busy_ps) /
+                     static_cast<double>(ep.width())
+               : 0.0);
+    out += '\n';
   }
   return out;
 }

@@ -13,9 +13,11 @@
 namespace rw::perf {
 namespace {
 
-std::unique_ptr<sim::Platform> make_platform(std::size_t cores = 4) {
+std::unique_ptr<sim::Platform> make_platform(std::size_t cores = 4,
+                                             bool mesh = false) {
   auto cfg = sim::PlatformConfig::homogeneous(cores, mhz(400));
   cfg.trace_enabled = true;
+  if (mesh) cfg.use_square_mesh();
   return std::make_unique<sim::Platform>(std::move(cfg));
 }
 
@@ -23,8 +25,8 @@ struct Exports {
   std::string json, chrome, folded, csv;
 };
 
-Exports run_and_export(const char* workload) {
-  auto plat = make_platform();
+Exports run_and_export(const char* workload, bool mesh = false) {
+  auto plat = make_platform(4, mesh);
   PerfConfig cfg;
   cfg.profiler.period = microseconds(5);
   cfg.epoch_width = microseconds(25);
@@ -40,6 +42,15 @@ Exports run_and_export(const char* workload) {
   return e;
 }
 
+std::uint64_t fnv1a(std::string_view doc,
+                    std::uint64_t h = 1469598103934665603ull) {
+  for (const char c : doc) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 // The headline determinism claim: every export format is a pure function
 // of the workload, byte for byte, across two fresh identical runs.
 TEST(ExportTest, AllFormatsByteIdenticalAcrossRuns) {
@@ -49,6 +60,36 @@ TEST(ExportTest, AllFormatsByteIdenticalAcrossRuns) {
   EXPECT_EQ(a.chrome, b.chrome);
   EXPECT_EQ(a.folded, b.folded);
   EXPECT_EQ(a.csv, b.csv);
+}
+
+// Pinned FNV-1a digests of every export format. The rerun test above only
+// compares two runs of one binary; these constants also catch a formatting
+// change that is consistent between runs but alters bytes.
+TEST(ExportTest, GoldenExportDigests) {
+  struct Golden {
+    const char* workload;
+    bool mesh;
+    std::uint64_t chrome, folded, csv, json;
+  };
+  // Forkjoin's shared-memory traffic is untimed, so bus and mesh agree.
+  const Golden goldens[] = {
+      {"forkjoin", false, 0x7cba8c768c8f8a8eull, 0xfd4fff809c54f336ull,
+       0xbd0afff3145c48e8ull, 0x8f9140d141e5d83cull},
+      {"forkjoin", true, 0x7cba8c768c8f8a8eull, 0xfd4fff809c54f336ull,
+       0xbd0afff3145c48e8ull, 0x8f9140d141e5d83cull},
+      {"shared_hammer", false, 0xd77eab033d454468ull, 0x755665779120b6a8ull,
+       0x90336fe2689d1f55ull, 0xc56180d44ce98c54ull},
+      {"shared_hammer", true, 0x6de262bcfd78580dull, 0xcc7d6e6f2dc7ddc5ull,
+       0x4152aa7afd901a3dull, 0xdbf33d35a14eace9ull},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(std::string(g.workload) + (g.mesh ? " mesh" : " bus"));
+    const Exports e = run_and_export(g.workload, g.mesh);
+    EXPECT_EQ(fnv1a(e.chrome), g.chrome);
+    EXPECT_EQ(fnv1a(e.folded), g.folded);
+    EXPECT_EQ(fnv1a(e.csv), g.csv);
+    EXPECT_EQ(fnv1a(e.json), g.json);
+  }
 }
 
 TEST(ExportTest, ChromeTraceIsWellFormedJson) {
@@ -141,12 +182,9 @@ TEST(ExportTest, HarnessSerialAndParallelProduceSameExports) {
     for (const char* w : {"pipeline", "forkjoin"})
       s.add_run(w, [w](const harness::RunContext&) {
         const Exports e = run_and_export(w);
-        std::uint64_t h = 1469598103934665603ull;  // FNV-1a over all exports
-        for (const std::string* doc : {&e.json, &e.chrome, &e.folded, &e.csv})
-          for (const char c : *doc) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
-          }
+        std::uint64_t h = fnv1a(e.json);  // FNV-1a over all exports
+        for (const std::string* doc : {&e.chrome, &e.folded, &e.csv})
+          h = fnv1a(*doc, h);
         RunMetrics m;
         m.set_extra("export_hash_lo", static_cast<double>(h & 0xffffffffull));
         m.set_extra("export_hash_hi", static_cast<double>(h >> 32));
