@@ -3,6 +3,8 @@
 // the simulator's own performance so the experiment sweeps stay fast.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "dataflow/executor.hpp"
@@ -261,6 +263,41 @@ void BM_JsonWriterDouble(benchmark::State& state) {
                           static_cast<std::int64_t>(values.size()));
 }
 BENCHMARK(BM_JsonWriterDouble)->Unit(benchmark::kMicrosecond);
+
+// Model-size sweep: the untraced run() of a perf demo (seed 1, scale 64)
+// on a 4-, 16- and 64-core platform, on the bus and on a square mesh. The
+// host cost per simulated event should stay flat as the model grows;
+// `ns_per_event` shows it. Only run() is timed, not build or spawn.
+void BM_UntracedRunModelSize(benchmark::State& state) {
+  static const char* const kDemos[] = {"pipeline", "forkjoin",
+                                       "shared_hammer"};
+  const char* demo = kDemos[state.range(0)];
+  const auto cores = static_cast<std::size_t>(state.range(1));
+  const bool mesh = state.range(2) != 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    auto cfg = sim::PlatformConfig::homogeneous(cores, mhz(400));
+    if (mesh) cfg.use_square_mesh();
+    sim::Platform plat(std::move(cfg));
+    perf::spawn_workload(demo, plat, /*seed=*/1, /*scale=*/64);
+    const auto t0 = std::chrono::steady_clock::now();
+    plat.kernel().run();
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count());
+    events = plat.kernel().events_executed();
+  }
+  state.SetLabel(strformat("%s/%s", demo, mesh ? "mesh" : "bus"));
+  state.counters["events"] = static_cast<double>(events);
+  state.counters["ns_per_event"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_UntracedRunModelSize)
+    ->ArgsProduct({{0, 1, 2}, {4, 16, 64}, {0, 1}})
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

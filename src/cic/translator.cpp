@@ -105,6 +105,8 @@ sim::Process task_process(RunCtx& ctx, std::size_t ti) {
   const auto in_chans = ctx.prog.inputs_of(task.id);
   const auto out_chans = ctx.prog.outputs_of(task.id);
   const bool is_sink = out_chans.empty();
+  const std::string recv_label = task.name + ".recv";
+  const std::string send_label = task.name + ".send";
 
   for (std::uint64_t iter = 0; iter < ctx.iterations; ++iter) {
     // Run-time system: periodic tasks wait for their release.
@@ -124,7 +126,7 @@ sim::Process task_process(RunCtx& ctx, std::size_t ti) {
             ctx.arch.lock_cycles +
             ctx.arch.platform.shared_mem_latency *
                 ((ch->token_bytes + 7) / 8);
-        co_await core.compute(read_cost, task.name + ".recv");
+        co_await core.compute(read_cost, recv_label);
       }
       inputs.push_back(v);
     }
@@ -151,7 +153,7 @@ sim::Process task_process(RunCtx& ctx, std::size_t ti) {
             ctx.arch.lock_cycles +
             ctx.arch.platform.shared_mem_latency *
                 ((ch->token_bytes + 7) / 8);
-        co_await core.compute(write_cost, task.name + ".send");
+        co_await core.compute(write_cost, send_label);
       }
       co_await ctx.channels[ch->id.index()]->send(v);
       ++ctx.result->messages;

@@ -40,10 +40,10 @@ sim::Process pipeline_stage(sim::Platform& plat,
                             std::uint64_t items, std::uint64_t seed) {
   sim::Core& core = plat.core(core_idx);
   std::uint64_t rng = seed ^ (0x51a9e * (stage + 1));
+  const std::string label = strformat("stage%zu", stage);
   for (std::uint64_t i = 0; i < items; ++i) {
     const std::uint64_t v = co_await st->chans[stage]->recv();
-    co_await core.compute(2000 + splitmix(rng) % 3000,
-                          strformat("stage%zu", stage));
+    co_await core.compute(2000 + splitmix(rng) % 3000, label);
     // One shared-memory round trip per item: the stage's "state" load.
     const sim::Addr a = plat.shared_base() + (v % 1024) * 8;
     plat.memory().write_u64(core.id(), a, v);
@@ -196,6 +196,7 @@ sim::Process tiled_stage(sim::Platform& plat,
   const bool has_spm = plat.config().cores[idx].scratchpad_bytes >= 4096;
   const sim::Addr spm = plat.scratchpad_base(core.id());
   std::uint64_t rng = seed ^ (0x7e11ull * (idx + 1));
+  const std::string label = strformat("tstage%zu", idx);
   for (std::uint64_t i = 0; i < items; ++i) {
     std::uint64_t v = i;
     if (idx > 0) {
@@ -203,8 +204,7 @@ sim::Process tiled_stage(sim::Platform& plat,
     } else {
       co_await sim::delay(k, nanoseconds(400));
     }
-    co_await core.compute(1500 + splitmix(rng) % 2500,
-                          strformat("tstage%zu", idx));
+    co_await core.compute(1500 + splitmix(rng) % 2500, label);
     if (has_spm) {
       // Local state round trip: a stage touches only its own scratchpad —
       // the locality the tiled memory guard turns into a hard rule.

@@ -63,6 +63,19 @@ std::pair<TimePs, TimePs> Core::reserve_from(TimePs earliest, Cycles cycles) {
   return {start, finish};
 }
 
+const std::string& Core::current_label() const {
+  static const std::string kCrashed = "<crashed>";
+  static const std::string kIdle = "<idle>";
+  if (failed_) return kCrashed;
+  // active_ is in issue order and a core runs its blocks FIFO, so the
+  // first started block is the one executing (or, at the instant it ends,
+  // the one whose end event has not run yet).
+  const TimePs now = kernel_.now();
+  for (const ComputeAwaitable* aw : active_)
+    if (aw->start <= now) return aw->label;
+  return kIdle;
+}
+
 void Core::ComputeAwaitable::await_suspend(std::coroutine_handle<> h) {
   handle = h;
   core->start_compute(this);
@@ -75,6 +88,7 @@ void Core::start_compute(ComputeAwaitable* aw) {
     return;
   }
   auto [start, end] = reserve(aw->cycles);
+  aw->start = start;
   aw->finish = end;
   aw->issue = make_issue_tag();
   const std::uint64_t issue = aw->issue;
@@ -94,12 +108,13 @@ void Core::start_compute(ComputeAwaitable* aw) {
   // the original end event's timestamp would revalidate the stale event
   // and the block would complete twice, resuming a finished coroutine.
   Core* self = this;
-  kernel_.schedule_at(start, [self, aw, issue] {
-    if (!self->is_active(aw, issue)) return;
-    self->current_label_ = aw->label;
-    self->tracer_.record(self->kernel_.now(), TraceKind::kComputeStart,
-                         self->id_, aw->label, aw->cycles, 0);
-  });
+  // The start event only writes a trace record (see the declaration).
+  if (tracer_.active())
+    kernel_.schedule_at(start, [self, aw, issue] {
+      if (!self->is_active(aw, issue)) return;
+      self->tracer_.record(self->kernel_.now(), TraceKind::kComputeStart,
+                           self->id_, aw->label, aw->cycles, 0);
+    });
   kernel_.schedule_at(end, [self, aw, start, issue] {
     if (!self->is_active(aw, issue)) return;
     std::erase(self->active_, aw);
@@ -108,7 +123,6 @@ void Core::start_compute(ComputeAwaitable* aw) {
     if (self->perf_)
       self->perf_->on_compute_block(self->id_, aw->label, aw->cycles, start,
                                     self->kernel_.now());
-    self->current_label_ = "<idle>";
     aw->handle.resume();
   });
 }
@@ -124,7 +138,6 @@ void Core::fail() {
   for (ComputeAwaitable* aw : active_) parked_.push_back(aw);
   active_.clear();
   busy_until_ = kernel_.now();  // the flushed reservations no longer occupy
-  current_label_ = "<crashed>";
   tracer_.record(kernel_.now(), TraceKind::kCustom, id_, "fault.core_crash",
                  parked_.size(), 0);
 }
@@ -132,7 +145,6 @@ void Core::fail() {
 void Core::recover() {
   if (!failed_) return;
   failed_ = false;
-  current_label_ = "<idle>";
   tracer_.record(kernel_.now(), TraceKind::kCustom, id_, "fault.core_recover",
                  parked_.size(), 0);
   // Re-execute everything that was lost, in park order (deterministic).

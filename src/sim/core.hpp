@@ -85,6 +85,7 @@ class Core {
     Core* core;
     Cycles cycles;
     std::string label;
+    TimePs start = 0;  // reserved interval [start, finish) of this issue
     TimePs finish = 0;
     std::coroutine_handle<> handle{};
     std::uint64_t issue = 0;  // globally-unique issue tag (see start_compute)
@@ -137,9 +138,18 @@ class Core {
   static constexpr std::size_t kNumRegs = 16;
   [[nodiscard]] std::uint64_t reg(std::size_t i) const { return regs_.at(i); }
   void set_reg(std::size_t i, std::uint64_t v) { regs_.at(i) = v; }
-  [[nodiscard]] const std::string& current_label() const {
-    return current_label_;
-  }
+
+  /// Label of the block executing now, derived from the in-flight list
+  /// rather than set by an event: "<crashed>" while failed, else the label
+  /// of the first in-flight block whose start <= now, else "<idle>".
+  ///
+  /// It matches a label set by each block's start event and reset by its
+  /// end event for every reader at a time that is not a block's start, and
+  /// at a block's start for readers with priority > 0 (the sampling
+  /// profiler ticks at 100). Only a priority-0 event at a block's start
+  /// instant can tell them apart: it may see the starting block's label
+  /// where the event-set label would still read "<idle>".
+  [[nodiscard]] const std::string& current_label() const;
 
   [[nodiscard]] Kernel& kernel() { return kernel_; }
   [[nodiscard]] Tracer& tracer() { return tracer_; }
@@ -150,8 +160,14 @@ class Core {
 
  private:
   friend struct ComputeAwaitable;
-  /// (Re)issue a compute block: reserve the core and schedule the start/end
-  /// trace + resume events, or park `aw` when the core is crashed.
+  /// (Re)issue a compute block: reserve the core and schedule its end
+  /// (trace + resume) event, or park `aw` when the core is crashed. The
+  /// ComputeStart trace event exists only to write a trace record, so it
+  /// is scheduled only when the tracer is active() at issue time: an
+  /// unobserved block costs one kernel event, an observed one two. A
+  /// tracer or listener attached while a block is in flight therefore
+  /// sees that block's ComputeEnd without a ComputeStart; TraceView and
+  /// the exporters skip unmatched ends.
   void start_compute(ComputeAwaitable* aw);
 
   /// Globally-unique issue tag: this core's id in the high 32 bits over a
@@ -197,7 +213,6 @@ class Core {
   Cycles cycles_executed_ = 0;
   DurationPs busy_time_ = 0;
   std::array<std::uint64_t, kNumRegs> regs_{};
-  std::string current_label_ = "<idle>";
 };
 
 }  // namespace rw::sim

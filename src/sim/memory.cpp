@@ -1,5 +1,6 @@
 #include "sim/memory.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -10,6 +11,9 @@ namespace rw::sim {
 RegionId MemorySystem::add_region(std::string name, Addr base,
                                   std::uint64_t size, Cycles access_latency,
                                   CoreId owner) {
+  if (size > ~base)
+    throw std::invalid_argument("memory region '" + name +
+                                "' overflows the 64-bit address space");
   for (const auto& r : regions_) {
     const bool overlaps = base < r.base + r.size && r.base < base + size;
     if (overlaps)
@@ -24,6 +28,12 @@ RegionId MemorySystem::add_region(std::string name, Addr base,
   r.access_latency = access_latency;
   r.owner = owner;
   r.bytes.assign(size, 0);
+  if (size > 0) {
+    const auto at = std::upper_bound(
+        by_base_.begin(), by_base_.end(), base,
+        [&](Addr b, std::uint32_t i) { return b < regions_[i].base; });
+    by_base_.insert(at, r.id.value());
+  }
   regions_.push_back(std::move(r));
   return regions_.back().id;
 }
@@ -36,10 +46,18 @@ void MemorySystem::set_region_context(RegionId id, std::uint32_t tile,
   r.trace = trace;
 }
 
+std::size_t MemorySystem::lookup(Addr a, std::uint64_t len) const {
+  const auto after = std::upper_bound(
+      by_base_.begin(), by_base_.end(), a,
+      [&](Addr x, std::uint32_t i) { return x < regions_[i].base; });
+  if (after == by_base_.begin()) return kNoRegion;
+  const std::uint32_t i = *(after - 1);
+  return regions_[i].contains(a, len) ? i : kNoRegion;
+}
+
 const Region* MemorySystem::find_region(Addr a) const {
-  for (const auto& r : regions_)
-    if (a >= r.base && a < r.base + r.size) return &r;
-  return nullptr;
+  const std::size_t i = lookup(a, 1);
+  return i == kNoRegion ? nullptr : &regions_[i];
 }
 
 Cycles MemorySystem::latency_for(Addr a) const {
@@ -49,8 +67,8 @@ Cycles MemorySystem::latency_for(Addr a) const {
 
 Region& MemorySystem::region_for(Addr a, std::uint64_t len, CoreId core,
                                  bool is_write) {
-  for (auto& r : regions_) {
-    if (!r.contains(a, len)) continue;
+  if (const std::size_t i = lookup(a, len); i != kNoRegion) {
+    Region& r = regions_[i];
     // Under tiled execution a region is only reachable from cores on its
     // own tile: the tiles' clocks are not ordered inside an epoch, so a
     // cross-tile load/store would have no defined timestamp (use a
@@ -88,11 +106,6 @@ Region& MemorySystem::region_for(Addr a, std::uint64_t len, CoreId core,
       strformat("illegal access to unmapped address 0x%llx (%llu bytes)",
                 static_cast<unsigned long long>(a),
                 static_cast<unsigned long long>(len)));
-}
-
-void MemorySystem::notify(const MemAccess& acc) {
-  for (auto& o : observers_)
-    if (o) o(acc);
 }
 
 std::uint64_t MemorySystem::read_u64(CoreId core, Addr a) {
@@ -160,23 +173,17 @@ void MemorySystem::write_block(CoreId core, Addr a,
 }
 
 void MemorySystem::poke(Addr a, std::span<const std::uint8_t> in) {
-  for (auto& r : regions_) {
-    if (r.contains(a, in.size())) {
-      std::memcpy(r.bytes.data() + (a - r.base), in.data(), in.size());
-      return;
-    }
-  }
-  throw std::out_of_range("poke outside mapped memory");
+  const std::size_t i = lookup(a, in.size());
+  if (i == kNoRegion) throw std::out_of_range("poke outside mapped memory");
+  Region& r = regions_[i];
+  std::memcpy(r.bytes.data() + (a - r.base), in.data(), in.size());
 }
 
 void MemorySystem::peek(Addr a, std::span<std::uint8_t> out) const {
-  for (const auto& r : regions_) {
-    if (r.contains(a, out.size())) {
-      std::memcpy(out.data(), r.bytes.data() + (a - r.base), out.size());
-      return;
-    }
-  }
-  throw std::out_of_range("peek outside mapped memory");
+  const std::size_t i = lookup(a, out.size());
+  if (i == kNoRegion) throw std::out_of_range("peek outside mapped memory");
+  const Region& r = regions_[i];
+  std::memcpy(out.data(), r.bytes.data() + (a - r.base), out.size());
 }
 
 }  // namespace rw::sim

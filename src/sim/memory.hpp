@@ -48,8 +48,10 @@ struct Region {
   Kernel* clock = nullptr;
   Tracer* trace = nullptr;
 
+  /// True when [a, a + len) lies inside the region. Written without
+  /// a + len so an access near 2^64 cannot wrap into range.
   [[nodiscard]] bool contains(Addr a, std::uint64_t len) const {
-    return a >= base && a + len <= base + size;
+    return a >= base && len <= size && a - base <= size - len;
   }
   [[nodiscard]] bool is_local() const { return owner.is_valid(); }
 };
@@ -73,10 +75,12 @@ class MemorySystem {
   MemorySystem(const MemorySystem&) = delete;
   MemorySystem& operator=(const MemorySystem&) = delete;
 
-  /// Map a new region; `base` must not overlap an existing region.
+  /// Map a new region. It must not overlap an existing region, and
+  /// `base + size` must fit in 64 bits (std::invalid_argument otherwise).
   RegionId add_region(std::string name, Addr base, std::uint64_t size,
                       Cycles access_latency, CoreId owner = CoreId{});
 
+  /// The region holding the byte at `a`, or nullptr.
   [[nodiscard]] const Region* find_region(Addr a) const;
   [[nodiscard]] const Region& region(RegionId id) const {
     return regions_.at(id.index());
@@ -137,8 +141,20 @@ class MemorySystem {
   }
 
  private:
+  static constexpr std::size_t kNoRegion = static_cast<std::size_t>(-1);
+  /// Index in regions_ of the region holding [a, a + len), or kNoRegion.
+  /// The one region lookup: every accessor, find_region, latency_for,
+  /// poke and peek go through it. Regions never overlap, so only the last
+  /// region (by base) starting at or below `a` can hold the access: one
+  /// binary search over by_base_ and one contains() check. It reads no
+  /// mutable state, so tiles may look up concurrently.
+  [[nodiscard]] std::size_t lookup(Addr a, std::uint64_t len) const;
   Region& region_for(Addr a, std::uint64_t len, CoreId core, bool is_write);
-  void notify(const MemAccess& acc);
+  void notify(const MemAccess& acc) {
+    if (observers_.empty()) return;
+    for (auto& o : observers_)
+      if (o) o(acc);
+  }
   [[nodiscard]] Kernel& clock_of(const Region& r) const {
     return r.clock != nullptr ? *r.clock : kernel_;
   }
@@ -156,6 +172,9 @@ class MemorySystem {
   Tracer& tracer_;
   PerfSink* perf_ = nullptr;
   std::vector<Region> regions_;
+  // Indices into regions_ of the non-empty regions, sorted by base. An
+  // empty region holds no byte, so no lookup can return it.
+  std::vector<std::uint32_t> by_base_;
   std::vector<Observer> observers_;
   std::vector<std::uint32_t> core_tiles_;  // empty == untiled, no guard
   bool enforce_locality_ = false;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -54,12 +55,21 @@ struct TraceEvent {
 
 /// Append-only trace buffer with an optional live listener (the debugger
 /// hooks in here for watchpoints and scripted assertions).
+///
+/// Off path: a tracer that is disabled and has no listener is inactive,
+/// and record() returns before it builds the event, so an unobserved run
+/// pays one branch per trace point. Callers whose only work is tracing
+/// test active() themselves (Core skips its ComputeStart event).
 class Tracer {
  public:
   using Listener = std::function<void(const TraceEvent&)>;
 
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
+  /// True when a record would be kept or seen by a listener.
+  [[nodiscard]] bool active() const {
+    return enabled_ || !listeners_.empty();
+  }
 
   /// Live listener invoked synchronously on every event, even when buffer
   /// retention is disabled. Returns a token for removal.
@@ -75,9 +85,11 @@ class Tracer {
     if (enabled_) events_.push_back(std::move(ev));
   }
 
-  void record(TimePs time, TraceKind kind, CoreId core, std::string label,
-              std::uint64_t a = 0, std::uint64_t b = 0) {
-    record(TraceEvent{time, kind, core, std::move(label), a, b});
+  void record(TimePs time, TraceKind kind, CoreId core,
+              std::string_view label, std::uint64_t a = 0,
+              std::uint64_t b = 0) {
+    if (!active()) return;
+    record(TraceEvent{time, kind, core, std::string(label), a, b});
   }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const {

@@ -24,6 +24,10 @@
 
 namespace rw::vpdebug {
 
+/// One FNV-1a step per little-endian byte of `v`, folded into `h`: the
+/// recorder's per-field hash, bit-identical to the byte-wise loop.
+[[nodiscard]] std::uint64_t fnv1a_fold_u64(std::uint64_t h, std::uint64_t v);
+
 /// FNV-1a-folded digest of every trace event (time, kind, core, label,
 /// payloads) plus the event count, canonicalized per tile.
 class ExecutionRecorder {

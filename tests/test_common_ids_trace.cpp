@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "sim/trace.hpp"
@@ -80,6 +82,41 @@ TEST(Tracer, ListenersFireEvenWhenRetentionOff) {
   tracer.record(1, sim::TraceKind::kCustom, sim::CoreId{}, "y");
   EXPECT_EQ(tracer.events().size(), 1u);
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Tracer, InactiveTracerStoresNothing) {
+  sim::Tracer tracer;
+  EXPECT_FALSE(tracer.active());
+  tracer.record(0, sim::TraceKind::kMemRead, sim::CoreId{0}, "m", 1, 2);
+  tracer.record(sim::TraceEvent{1, sim::TraceKind::kCustom, sim::CoreId{},
+                                "e", 0, 0});
+  EXPECT_TRUE(tracer.events().empty());
+  tracer.set_enabled(true);
+  EXPECT_TRUE(tracer.active());
+}
+
+TEST(Tracer, ListenerSeesEveryRecordWhileDisabled) {
+  sim::Tracer tracer;
+  std::vector<sim::TraceEvent> seen;
+  tracer.add_listener([&](const sim::TraceEvent& e) { seen.push_back(e); });
+  EXPECT_TRUE(tracer.active());
+  const std::string label = "region";
+  tracer.record(5, sim::TraceKind::kMemWrite, sim::CoreId{2}, label, 7, 8);
+  tracer.record(6, sim::TraceKind::kComputeEnd, sim::CoreId{1}, "blk");
+  tracer.record(sim::TraceEvent{7, sim::TraceKind::kCustom, sim::CoreId{},
+                                "ev", 1, 0});
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].time, 5u);
+  EXPECT_EQ(seen[0].kind, sim::TraceKind::kMemWrite);
+  EXPECT_EQ(seen[0].core, sim::CoreId{2});
+  EXPECT_EQ(seen[0].label, "region");
+  EXPECT_EQ(seen[0].a, 7u);
+  EXPECT_EQ(seen[0].b, 8u);
+  EXPECT_EQ(seen[1].label, "blk");
+  EXPECT_EQ(seen[2].label, "ev");
+  EXPECT_TRUE(tracer.events().empty());
+  tracer.clear_listeners();
+  EXPECT_FALSE(tracer.active());
 }
 
 TEST(Tracer, FilterByKind) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/process.hpp"
 
 namespace rw::sim {
@@ -113,6 +117,91 @@ TEST_F(CoreTest, PeClassNames) {
   EXPECT_STREQ(pe_class_name(PeClass::kDsp), "DSP");
   EXPECT_STREQ(pe_class_name(PeClass::kAsip), "ASIP");
 }
+
+// ---------------------------------------------------- derived current_label
+
+Process run_labelled(Core& core, Cycles cycles, std::string label) {
+  co_await core.compute(cycles, std::move(label));
+}
+
+/// Records core.current_label() at each probe time, at priority 1: after
+/// every priority-0 event of that instant, as the profiler's ticks do.
+struct LabelProbe {
+  std::vector<std::string> seen;
+  void at(Kernel& k, TimePs t, const Core& c) {
+    k.schedule_at(t, [this, &c] { seen.push_back(c.current_label()); },
+                  /*priority=*/1);
+  }
+};
+
+constexpr TimePs kUs = 1'000'000;  // 1000 cycles at 1 GHz
+
+// The label is derived from the in-flight blocks, so it must not depend
+// on whether the (trace-only) ComputeStart events ran.
+class CoreLabelTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override { tracer.set_enabled(GetParam()); }
+  Kernel kernel;
+  Tracer tracer;
+};
+
+TEST_P(CoreLabelTest, FollowsFifoQueuedBlocks) {
+  Core c(kernel, tracer, CoreId{0}, PeClass::kRisc, ghz(1));
+  EXPECT_EQ(c.current_label(), "<idle>");
+  spawn(kernel, run_labelled(c, 1000, "a"));  // [0, 1us)
+  spawn(kernel, run_labelled(c, 2000, "b"));  // queued: [1us, 3us)
+  LabelProbe p;
+  for (const TimePs t : {TimePs{0}, kUs / 2, kUs, 2 * kUs, 3 * kUs, 4 * kUs})
+    p.at(kernel, t, c);
+  // A priority-0 reader strictly inside a block sees it too.
+  std::string inside;
+  kernel.schedule_at(kUs / 2 + 1, [&] { inside = c.current_label(); });
+  kernel.run();
+  EXPECT_EQ(p.seen, (std::vector<std::string>{"a", "a", "b", "b", "<idle>",
+                                               "<idle>"}));
+  EXPECT_EQ(inside, "a");
+  EXPECT_EQ(tracer.filter(TraceKind::kComputeStart).size(),
+            GetParam() ? 2u : 0u);
+}
+
+TEST_P(CoreLabelTest, CrashedThenRecoveredBlocksRerunInOrder) {
+  Core c(kernel, tracer, CoreId{0}, PeClass::kRisc, ghz(1));
+  spawn(kernel, run_labelled(c, 4000, "a"));  // [0, 4us)
+  spawn(kernel, run_labelled(c, 2000, "b"));  // [4us, 6us)
+  kernel.schedule_at(kUs, [&] { c.fail(); });
+  kernel.schedule_at(2 * kUs, [&] { c.recover(); });  // a [2, 6), b [6, 8)
+  LabelProbe p;
+  for (const TimePs t : {kUs / 2, kUs, kUs + kUs / 2, 2 * kUs, 5 * kUs,
+                         6 * kUs, 7 * kUs, 8 * kUs})
+    p.at(kernel, t, c);
+  kernel.run();
+  EXPECT_EQ(p.seen,
+            (std::vector<std::string>{"a", "<crashed>", "<crashed>", "a", "a",
+                                      "b", "b", "<idle>"}));
+  EXPECT_EQ(c.parked_count(), 0u);
+}
+
+TEST_P(CoreLabelTest, MigratedBlockRunsUnderItsLabelOnTheSurvivor) {
+  Core c0(kernel, tracer, CoreId{0}, PeClass::kRisc, ghz(1));
+  Core c1(kernel, tracer, CoreId{1}, PeClass::kRisc, ghz(1));
+  spawn(kernel, run_labelled(c0, 4000, "job"));  // [0, 4us) on c0
+  kernel.schedule_at(kUs, [&] {
+    c0.fail();
+    EXPECT_EQ(c0.migrate_parked(c1), 1u);  // [1us, 5us) on c1
+  });
+  LabelProbe p0, p1;
+  for (const TimePs t : {kUs / 2, kUs, 4 * kUs + kUs / 2, 5 * kUs}) {
+    p0.at(kernel, t, c0);
+    p1.at(kernel, t, c1);
+  }
+  kernel.run();
+  EXPECT_EQ(p0.seen, (std::vector<std::string>{"job", "<crashed>",
+                                                "<crashed>", "<crashed>"}));
+  EXPECT_EQ(p1.seen,
+            (std::vector<std::string>{"<idle>", "job", "job", "<idle>"}));
+}
+
+INSTANTIATE_TEST_SUITE_P(TracedAndUntraced, CoreLabelTest, ::testing::Bool());
 
 }  // namespace
 }  // namespace rw::sim

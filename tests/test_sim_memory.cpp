@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "sim/platform.hpp"
+
 namespace rw::sim {
 namespace {
 
@@ -113,6 +119,96 @@ TEST_F(MemoryTest, FindRegion) {
   ASSERT_NE(mem.find_region(0x1050), nullptr);
   EXPECT_EQ(mem.find_region(0x1050)->name, "a");
   EXPECT_EQ(mem.find_region(0x2000), nullptr);
+}
+
+// Accesses near 2^64: a + len wraps, so a bounds check written as
+// a + len <= base + size would let them through. Each must throw.
+TEST_F(MemoryTest, AccessesNearTopOfAddressSpaceThrow) {
+  constexpr Addr kTop = std::numeric_limits<Addr>::max();
+  mem.add_region("low", 0, 0x100, 1);
+  for (const Addr k : {0ull, 1ull, 3ull, 4ull, 7ull, 8ull, 15ull, 16ull}) {
+    const Addr a = kTop - k;
+    SCOPED_TRACE(k);
+    EXPECT_THROW((void)mem.read_u64(CoreId{0}, a), std::out_of_range);
+    EXPECT_THROW(mem.write_u64(CoreId{0}, a, 1), std::out_of_range);
+    EXPECT_THROW((void)mem.read_u32(CoreId{0}, a), std::out_of_range);
+    EXPECT_THROW(mem.write_u32(CoreId{0}, a, 1), std::out_of_range);
+    std::vector<std::uint8_t> buf(32);
+    EXPECT_THROW(mem.read_block(CoreId{0}, a, buf), std::out_of_range);
+    EXPECT_THROW(mem.write_block(CoreId{0}, a, buf), std::out_of_range);
+    EXPECT_THROW(mem.poke(a, buf), std::out_of_range);
+    EXPECT_THROW(mem.peek(a, buf), std::out_of_range);
+  }
+}
+
+TEST_F(MemoryTest, BlockStraddlingTwoToThe64Throws) {
+  // The highest region a 64-bit base + size admits ends one byte short of
+  // 2^64; a block starting in it and running past 2^64 wraps to 0.
+  constexpr Addr kTop = std::numeric_limits<Addr>::max();
+  mem.add_region("top", kTop - 0xff, 0xff, 1);
+  mem.add_region("low", 0, 0x100, 1);
+  std::vector<std::uint8_t> buf(0x40);
+  const Addr a = kTop - 0x1f;
+  EXPECT_THROW(mem.read_block(CoreId{0}, a, buf), std::out_of_range);
+  EXPECT_THROW(mem.write_block(CoreId{0}, a, buf), std::out_of_range);
+  EXPECT_THROW(mem.poke(a, buf), std::out_of_range);
+  EXPECT_THROW(mem.peek(a, buf), std::out_of_range);
+  // The region's own last bytes stay reachable.
+  EXPECT_NO_THROW(mem.write_u64(CoreId{0}, kTop - 8, 7));
+  EXPECT_EQ(mem.read_u64(CoreId{0}, kTop - 8), 7u);
+  EXPECT_THROW((void)mem.read_u64(CoreId{0}, kTop - 7), std::out_of_range);
+}
+
+TEST_F(MemoryTest, RejectsRegionOverflowingAddressSpace) {
+  constexpr Addr kTop = std::numeric_limits<Addr>::max();
+  EXPECT_THROW(mem.add_region("wrap", kTop - 0xf, 0x20, 1),
+               std::invalid_argument);
+  EXPECT_THROW(mem.add_region("end", kTop - 0xf, 0x10, 1),
+               std::invalid_argument);
+  EXPECT_THROW(mem.add_region("huge", 1, kTop, 1), std::invalid_argument);
+  EXPECT_NO_THROW(mem.add_region("fits", kTop - 0xf, 0xf, 1));
+  EXPECT_EQ(mem.regions().size(), 1u);
+}
+
+TEST_F(MemoryTest, RegionsAddedOutOfAddressOrderResolve) {
+  mem.add_region("c", 0x3000, 0x100, 3);
+  mem.add_region("a", 0x1000, 0x100, 1);
+  mem.add_region("b", 0x2000, 0x100, 2);
+  EXPECT_EQ(mem.find_region(0x1000)->name, "a");
+  EXPECT_EQ(mem.find_region(0x20ff)->name, "b");
+  EXPECT_EQ(mem.find_region(0x3080)->name, "c");
+  EXPECT_EQ(mem.find_region(0x0fff), nullptr);
+  EXPECT_EQ(mem.find_region(0x1100), nullptr);
+  EXPECT_EQ(mem.find_region(0x3100), nullptr);
+  EXPECT_EQ(mem.latency_for(0x2010), 2u);
+  EXPECT_EQ(mem.latency_for(0x2100), 1u);  // unmapped: one cycle
+}
+
+// The region index at model scale: a 64-core platform's 64 scratchpads
+// plus the shared region. Every region's first and last byte resolves to
+// that region, and an access straddling either edge throws.
+TEST(MemoryIndexTest, EveryRegionEdgeOnA64CorePlatform) {
+  Platform plat(PlatformConfig::homogeneous(64));
+  MemorySystem& mem = plat.memory();
+  ASSERT_EQ(mem.regions().size(), 65u);
+  for (const Region& r : mem.regions()) {
+    SCOPED_TRACE(r.name);
+    const Addr first = r.base;
+    const Addr last = r.base + r.size - 1;
+    const CoreId who = r.owner.is_valid() ? r.owner : CoreId{0};
+    ASSERT_EQ(mem.find_region(first), &r);
+    ASSERT_EQ(mem.find_region(last), &r);
+    mem.write_u64(who, first, 0x11);
+    EXPECT_EQ(mem.read_u64(who, first), 0x11u);
+    mem.write_u64(who, last - 7, 0x22);
+    EXPECT_EQ(mem.read_u64(who, last - 7), 0x22u);
+    EXPECT_EQ(mem.read_u32(who, last - 3), 0u);
+    EXPECT_THROW((void)mem.read_u64(who, last - 3), std::out_of_range);
+    EXPECT_THROW((void)mem.read_u32(who, last), std::out_of_range);
+    if (first >= 4) {
+      EXPECT_THROW((void)mem.read_u64(who, first - 4), std::out_of_range);
+    }
+  }
 }
 
 }  // namespace
