@@ -185,8 +185,8 @@ sim::Process sink_proc(RunCtx& ctx) {
   if (ctx.sup) ctx.sup->finish();
 }
 
-/// Passive observation sink pairing every compute-block retirement with
-/// the reservation that issued it. Two checks:
+/// Passive observer pairing every compute-block retirement with the
+/// reservation that issued it; attached for its lifetime. Two checks:
 ///
 ///  * exact pairing — a correct kernel retires each block at exactly its
 ///    reserved finish with its reserved cycle count;
@@ -203,8 +203,13 @@ sim::Process sink_proc(RunCtx& ctx) {
 ///    the window of the restart's legitimately-retired re-issue, but
 ///    that abandoned block was issued *before* the retired one, so it is
 ///    exempt.
-class IntegritySink final : public sim::PerfSink {
+class IntegritySink final : public sim::Observer {
  public:
+  explicit IntegritySink(sim::Platform& plat) : plat_(plat) {
+    plat_.attach(*this);
+  }
+  ~IntegritySink() override { plat_.detach(*this); }
+
   void on_core_reserve(sim::CoreId core, Cycles cycles, TimePs start,
                        TimePs finish, HertzT freq) override {
     (void)freq;
@@ -243,6 +248,7 @@ class IntegritySink final : public sim::PerfSink {
   [[nodiscard]] std::uint64_t violations() const { return violations_; }
 
  private:
+  sim::Platform& plat_;
   struct Reservation {
     std::size_t core;
     TimePs start;
@@ -297,14 +303,12 @@ ScenarioOutcome run_one(const ScenarioConfig& cfg, const FaultPlan& plan,
         plat.kernel(), 4, "e14.ch" + std::to_string(i)));
 
   vpdebug::ExecutionRecorder recorder(plat);
-  IntegritySink integrity;
-  plat.set_perf_sink(&integrity);
+  IntegritySink integrity(plat);
   spawn(plat.kernel(), source_proc(ctx));
   for (std::size_t s = 0; s < cfg.cores; ++s)
     spawn(plat.kernel(), stage_proc(ctx, s));
   spawn(plat.kernel(), sink_proc(ctx));
   plat.run(kMaxEvents);
-  plat.set_perf_sink(nullptr);
 
   ScenarioOutcome out;
   out.items_target = cfg.items;

@@ -13,7 +13,7 @@ WatchdogPeripheral::WatchdogPeripheral(sim::Kernel& kernel,
       tracer_(tracer),
       irqc_(irqc),
       irq_line_(irq_line),
-      expired_(Peripheral::name() + ".expired") {}
+      expired_(Peripheral::name() + ".expired", tracer.observers()) {}
 
 void WatchdogPeripheral::arm(DurationPs timeout) {
   if (timeout == 0)

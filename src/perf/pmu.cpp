@@ -20,22 +20,21 @@ void Pmu::on_freq_change(sim::CoreId core, HertzT /*from*/, HertzT /*to*/) {
   ++bucket(core).freq_changes;
 }
 
-void Pmu::on_mem_access(sim::CoreId core, bool is_write, bool local,
-                        std::uint32_t bytes, Cycles latency) {
-  CoreCounters& c = bucket(core);
-  if (is_write) {
+void Pmu::on_mem_access(const sim::MemAccess& acc) {
+  CoreCounters& c = bucket(acc.core);
+  if (acc.is_write) {
     ++c.mem_writes;
-    c.bytes_written += bytes;
+    c.bytes_written += acc.size;
   } else {
     ++c.mem_reads;
-    c.bytes_read += bytes;
+    c.bytes_read += acc.size;
   }
-  if (local) {
+  if (acc.local) {
     ++c.local_accesses;
   } else {
     ++c.shared_accesses;
   }
-  c.stall_cycles += latency;
+  c.stall_cycles += acc.latency;
 }
 
 void Pmu::on_transfer(sim::CoreId /*src*/, sim::CoreId /*dst*/,

@@ -2,12 +2,12 @@
 //
 // Sec. VII argues that virtual platforms beat real silicon for software
 // optimization because observability is non-intrusive and complete. The
-// Pmu is that observability made concrete: it implements sim::PerfSink and
+// Pmu is that observability made concrete: it is a sim::Observer that
 // accumulates, per core and per fabric, exactly the counters a hardware
 // performance-monitoring unit would expose — busy/stall cycles, memory
 // accesses split local vs shared, DMA bytes, bus contention, NoC hops and
-// per-link occupancy. Counting never feeds back into the simulation (sinks
-// observe decisions already taken), so attaching a Pmu leaves every
+// per-link occupancy. Counting never feeds back into the simulation
+// (observers see decisions already taken), so attaching a Pmu leaves every
 // simulated timestamp bit-identical.
 #pragma once
 
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "sim/perf_hooks.hpp"
+#include "sim/observer.hpp"
 
 namespace rw::perf {
 
@@ -99,21 +99,22 @@ struct PmuSnapshot {
   bool operator==(const PmuSnapshot&) const = default;
 };
 
-/// The counting sink. Attach with sim::Platform::set_perf_sink(&pmu);
-/// detach (or never attach) for a bit-identical unobserved run.
-class Pmu final : public sim::PerfSink {
+/// The counting observer. Attach with sim::Platform::attach(pmu) (a
+/// PerfSession does); detach (or never attach) for a bit-identical
+/// unobserved run. It consumes no trace records, so attaching it leaves
+/// an untraced platform's tracer inactive.
+class Pmu final : public sim::Observer {
  public:
   explicit Pmu(std::size_t num_cores)
       : cores_(num_cores) {}
 
-  // sim::PerfSink
+  // sim::Observer
   void on_core_reserve(sim::CoreId core, Cycles cycles, TimePs start,
                        TimePs finish, HertzT freq) override;
   void on_compute_block(sim::CoreId core, const std::string& label,
                         Cycles cycles, TimePs start, TimePs finish) override;
   void on_freq_change(sim::CoreId core, HertzT from, HertzT to) override;
-  void on_mem_access(sim::CoreId core, bool is_write, bool local,
-                     std::uint32_t bytes, Cycles latency) override;
+  void on_mem_access(const sim::MemAccess& acc) override;
   void on_transfer(sim::CoreId src, sim::CoreId dst, std::uint64_t bytes,
                    DurationPs wait, DurationPs duration,
                    std::uint32_t hops) override;

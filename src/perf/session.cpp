@@ -62,8 +62,7 @@ void PerfReport::to_extras(RunMetrics& m, const std::string& prefix) const {
 
 PerfSession::PerfSession(sim::Platform& platform, PerfConfig cfg)
     : platform_(platform), cfg_(cfg), pmu_(platform.core_count()) {
-  platform_.set_perf_sink(&pmu_);
-  attached_ = true;
+  platform_.attach(pmu_);
   if (cfg_.profile) {
     profiler_ = std::make_unique<SamplingProfiler>(platform_, cfg_.profiler);
     profiler_->start();
@@ -80,12 +79,6 @@ PerfSession::PerfSession(sim::Platform& platform, PerfConfig cfg)
 }
 
 PerfSession::~PerfSession() { detach(); }
-
-void PerfSession::detach() {
-  if (!attached_) return;
-  platform_.set_perf_sink(nullptr);
-  attached_ = false;
-}
 
 PerfReport PerfSession::report() {
   PerfReport r;

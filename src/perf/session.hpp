@@ -1,9 +1,10 @@
 // PerfSession: one-object attach/measure/report lifecycle.
 //
 // RAII over the whole observation stack: constructing a session builds the
-// PMU, attaches it to every instrumented component, and (optionally) arms
-// the sampling profiler and epoch collector; destroying it detaches the
-// sink so the platform reverts to the unobserved, bit-identical baseline.
+// PMU, attaches it to the platform, and (optionally) arms the sampling
+// profiler and epoch collector; destroying it detaches the PMU, so the
+// platform reverts to the unobserved, bit-identical baseline. Other
+// observers attached to the same platform are left alone.
 // After kernel.run(), report() freezes everything into a PerfReport that
 // the exporters and RunMetrics integration consume.
 #pragma once
@@ -59,8 +60,8 @@ class PerfSession {
   [[nodiscard]] SamplingProfiler* profiler() { return profiler_.get(); }
   [[nodiscard]] EpochCollector* epochs() { return epochs_.get(); }
 
-  /// Detach the sink early (before destruction); idempotent.
-  void detach();
+  /// Detach the PMU early (before destruction); idempotent.
+  void detach() { platform_.detach(pmu_); }
 
   /// Close trailing windows and freeze the report. Call after the
   /// simulation has run.
@@ -72,7 +73,6 @@ class PerfSession {
   Pmu pmu_;
   std::unique_ptr<SamplingProfiler> profiler_;
   std::unique_ptr<EpochCollector> epochs_;
-  bool attached_ = false;
 };
 
 }  // namespace rw::perf

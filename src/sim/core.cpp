@@ -44,7 +44,7 @@ void Core::set_frequency(HertzT f) {
   if (f == freq_) return;
   tracer_.record(kernel_.now(), TraceKind::kFreqChange, id_, "dvfs", f,
                  freq_);
-  if (perf_) perf_->on_freq_change(id_, freq_, f);
+  for (Observer* o : *observers_) o->on_freq_change(id_, freq_, f);
   freq_ = f;
 }
 
@@ -59,7 +59,8 @@ std::pair<TimePs, TimePs> Core::reserve_from(TimePs earliest, Cycles cycles) {
   busy_until_ = finish;
   cycles_executed_ += cycles;
   busy_time_ += dur;
-  if (perf_) perf_->on_core_reserve(id_, cycles, start, finish, freq_);
+  for (Observer* o : *observers_)
+    o->on_core_reserve(id_, cycles, start, finish, freq_);
   return {start, finish};
 }
 
@@ -120,9 +121,9 @@ void Core::start_compute(ComputeAwaitable* aw) {
     std::erase(self->active_, aw);
     self->tracer_.record(self->kernel_.now(), TraceKind::kComputeEnd,
                          self->id_, aw->label, aw->cycles, 0);
-    if (self->perf_)
-      self->perf_->on_compute_block(self->id_, aw->label, aw->cycles, start,
-                                    self->kernel_.now());
+    for (Observer* o : *self->observers_)
+      o->on_compute_block(self->id_, aw->label, aw->cycles, start,
+                          self->kernel_.now());
     aw->handle.resume();
   });
 }

@@ -18,7 +18,6 @@
 
 #include "common/units.hpp"
 #include "sim/kernel.hpp"
-#include "sim/perf_hooks.hpp"
 #include "sim/trace.hpp"
 
 namespace rw::sim {
@@ -52,6 +51,7 @@ class Core {
   Core(Kernel& kernel, Tracer& tracer, CoreId id, PeClass cls, HertzT freq)
       : kernel_(kernel),
         tracer_(tracer),
+        observers_(&tracer.observers()),
         id_(id),
         cls_(cls),
         freq_(freq),
@@ -154,10 +154,6 @@ class Core {
   [[nodiscard]] Kernel& kernel() { return kernel_; }
   [[nodiscard]] Tracer& tracer() { return tracer_; }
 
-  /// PMU observation point; nullptr (the default) disables all hooks.
-  void set_perf_sink(PerfSink* sink) { perf_ = sink; }
-  [[nodiscard]] PerfSink* perf_sink() const { return perf_; }
-
  private:
   friend struct ComputeAwaitable;
   /// (Re)issue a compute block: reserve the core and schedule its end
@@ -165,9 +161,9 @@ class Core {
   /// ComputeStart trace event exists only to write a trace record, so it
   /// is scheduled only when the tracer is active() at issue time: an
   /// unobserved block costs one kernel event, an observed one two. A
-  /// tracer or listener attached while a block is in flight therefore
-  /// sees that block's ComputeEnd without a ComputeStart; TraceView and
-  /// the exporters skip unmatched ends.
+  /// tracer enabled or trace observer attached while a block is in flight
+  /// therefore sees that block's ComputeEnd without a ComputeStart;
+  /// TraceView and the exporters skip unmatched ends.
   void start_compute(ComputeAwaitable* aw);
 
   /// Globally-unique issue tag: this core's id in the high 32 bits over a
@@ -197,7 +193,7 @@ class Core {
 
   Kernel& kernel_;
   Tracer& tracer_;
-  PerfSink* perf_ = nullptr;
+  const ObserverList* observers_;  // the tracer's list
   CoreId id_;
   PeClass cls_;
   HertzT freq_;

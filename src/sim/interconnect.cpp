@@ -105,10 +105,10 @@ std::pair<TimePs, TimePs> SharedBus::reserve_transfer(CoreId src, CoreId dst,
   const TimePs finish = start + faulted(transfer_duration(bytes));
   busy_until_ = finish;
   ++transfers_;
-  if (perf_) {
-    perf_->on_transfer(src, dst, bytes, start - ready, finish - start,
-                       /*hops=*/0);
-    perf_->on_link_busy(0, finish - start);
+  for (Observer* o : *observers_) {
+    o->on_transfer(src, dst, bytes, start - ready, finish - start,
+                   /*hops=*/0);
+    o->on_link_busy(0, finish - start);
   }
   return {start, finish};
 }
@@ -125,7 +125,8 @@ std::string SharedBus::describe() const {
 
 // ------------------------------------------------------------------ MeshNoc
 
-MeshNoc::MeshNoc(Kernel& kernel, Config cfg) : kernel_(kernel), cfg_(cfg) {
+MeshNoc::MeshNoc(Kernel& kernel, Config cfg, const ObserverList& observers)
+    : Interconnect(observers), kernel_(kernel), cfg_(cfg) {
   if (cfg_.width == 0 || cfg_.height == 0)
     throw std::invalid_argument("mesh dimensions must be positive");
   // Four directed links per node is an upper bound; unused slots stay idle.
@@ -163,7 +164,7 @@ std::pair<TimePs, TimePs> MeshNoc::reserve_transfer(CoreId src, CoreId dst,
   if (src == dst) {
     // Local delivery: no links used.
     ++transfers_;
-    if (perf_) perf_->on_transfer(src, dst, bytes, 0, 0, 0);
+    for (Observer* o : *observers_) o->on_transfer(src, dst, bytes, 0, 0, 0);
     return {ready, ready};
   }
   // Store-and-forward per hop: each link is reserved in sequence for the
@@ -195,14 +196,14 @@ std::pair<TimePs, TimePs> MeshNoc::reserve_transfer(CoreId src, CoreId dst,
     first = false;
     const TimePs done = start + occ;
     link_busy_until_[link] = done;
-    if (perf_) perf_->on_link_busy(link, done - start);
+    for (Observer* o : *observers_) o->on_link_busy(link, done - start);
     t = done;
     ++hops;
   }
   ++transfers_;
-  if (perf_)
-    perf_->on_transfer(src, dst, bytes, first_start - ready, t - first_start,
-                       hops);
+  for (Observer* o : *observers_)
+    o->on_transfer(src, dst, bytes, first_start - ready, t - first_start,
+                   hops);
   return {first_start, t};
 }
 

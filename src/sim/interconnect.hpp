@@ -15,8 +15,7 @@
 
 #include "common/units.hpp"
 #include "sim/kernel.hpp"
-#include "sim/perf_hooks.hpp"
-#include "sim/trace.hpp"
+#include "sim/observer.hpp"
 
 namespace rw::sim {
 
@@ -42,9 +41,6 @@ class Interconnect {
   [[nodiscard]] DurationPs total_contention() const { return contention_; }
   [[nodiscard]] std::uint64_t transfer_count() const { return transfers_; }
 
-  /// PMU observation point; nullptr (the default) disables all hooks.
-  void set_perf_sink(PerfSink* sink) { perf_ = sink; }
-
   /// Fault model (rw::fault). set_degrade() scales every subsequent
   /// transfer's occupancy by `factor` (>= 1.0; 1.0 restores nominal) —
   /// a degraded link that still delivers, just slower. inject_drops()
@@ -59,6 +55,10 @@ class Interconnect {
   [[nodiscard]] std::uint64_t packets_dropped() const { return dropped_; }
 
  protected:
+  /// `observers` is the list of the platform the fabric belongs to.
+  explicit Interconnect(const ObserverList& observers)
+      : observers_(&observers) {}
+
   /// Apply the fault model to a nominal occupancy. Consumes one pending
   /// drop if armed (retransmit doubles the time on the wire).
   [[nodiscard]] DurationPs faulted(DurationPs nominal) {
@@ -77,7 +77,7 @@ class Interconnect {
   double degrade_ = 1.0;
   std::uint64_t pending_drops_ = 0;
   std::uint64_t dropped_ = 0;
-  PerfSink* perf_ = nullptr;
+  const ObserverList* observers_;
 };
 
 /// Single shared bus: every transfer serializes through one arbiter —
@@ -90,7 +90,9 @@ class SharedBus final : public Interconnect {
     Cycles arbitration_cycles = 4;     // per-transfer arbitration overhead
   };
 
-  SharedBus(Kernel& kernel, Config cfg) : kernel_(kernel), cfg_(cfg) {}
+  SharedBus(Kernel& kernel, Config cfg,
+            const ObserverList& observers = kNoObservers)
+      : Interconnect(observers), kernel_(kernel), cfg_(cfg) {}
 
   std::pair<TimePs, TimePs> reserve_transfer(CoreId src, CoreId dst,
                                              std::uint64_t bytes,
@@ -119,7 +121,8 @@ class MeshNoc final : public Interconnect {
     std::uint32_t link_width_bytes = 4;
   };
 
-  MeshNoc(Kernel& kernel, Config cfg);
+  MeshNoc(Kernel& kernel, Config cfg,
+          const ObserverList& observers = kNoObservers);
 
   std::pair<TimePs, TimePs> reserve_transfer(CoreId src, CoreId dst,
                                              std::uint64_t bytes,

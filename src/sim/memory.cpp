@@ -108,68 +108,63 @@ Region& MemorySystem::region_for(Addr a, std::uint64_t len, CoreId core,
                 static_cast<unsigned long long>(len)));
 }
 
+void MemorySystem::observe(const Region& r, CoreId core, Addr a,
+                           std::uint32_t size, bool is_write, std::uint64_t b,
+                           std::uint64_t value) {
+  const TimePs now = clock_of(r).now();
+  tracer_of(r).record(now,
+                      is_write ? TraceKind::kMemWrite : TraceKind::kMemRead,
+                      core, r.name, a, b);
+  if (observers_->empty()) return;
+  MemAccess acc{now, core, a, size, is_write, value};
+  acc.local = r.is_local() && r.owner == core;
+  acc.latency = r.access_latency;
+  for (Observer* o : *observers_) o->on_mem_access(acc);
+}
+
 std::uint64_t MemorySystem::read_u64(CoreId core, Addr a) {
   Region& r = region_for(a, 8, core, /*is_write=*/false);
   std::uint64_t v = 0;
   std::memcpy(&v, r.bytes.data() + (a - r.base), 8);
-  tracer_of(r).record(clock_of(r).now(), TraceKind::kMemRead, core, r.name, a,
-                      v);
-  count_access(r, core, /*is_write=*/false, 8);
-  notify(MemAccess{clock_of(r).now(), core, a, 8, false, v});
+  observe(r, core, a, 8, /*is_write=*/false, v, v);
   return v;
 }
 
 void MemorySystem::write_u64(CoreId core, Addr a, std::uint64_t v) {
   Region& r = region_for(a, 8, core, /*is_write=*/true);
   std::memcpy(r.bytes.data() + (a - r.base), &v, 8);
-  tracer_of(r).record(clock_of(r).now(), TraceKind::kMemWrite, core, r.name, a,
-                      v);
-  count_access(r, core, /*is_write=*/true, 8);
-  notify(MemAccess{clock_of(r).now(), core, a, 8, true, v});
+  observe(r, core, a, 8, /*is_write=*/true, v, v);
 }
 
 std::uint32_t MemorySystem::read_u32(CoreId core, Addr a) {
   Region& r = region_for(a, 4, core, /*is_write=*/false);
   std::uint32_t v = 0;
   std::memcpy(&v, r.bytes.data() + (a - r.base), 4);
-  tracer_of(r).record(clock_of(r).now(), TraceKind::kMemRead, core, r.name, a,
-                      v);
-  count_access(r, core, /*is_write=*/false, 4);
-  notify(MemAccess{clock_of(r).now(), core, a, 4, false, v});
+  observe(r, core, a, 4, /*is_write=*/false, v, v);
   return v;
 }
 
 void MemorySystem::write_u32(CoreId core, Addr a, std::uint32_t v) {
   Region& r = region_for(a, 4, core, /*is_write=*/true);
   std::memcpy(r.bytes.data() + (a - r.base), &v, 4);
-  tracer_of(r).record(clock_of(r).now(), TraceKind::kMemWrite, core, r.name, a,
-                      v);
-  count_access(r, core, /*is_write=*/true, 4);
-  notify(MemAccess{clock_of(r).now(), core, a, 4, true, v});
+  observe(r, core, a, 4, /*is_write=*/true, v, v);
 }
 
+// Block accesses trace their length and observe no value.
 void MemorySystem::read_block(CoreId core, Addr a,
                               std::span<std::uint8_t> out) {
   Region& r = region_for(a, out.size(), core, /*is_write=*/false);
   std::memcpy(out.data(), r.bytes.data() + (a - r.base), out.size());
-  tracer_of(r).record(clock_of(r).now(), TraceKind::kMemRead, core, r.name, a,
-                      out.size());
-  count_access(r, core, /*is_write=*/false,
-               static_cast<std::uint32_t>(out.size()));
-  notify(MemAccess{clock_of(r).now(), core, a,
-                   static_cast<std::uint32_t>(out.size()), false, 0});
+  observe(r, core, a, static_cast<std::uint32_t>(out.size()),
+          /*is_write=*/false, out.size(), 0);
 }
 
 void MemorySystem::write_block(CoreId core, Addr a,
                                std::span<const std::uint8_t> in) {
   Region& r = region_for(a, in.size(), core, /*is_write=*/true);
   std::memcpy(r.bytes.data() + (a - r.base), in.data(), in.size());
-  tracer_of(r).record(clock_of(r).now(), TraceKind::kMemWrite, core, r.name, a,
-                      in.size());
-  count_access(r, core, /*is_write=*/true,
-               static_cast<std::uint32_t>(in.size()));
-  notify(MemAccess{clock_of(r).now(), core, a,
-                   static_cast<std::uint32_t>(in.size()), true, 0});
+  observe(r, core, a, static_cast<std::uint32_t>(in.size()),
+          /*is_write=*/true, in.size(), 0);
 }
 
 void MemorySystem::poke(Addr a, std::span<const std::uint8_t> in) {

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -20,12 +19,9 @@
 #include "common/ids.hpp"
 #include "common/units.hpp"
 #include "sim/kernel.hpp"
-#include "sim/perf_hooks.hpp"
 #include "sim/trace.hpp"
 
 namespace rw::sim {
-
-using Addr = std::uint64_t;
 
 struct RegionTag {};
 using RegionId = Id<RegionTag>;
@@ -56,21 +52,12 @@ struct Region {
   [[nodiscard]] bool is_local() const { return owner.is_valid(); }
 };
 
-/// A memory access, as seen by watchpoint observers and the race detector.
-struct MemAccess {
-  TimePs time = 0;
-  CoreId core{};
-  Addr addr = 0;
-  std::uint32_t size = 0;
-  bool is_write = false;
-  std::uint64_t value = 0;  // value written / value read
-};
-
-/// Address-mapped collection of regions with access observers.
+/// Address-mapped collection of regions. Every accessor call reaches the
+/// observers of the tracer's list once, as Observer::on_mem_access.
 class MemorySystem {
  public:
   MemorySystem(Kernel& kernel, Tracer& tracer)
-      : kernel_(kernel), tracer_(tracer) {}
+      : kernel_(kernel), tracer_(tracer), observers_(&tracer.observers()) {}
 
   MemorySystem(const MemorySystem&) = delete;
   MemorySystem& operator=(const MemorySystem&) = delete;
@@ -110,22 +97,10 @@ class MemorySystem {
   /// accessing core (the caller turns this into time at its frequency).
   [[nodiscard]] Cycles latency_for(Addr a) const;
 
-  /// Observers run synchronously on every access (debugger watchpoints,
-  /// race detector). Return value ignored; observers may stop the kernel.
-  using Observer = std::function<void(const MemAccess&)>;
-  std::size_t add_observer(Observer fn) {
-    observers_.push_back(std::move(fn));
-    return observers_.size() - 1;
-  }
-  void clear_observers() { observers_.clear(); }
-
-  /// Raw (unobserved, zero-latency) access for loaders and checkers.
+  /// Raw (unobserved, untraced, zero-latency) access for loaders and
+  /// checkers.
   void poke(Addr a, std::span<const std::uint8_t> in);
   void peek(Addr a, std::span<std::uint8_t> out) const;
-
-  /// PMU observation point; nullptr (the default) disables all hooks.
-  /// poke/peek are loader back-doors and are deliberately not counted.
-  void set_perf_sink(PerfSink* sink) { perf_ = sink; }
 
   /// Tile partition plumbing (set by Platform when num_tiles > 1).
   /// set_region_context() rebinds a region to a tile's kernel/tracer;
@@ -150,32 +125,24 @@ class MemorySystem {
   /// mutable state, so tiles may look up concurrently.
   [[nodiscard]] std::size_t lookup(Addr a, std::uint64_t len) const;
   Region& region_for(Addr a, std::uint64_t len, CoreId core, bool is_write);
-  void notify(const MemAccess& acc) {
-    if (observers_.empty()) return;
-    for (auto& o : observers_)
-      if (o) o(acc);
-  }
+  /// Trace and observe one access to `r`. The trace record's second
+  /// payload is `b`; the observers' MemAccess carries `value`.
+  void observe(const Region& r, CoreId core, Addr a, std::uint32_t size,
+               bool is_write, std::uint64_t b, std::uint64_t value);
   [[nodiscard]] Kernel& clock_of(const Region& r) const {
     return r.clock != nullptr ? *r.clock : kernel_;
   }
   [[nodiscard]] Tracer& tracer_of(const Region& r) const {
     return r.trace != nullptr ? *r.trace : tracer_;
   }
-  void count_access(const Region& r, CoreId core, bool is_write,
-                    std::uint32_t bytes) {
-    if (perf_)
-      perf_->on_mem_access(core, is_write, r.is_local() && r.owner == core,
-                           bytes, r.access_latency);
-  }
 
   Kernel& kernel_;
   Tracer& tracer_;
-  PerfSink* perf_ = nullptr;
+  const ObserverList* observers_;
   std::vector<Region> regions_;
   // Indices into regions_ of the non-empty regions, sorted by base. An
   // empty region holds no byte, so no lookup can return it.
   std::vector<std::uint32_t> by_base_;
-  std::vector<Observer> observers_;
   std::vector<std::uint32_t> core_tiles_;  // empty == untiled, no guard
   bool enforce_locality_ = false;
   // Atomic only because two tiles may fault locally at the same instant;

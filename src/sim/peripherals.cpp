@@ -13,7 +13,8 @@ InterruptController::InterruptController(Kernel& kernel, Tracer& tracer)
     : Peripheral("irqc"), kernel_(kernel), tracer_(tracer) {
   lines_.reserve(kNumLines);
   for (std::size_t i = 0; i < kNumLines; ++i)
-    lines_.push_back(std::make_unique<Signal>(strformat("irq%zu", i)));
+    lines_.push_back(std::make_unique<Signal>(strformat("irq%zu", i),
+                                              tracer.observers()));
   handlers_.resize(kNumLines);
   drop_pending_.assign(kNumLines, 0);
 }
@@ -133,7 +134,7 @@ TimerPeripheral::TimerPeripheral(Kernel& kernel, Tracer& tracer,
       tracer_(tracer),
       irqc_(irqc),
       irq_line_(irq_line),
-      expired_(Peripheral::name() + ".expired") {}
+      expired_(Peripheral::name() + ".expired", tracer.observers()) {}
 
 void TimerPeripheral::start_periodic(DurationPs period) {
   if (period == 0) throw std::invalid_argument("timer period must be > 0");
@@ -222,7 +223,7 @@ DmaEngine::DmaEngine(Kernel& kernel, Tracer& tracer, MemorySystem& memory,
       icn_(icn),
       irqc_(irqc),
       irq_line_(irq_line),
-      busy_signal_("dma.busy") {}
+      busy_signal_("dma.busy", tracer.observers()) {}
 
 bool DmaEngine::start(Addr src, Addr dst, std::uint64_t len,
                       EventFn on_done) {
@@ -273,7 +274,8 @@ bool DmaEngine::start(Addr src, Addr dst, std::uint64_t len,
     busy_signal_.lower();
     tracer_.record(kernel_.now(), TraceKind::kDmaEnd, CoreId{}, name(),
                    dst_, len_);
-    if (perf_) perf_->on_dma(len_, started, kernel_.now());
+    for (Observer* o : tracer_.observers())
+      o->on_dma(len_, started, kernel_.now());
     irqc_.raise(irq_line_);
     if (done) done();
   });

@@ -17,7 +17,6 @@
 #include "common/units.hpp"
 #include "sim/kernel.hpp"
 #include "sim/memory.hpp"
-#include "sim/perf_hooks.hpp"
 #include "sim/signal.hpp"
 #include "sim/trace.hpp"
 
@@ -196,9 +195,6 @@ class DmaEngine final : public Peripheral {
   [[nodiscard]] std::uint64_t abort_count() const { return abort_count_; }
   Signal& busy_signal() { return busy_signal_; }
 
-  /// PMU observation point; nullptr (the default) disables all hooks.
-  void set_perf_sink(PerfSink* sink) { perf_ = sink; }
-
   std::uint64_t read_reg(std::size_t index) const override;
   void write_reg(std::size_t index, std::uint64_t value) override;
   std::vector<RegInfo> registers() const override;
@@ -219,7 +215,6 @@ class DmaEngine final : public Peripheral {
   ErrorCode error_ = kErrNone;
   std::uint64_t generation_ = 0;  // invalidates aborted completion events
   Signal busy_signal_;
-  PerfSink* perf_ = nullptr;
   // One transfer outstanding at a time (guarded by busy_), so the pending
   // completion callback lives here instead of inside the kernel event —
   // the event capture then stays within EventFn's inline buffer.

@@ -33,7 +33,10 @@ void PlatformConfig::use_square_mesh() {
 }
 
 Platform::Platform(PlatformConfig cfg)
-    : cfg_(std::move(cfg)), kernel_(cfg_.kernel), memory_(kernel_, tracer_) {
+    : cfg_(std::move(cfg)),
+      kernel_(cfg_.kernel),
+      tracer_(observers_, 0),
+      memory_(kernel_, tracer_) {
   if (cfg_.cores.empty())
     throw std::invalid_argument("platform needs at least one core");
   if (const Status st = cfg_.validate(); !st.ok())
@@ -46,7 +49,7 @@ Platform::Platform(PlatformConfig cfg)
     // Every tile runs the same KernelConfig — the queue-policy identity
     // contract holds per tile exactly as it does for the whole platform.
     extra_kernels_.push_back(std::make_unique<Kernel>(cfg_.kernel));
-    extra_tracers_.push_back(std::make_unique<Tracer>());
+    extra_tracers_.push_back(std::make_unique<Tracer>(observers_, t));
     extra_tracers_.back()->set_enabled(cfg_.trace_enabled);
   }
 
@@ -84,10 +87,10 @@ Platform::Platform(PlatformConfig cfg)
 
   switch (cfg_.interconnect) {
     case PlatformConfig::Icn::kSharedBus:
-      icn_ = std::make_unique<SharedBus>(kernel_, cfg_.bus);
+      icn_ = std::make_unique<SharedBus>(kernel_, cfg_.bus, observers_);
       break;
     case PlatformConfig::Icn::kMesh:
-      icn_ = std::make_unique<MeshNoc>(kernel_, cfg_.mesh);
+      icn_ = std::make_unique<MeshNoc>(kernel_, cfg_.mesh, observers_);
       break;
   }
 
@@ -131,13 +134,6 @@ TimePs Platform::now() const {
 
 std::vector<Peripheral*> Platform::peripherals() {
   return {irqc_.get(), timer_.get(), dma_.get(), hwsem_.get()};
-}
-
-void Platform::set_perf_sink(PerfSink* sink) {
-  for (auto& c : cores_) c->set_perf_sink(sink);
-  memory_.set_perf_sink(sink);
-  icn_->set_perf_sink(sink);
-  dma_->set_perf_sink(sink);
 }
 
 }  // namespace rw::sim

@@ -132,17 +132,22 @@ class Platform {
   /// All peripherals, for the debugger's register view.
   [[nodiscard]] std::vector<Peripheral*> peripherals();
 
-  /// Attach/detach a PMU observation sink on every instrumented component
-  /// (cores, memory, interconnect, DMA). Passing nullptr detaches; with no
-  /// sink attached every hook site reduces to one null check and the
+  /// Attach an observer to the whole platform: every tile's tracer, the
+  /// memory system, every signal, the cores, the fabric and the DMA engine
+  /// report to it (observer.hpp). Observers are called in attach order;
+  /// attach each one once. Detaching an unattached observer changes
+  /// nothing. Attach and detach between runs only. With nothing attached the
   /// simulation is bit-identical to an unobserved run.
-  void set_perf_sink(PerfSink* sink);
+  void attach(Observer& o) { observers_.attach(o); }
+  void detach(Observer& o) { observers_.detach(o); }
 
   [[nodiscard]] const PlatformConfig& config() const { return cfg_; }
 
  private:
   PlatformConfig cfg_;
   Kernel kernel_;
+  // Declared before every component that holds a pointer to it.
+  ObserverList observers_;
   Tracer tracer_;
   // Kernels/tracers of tiles 1..N-1 (tile 0 is kernel_/tracer_ above).
   // Declared before memory_ and cores_, which hold pointers into them.

@@ -2,30 +2,29 @@
 //
 // Sec. VII: "A watchpoint can be set on a signal, such as the interrupt
 // line of a peripheral." Signals are the debugger-visible wires of the
-// platform: interrupt lines, DMA-busy, timer-expired. Observers fire
-// synchronously on every level change.
+// platform: interrupt lines, DMA-busy, timer-expired. Every level change
+// reaches the attached observers synchronously (Observer::on_signal).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
-#include <vector>
+
+#include "sim/observer.hpp"
 
 namespace rw::sim {
 
 class Signal {
  public:
-  explicit Signal(std::string name, bool level = false)
-      : name_(std::move(name)), level_(level) {}
+  /// `observers` is the list of the platform the signal belongs to.
+  explicit Signal(std::string name,
+                  const ObserverList& observers = kNoObservers,
+                  bool level = false)
+      : name_(std::move(name)), observers_(&observers), level_(level) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] bool level() const { return level_; }
   [[nodiscard]] std::uint64_t toggle_count() const { return toggles_; }
-
-  using Observer = std::function<void(const Signal&, bool old_level)>;
-  void add_observer(Observer fn) { observers_.push_back(std::move(fn)); }
-  void clear_observers() { observers_.clear(); }
 
   /// Drive the signal; observers run only on actual level changes.
   void set(bool level) {
@@ -33,8 +32,7 @@ class Signal {
     const bool old = level_;
     level_ = level;
     ++toggles_;
-    for (auto& o : observers_)
-      if (o) o(*this, old);
+    for (Observer* o : *observers_) o->on_signal(*this, old);
   }
 
   void raise() { set(true); }
@@ -48,9 +46,9 @@ class Signal {
 
  private:
   std::string name_;
+  const ObserverList* observers_;
   bool level_;
   std::uint64_t toggles_ = 0;
-  std::vector<Observer> observers_;
 };
 
 }  // namespace rw::sim

@@ -4,84 +4,51 @@
 // virtual-platform debugging feature: "a history of function execution
 // within the different processes, and their access to memories and
 // peripherals". Every component of the platform reports events here; the
-// vpdebug layer and the experiment harnesses consume them.
+// vpdebug layer and the experiment harnesses consume them, either from the
+// retained buffer or live as Observer::on_trace (observer.hpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "common/ids.hpp"
-#include "common/units.hpp"
+#include "sim/observer.hpp"
 
 namespace rw::sim {
 
-struct CoreTag {};
-using CoreId = Id<CoreTag>;
-
-enum class TraceKind : std::uint8_t {
-  kTaskStart,
-  kTaskEnd,
-  kComputeStart,
-  kComputeEnd,
-  kMsgSend,
-  kMsgRecv,
-  kMemRead,
-  kMemWrite,
-  kIrqRaise,
-  kIrqAck,
-  kDmaStart,
-  kDmaEnd,
-  kFreqChange,
-  kSchedDispatch,
-  kSchedPreempt,
-  kCustom,
-};
-
-const char* trace_kind_name(TraceKind k);
-
-struct TraceEvent {
-  TimePs time = 0;
-  TraceKind kind = TraceKind::kCustom;
-  CoreId core{};
-  std::string label;    // task/function/peripheral name
-  std::uint64_t a = 0;  // kind-specific (address, irq line, value, ...)
-  std::uint64_t b = 0;  // kind-specific (size, old value, ...)
-
-  [[nodiscard]] std::string to_string() const;
-};
-
-/// Append-only trace buffer with an optional live listener (the debugger
-/// hooks in here for watchpoints and scripted assertions).
+/// Append-only trace buffer of one tile. Every record also goes to the
+/// attached observers that consume trace, with this tracer's tile index.
 ///
-/// Off path: a tracer that is disabled and has no listener is inactive,
-/// and record() returns before it builds the event, so an unobserved run
-/// pays one branch per trace point. Callers whose only work is tracing
-/// test active() themselves (Core skips its ComputeStart event).
+/// Off path: a tracer that is disabled and has no trace-consuming
+/// observer is inactive, and record() returns before it builds the event,
+/// so an unobserved run pays one branch per trace point. Callers whose
+/// only work is tracing test active() themselves (Core skips its
+/// ComputeStart event).
 class Tracer {
  public:
-  using Listener = std::function<void(const TraceEvent&)>;
+  /// `observers` is the platform's list, `tile` the tile this tracer
+  /// records for.
+  explicit Tracer(const ObserverList& observers = kNoObservers,
+                  std::uint32_t tile = 0)
+      : observers_(&observers), tile_(tile) {}
 
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
-  /// True when a record would be kept or seen by a listener.
+  /// True when a record would be kept or seen by an observer.
   [[nodiscard]] bool active() const {
-    return enabled_ || !listeners_.empty();
+    return enabled_ || observers_->tracing();
   }
+  /// The observer list this tracer reports to; components built on the
+  /// tracer (memory, cores, peripherals) report to the same list.
+  [[nodiscard]] const ObserverList& observers() const { return *observers_; }
 
-  /// Live listener invoked synchronously on every event, even when buffer
-  /// retention is disabled. Returns a token for removal.
-  std::size_t add_listener(Listener fn) {
-    listeners_.push_back(std::move(fn));
-    return listeners_.size() - 1;
-  }
-  void clear_listeners() { listeners_.clear(); }
-
+  /// Observers see every record, even when buffer retention is disabled.
   void record(TraceEvent ev) {
-    for (auto& l : listeners_)
-      if (l) l(ev);
+    if (observers_->tracing())
+      for (Observer* o : *observers_)
+        if (o->consumes_trace()) o->on_trace(tile_, ev);
     if (enabled_) events_.push_back(std::move(ev));
   }
 
@@ -106,9 +73,10 @@ class Tracer {
   }
 
  private:
+  const ObserverList* observers_;
+  std::uint32_t tile_;
   bool enabled_ = false;
   std::vector<TraceEvent> events_;
-  std::vector<Listener> listeners_;
 };
 
 }  // namespace rw::sim

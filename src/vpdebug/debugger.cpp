@@ -21,57 +21,46 @@ const char* stop_kind_name(StopKind k) {
   return "?";
 }
 
-Debugger::Debugger(sim::Platform& platform) : platform_(platform) {
-  arm_hooks();
+Debugger::Debugger(sim::Platform& platform)
+    : Observer(kConsumesTrace), platform_(platform) {
+  platform_.attach(*this);
 }
 
-Debugger::~Debugger() {
-  // Leave the platform functional: drop our observers.
-  platform_.tracer().clear_listeners();
-  platform_.memory().clear_observers();
+// Leave the platform functional: only our own hooks go.
+Debugger::~Debugger() { platform_.detach(*this); }
+
+void Debugger::on_trace(std::uint32_t /*tile*/, const sim::TraceEvent& ev) {
+  if (ev.kind != sim::TraceKind::kComputeStart) return;
+  for (const auto& label : task_breaks_) {
+    if (ev.label.find(label) != std::string::npos) {
+      request_stop(StopKind::kBreakpointTask,
+                   "task '" + ev.label + "' started on core" +
+                       std::to_string(ev.core.value()));
+    }
+  }
 }
 
-void Debugger::arm_hooks() {
-  platform_.tracer().add_listener([this](const sim::TraceEvent& ev) {
-    if (ev.kind == sim::TraceKind::kComputeStart) {
-      for (const auto& label : task_breaks_) {
-        if (ev.label.find(label) != std::string::npos) {
-          request_stop(StopKind::kBreakpointTask,
-                       "task '" + ev.label + "' started on core" +
-                           std::to_string(ev.core.value()));
-        }
-      }
+void Debugger::on_mem_access(const sim::MemAccess& acc) {
+  for (const auto& w : mem_watches_) {
+    if (acc.addr + acc.size <= w.addr || acc.addr >= w.addr + w.len)
+      continue;
+    if ((acc.is_write && w.on_write) || (!acc.is_write && w.on_read)) {
+      request_stop(StopKind::kWatchpointMem,
+                   strformat("core%u %s 0x%llx (value %llu)",
+                             acc.core.is_valid() ? acc.core.value() : 999,
+                             acc.is_write ? "wrote" : "read",
+                             static_cast<unsigned long long>(acc.addr),
+                             static_cast<unsigned long long>(acc.value)));
     }
-  });
+  }
+}
 
-  platform_.memory().add_observer([this](const sim::MemAccess& acc) {
-    for (const auto& w : mem_watches_) {
-      if (acc.addr + acc.size <= w.addr || acc.addr >= w.addr + w.len)
-        continue;
-      if ((acc.is_write && w.on_write) || (!acc.is_write && w.on_read)) {
-        request_stop(
-            StopKind::kWatchpointMem,
-            strformat("core%u %s 0x%llx (value %llu)",
-                      acc.core.is_valid() ? acc.core.value() : 999,
-                      acc.is_write ? "wrote" : "read",
-                      static_cast<unsigned long long>(acc.addr),
-                      static_cast<unsigned long long>(acc.value)));
-      }
-    }
-  });
-
-  for (auto* periph : platform_.peripherals()) {
-    for (auto* sig : periph->signals()) {
-      sig->add_observer([this, sig](const sim::Signal&, bool old_level) {
-        for (const auto& name : signal_watches_) {
-          if (sig->name() == name) {
-            request_stop(StopKind::kWatchpointSignal,
-                         strformat("signal %s: %d -> %d",
-                                   sig->name().c_str(), old_level ? 1 : 0,
-                                   sig->level() ? 1 : 0));
-          }
-        }
-      });
+void Debugger::on_signal(const sim::Signal& sig, bool old_level) {
+  for (const auto& name : signal_watches_) {
+    if (sig.name() == name) {
+      request_stop(StopKind::kWatchpointSignal,
+                   strformat("signal %s: %d -> %d", sig.name().c_str(),
+                             old_level ? 1 : 0, sig.level() ? 1 : 0));
     }
   }
 }

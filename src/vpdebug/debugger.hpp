@@ -10,7 +10,10 @@
 // platform is a single deterministic event simulation, suspending between
 // events is *exactly* non-intrusive: simulated time does not advance while
 // the debugger inspects cores, memories, peripheral registers and signals.
-// Breakpoints and watchpoints stop the whole system, not one core.
+// Breakpoints and watchpoints stop the whole system, not one core. The
+// debugger is a sim::Observer attached to the platform for its lifetime:
+// task breakpoints watch the trace, watchpoints the memory accesses and
+// signal changes.
 #pragma once
 
 #include <functional>
@@ -41,10 +44,10 @@ struct StopInfo {
   std::string detail;
 };
 
-class Debugger {
+class Debugger final : public sim::Observer {
  public:
   explicit Debugger(sim::Platform& platform);
-  ~Debugger();
+  ~Debugger() override;
   Debugger(const Debugger&) = delete;
   Debugger& operator=(const Debugger&) = delete;
 
@@ -89,7 +92,11 @@ class Debugger {
   [[nodiscard]] sim::Platform& platform() { return platform_; }
 
  private:
-  void arm_hooks();
+  // sim::Observer
+  void on_trace(std::uint32_t tile, const sim::TraceEvent& ev) override;
+  void on_mem_access(const sim::MemAccess& acc) override;
+  void on_signal(const sim::Signal& sig, bool old_level) override;
+
   void request_stop(StopKind kind, std::string detail);
   sim::Signal* find_signal(const std::string& name) const;
 

@@ -40,8 +40,7 @@ std::string races_to_json(const std::vector<RaceReport>& races) {
 RaceDetector::RaceDetector(sim::Platform& platform, sim::Addr base,
                            std::uint64_t len, DurationPs window)
     : platform_(platform), base_(base), len_(len), window_(window) {
-  platform_.memory().add_observer(
-      [this](const sim::MemAccess& acc) { on_access(acc); });
+  platform_.attach(*this);
 }
 
 bool RaceDetector::core_holds_lock(sim::CoreId core) const {
@@ -51,7 +50,7 @@ bool RaceDetector::core_holds_lock(sim::CoreId core) const {
   return false;
 }
 
-void RaceDetector::on_access(const sim::MemAccess& acc) {
+void RaceDetector::on_mem_access(const sim::MemAccess& acc) {
   if (acc.addr + acc.size <= base_ || acc.addr >= base_ + len_) return;
   if (!acc.core.is_valid()) return;  // DMA handled as core-anonymous
   ++seen_;

@@ -36,12 +36,14 @@ struct RaceReport {
 /// A full detector result as a JSON document: {races: [...]}.
 std::string races_to_json(const std::vector<RaceReport>& races);
 
-class RaceDetector {
+class RaceDetector final : public sim::Observer {
  public:
   /// Watch [base, base+len). `window` is the temporal vicinity within
-  /// which unsynchronized conflicting accesses are reported.
+  /// which unsynchronized conflicting accesses are reported. The detector
+  /// observes the platform from construction to destruction.
   RaceDetector(sim::Platform& platform, sim::Addr base, std::uint64_t len,
                DurationPs window = microseconds(1));
+  ~RaceDetector() override { platform_.detach(*this); }
 
   [[nodiscard]] const std::vector<RaceReport>& races() const {
     return races_;
@@ -49,7 +51,7 @@ class RaceDetector {
   [[nodiscard]] std::uint64_t accesses_observed() const { return seen_; }
 
  private:
-  void on_access(const sim::MemAccess& acc);
+  void on_mem_access(const sim::MemAccess& acc) override;
   [[nodiscard]] bool core_holds_lock(sim::CoreId core) const;
 
   sim::Platform& platform_;

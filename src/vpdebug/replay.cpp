@@ -38,13 +38,11 @@ std::uint64_t fnv1a_fold_u64(std::uint64_t h, std::uint64_t v) {
   return h * kPrimePow[static_cast<std::size_t>(8 - n)];
 }
 
-ExecutionRecorder::ExecutionRecorder(sim::Platform& platform) {
-  slots_.resize(platform.tile_count());
-  for (std::size_t t = 0; t < slots_.size(); ++t) {
-    platform.tile_tracer(static_cast<std::uint32_t>(t))
-        .add_listener(
-            [this, t](const sim::TraceEvent& ev) { fold(t, ev); });
-  }
+ExecutionRecorder::ExecutionRecorder(sim::Platform& platform)
+    : Observer(kConsumesTrace),
+      platform_(platform),
+      slots_(platform.tile_count()) {
+  platform_.attach(*this);
 }
 
 std::uint64_t ExecutionRecorder::fingerprint() const {
@@ -67,7 +65,8 @@ std::uint64_t ExecutionRecorder::events() const {
   return n;
 }
 
-void ExecutionRecorder::fold(std::size_t tile, const sim::TraceEvent& ev) {
+void ExecutionRecorder::on_trace(std::uint32_t tile,
+                                 const sim::TraceEvent& ev) {
   Slot& s = slots_[tile];
   ++s.count;
   s.hash = fnv1a_fold_u64(s.hash, ev.time);

@@ -29,10 +29,12 @@ namespace rw::vpdebug {
 [[nodiscard]] std::uint64_t fnv1a_fold_u64(std::uint64_t h, std::uint64_t v);
 
 /// FNV-1a-folded digest of every trace event (time, kind, core, label,
-/// payloads) plus the event count, canonicalized per tile.
-class ExecutionRecorder {
+/// payloads) plus the event count, canonicalized per tile. It observes the
+/// platform from construction to destruction.
+class ExecutionRecorder final : public sim::Observer {
  public:
   explicit ExecutionRecorder(sim::Platform& platform);
+  ~ExecutionRecorder() override { platform_.detach(*this); }
 
   /// Canonical digest: the tile-0 fold on an untiled platform, the
   /// tile-ordered combination of per-tile (digest, count) otherwise.
@@ -51,7 +53,10 @@ class ExecutionRecorder {
     std::uint64_t count = 0;
   };
 
-  void fold(std::size_t tile, const sim::TraceEvent& ev);
+  /// Fold one record into its tile's slot.
+  void on_trace(std::uint32_t tile, const sim::TraceEvent& ev) override;
+
+  sim::Platform& platform_;
   std::vector<Slot> slots_;  // one per tile; each written by one tile only
 };
 

@@ -14,6 +14,15 @@ namespace {
 struct DemoTag {};
 using DemoId = Id<DemoTag>;
 
+// Keeps every trace record it is handed.
+struct TraceSink final : sim::Observer {
+  TraceSink() : Observer(kConsumesTrace) {}
+  void on_trace(std::uint32_t, const sim::TraceEvent& e) override {
+    seen.push_back(e);
+  }
+  std::vector<sim::TraceEvent> seen;
+};
+
 TEST(Ids, DefaultIsInvalid) {
   DemoId id;
   EXPECT_FALSE(id.is_valid());
@@ -71,17 +80,18 @@ TEST(TraceEvent, AllKindsHaveNames) {
 }
 
 TEST(Tracer, ListenersFireEvenWhenRetentionOff) {
-  sim::Tracer tracer;
+  sim::ObserverList observers;
+  sim::Tracer tracer(observers);
   tracer.set_enabled(false);
-  int fired = 0;
-  tracer.add_listener([&](const sim::TraceEvent&) { ++fired; });
+  TraceSink sink;
+  observers.attach(sink);
   tracer.record(0, sim::TraceKind::kCustom, sim::CoreId{}, "x");
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sink.seen.size(), 1u);
   EXPECT_TRUE(tracer.events().empty());  // nothing retained
   tracer.set_enabled(true);
   tracer.record(1, sim::TraceKind::kCustom, sim::CoreId{}, "y");
   EXPECT_EQ(tracer.events().size(), 1u);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sink.seen.size(), 2u);
 }
 
 TEST(Tracer, InactiveTracerStoresNothing) {
@@ -96,9 +106,11 @@ TEST(Tracer, InactiveTracerStoresNothing) {
 }
 
 TEST(Tracer, ListenerSeesEveryRecordWhileDisabled) {
-  sim::Tracer tracer;
-  std::vector<sim::TraceEvent> seen;
-  tracer.add_listener([&](const sim::TraceEvent& e) { seen.push_back(e); });
+  sim::ObserverList observers;
+  sim::Tracer tracer(observers);
+  TraceSink sink;
+  observers.attach(sink);
+  const std::vector<sim::TraceEvent>& seen = sink.seen;
   EXPECT_TRUE(tracer.active());
   const std::string label = "region";
   tracer.record(5, sim::TraceKind::kMemWrite, sim::CoreId{2}, label, 7, 8);
@@ -115,8 +127,46 @@ TEST(Tracer, ListenerSeesEveryRecordWhileDisabled) {
   EXPECT_EQ(seen[1].label, "blk");
   EXPECT_EQ(seen[2].label, "ev");
   EXPECT_TRUE(tracer.events().empty());
-  tracer.clear_listeners();
+  observers.detach(sink);
   EXPECT_FALSE(tracer.active());
+}
+
+// Only observers that consume trace make a tracer active: a counting
+// observer (the PMU, the race detector) leaves it off and sees no record.
+TEST(Tracer, CountingObserverLeavesTracerInactive) {
+  struct Counter final : sim::Observer {
+    void on_trace(std::uint32_t, const sim::TraceEvent&) override { ++n; }
+    int n = 0;
+  };
+  sim::ObserverList observers;
+  sim::Tracer tracer(observers);
+  Counter counter;
+  observers.attach(counter);
+  EXPECT_FALSE(tracer.active());
+  tracer.record(0, sim::TraceKind::kCustom, sim::CoreId{}, "x");
+  tracer.set_enabled(true);
+  tracer.record(1, sim::TraceKind::kCustom, sim::CoreId{}, "y");
+  EXPECT_EQ(counter.n, 0);
+  EXPECT_EQ(tracer.events().size(), 1u);
+}
+
+// A tracer reports its tile index with every record.
+TEST(Tracer, ObserversSeeTheTracerTile) {
+  struct TileSink final : sim::Observer {
+    TileSink() : Observer(kConsumesTrace) {}
+    void on_trace(std::uint32_t tile, const sim::TraceEvent&) override {
+      tiles.push_back(tile);
+    }
+    std::vector<std::uint32_t> tiles;
+  };
+  sim::ObserverList observers;
+  sim::Tracer t0(observers, 0);
+  sim::Tracer t3(observers, 3);
+  TileSink sink;
+  observers.attach(sink);
+  t3.record(0, sim::TraceKind::kCustom, sim::CoreId{}, "x");
+  t0.record(1, sim::TraceKind::kCustom, sim::CoreId{}, "y");
+  EXPECT_EQ(sink.tiles, (std::vector<std::uint32_t>{3, 0}));
 }
 
 TEST(Tracer, FilterByKind) {

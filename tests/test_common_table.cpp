@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/stats.hpp"
-
 namespace rw {
 namespace {
 
@@ -32,32 +30,6 @@ TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::num(std::uint64_t{42}), "42");
   EXPECT_EQ(Table::percent(0.5), "50.0%");
   EXPECT_EQ(Table::percent(0.123, 2), "12.30%");
-}
-
-TEST(Stats, BasicMoments) {
-  Stats s;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
-}
-
-TEST(Stats, EmptyIsZero) {
-  Stats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Stats, Percentiles) {
-  Stats s(/*keep_samples=*/true);
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.percentile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(s.percentile(0.99), 99.0, 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(1.0), 100.0);
 }
 
 }  // namespace

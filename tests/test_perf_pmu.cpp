@@ -29,7 +29,7 @@ std::unique_ptr<sim::Platform> make_platform(std::size_t cores = 2) {
 TEST(PmuTest, CountsComputeBlocksAndBusyCycles) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   sim::spawn(plat->kernel(), computer(*plat, 0, 10'000, "fir", 3));
   sim::spawn(plat->kernel(), computer(*plat, 1, 4'000, "iir", 2));
   plat->kernel().run();
@@ -47,7 +47,7 @@ TEST(PmuTest, CountsComputeBlocksAndBusyCycles) {
 TEST(PmuTest, SplitsLocalAndSharedAccesses) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   auto& mem = plat->memory();
   const sim::CoreId c0{0};
 
@@ -73,7 +73,7 @@ TEST(PmuTest, SplitsLocalAndSharedAccesses) {
 TEST(PmuTest, PokePeekAreNotCounted) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   std::uint8_t buf[8] = {1, 2, 3, 4, 5, 6, 7, 8};
   plat->memory().poke(plat->shared_base(), buf);
   plat->memory().peek(plat->shared_base(), buf);
@@ -85,7 +85,7 @@ TEST(PmuTest, PokePeekAreNotCounted) {
 TEST(PmuTest, DmaCountsBytesAndUnattributedAccesses) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   plat->dma().start(plat->shared_base(), plat->shared_base() + 4096, 256);
   plat->kernel().run();
 
@@ -103,7 +103,7 @@ TEST(PmuTest, DmaCountsBytesAndUnattributedAccesses) {
 TEST(PmuTest, SharedBusTransfersFillIcnCounters) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   auto& icn = plat->interconnect();
   const auto [s1, f1] =
       icn.reserve_transfer(sim::CoreId{0}, sim::CoreId{1}, 1024, 0);
@@ -127,7 +127,7 @@ TEST(PmuTest, MeshTransfersCountHopsAndLinks) {
   cfg.mesh.height = 2;
   sim::Platform plat(std::move(cfg));
   Pmu pmu(plat.core_count());
-  plat.set_perf_sink(&pmu);
+  plat.attach(pmu);
 
   // Corner to corner on a 2x2 mesh: 2 hops (XY route).
   plat.interconnect().reserve_transfer(sim::CoreId{0}, sim::CoreId{3}, 64,
@@ -149,7 +149,7 @@ TEST(PmuTest, MeshTransfersCountHopsAndLinks) {
 TEST(PmuTest, FreqChangesCounted) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   plat->core(0).set_frequency(mhz(800));
   plat->core(0).set_frequency(mhz(800));  // no-op: same frequency
   plat->core(0).set_frequency(mhz(400));
@@ -160,18 +160,60 @@ TEST(PmuTest, FreqChangesCounted) {
 TEST(PmuTest, DetachStopsCounting) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   plat->core(0).reserve(1000);
-  plat->set_perf_sink(nullptr);
+  plat->detach(pmu);
   plat->core(0).reserve(1000);
   EXPECT_EQ(pmu.core(0).busy_cycles, 1000u);
   EXPECT_EQ(pmu.core(0).reservations, 1u);
 }
 
+// Counts reservations and memory accesses next to the PMU.
+struct SecondCounter final : sim::Observer {
+  void on_core_reserve(sim::CoreId, Cycles, TimePs, TimePs, HertzT) override {
+    ++reserves;
+  }
+  void on_mem_access(const sim::MemAccess&) override { ++accesses; }
+  std::uint64_t reserves = 0;
+  std::uint64_t accesses = 0;
+};
+
+// The PMU is one observer among several: a second counting observer sees
+// the same run, and detaching either one leaves the other counting.
+TEST(PmuTest, CoexistsWithAnotherObserver) {
+  auto plat = make_platform(4);
+  SecondCounter other;
+  plat->attach(other);
+  auto session = std::make_unique<PerfSession>(*plat);
+  ASSERT_TRUE(spawn_workload("shared_hammer", *plat, /*seed=*/5, 2));
+  plat->kernel().run();
+  const CoreCounters t = session->report().totals();
+  EXPECT_GT(other.accesses, 0u);
+  EXPECT_EQ(t.mem_reads + t.mem_writes, other.accesses);
+  EXPECT_EQ(t.reservations, other.reserves);
+
+  const std::uint64_t pmu_core0 = session->pmu().core(0).reservations;
+  session->detach();
+  plat->core(0).reserve(1000);
+  EXPECT_EQ(other.reserves, t.reservations + 1);
+  EXPECT_EQ(session->pmu().core(0).reservations, pmu_core0);
+  session.reset();
+
+  Pmu pmu(plat->core_count());
+  plat->attach(pmu);
+  plat->detach(other);
+  plat->core(0).reserve(1000);
+  plat->memory().write_u64(sim::CoreId{0}, plat->shared_base(), 1);
+  EXPECT_EQ(pmu.core(0).reservations, 1u);
+  EXPECT_EQ(pmu.core(0).mem_writes, 1u);
+  EXPECT_EQ(other.reserves, t.reservations + 1);
+  EXPECT_EQ(other.accesses, t.mem_reads + t.mem_writes);
+}
+
 TEST(PmuTest, SnapshotAndResetRoundTrip) {
   auto plat = make_platform();
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   plat->core(0).reserve(1000);
   const PmuSnapshot s = pmu.snapshot(plat->kernel().now());
   EXPECT_EQ(s.cores[0].busy_cycles, 1000u);

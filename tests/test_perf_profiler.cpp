@@ -143,7 +143,7 @@ TEST(ProfilerTest, AccuracyEdgeCases) {
 TEST(EpochTest, EpochsTileTheRunAndSumToTotals) {
   auto plat = make_platform(2);
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   EpochCollector collector(*plat, pmu, microseconds(50));
   collector.start();
   sim::spawn(plat->kernel(), one_block(*plat, 0, 48'000, "a"));  // 120 us
@@ -171,7 +171,7 @@ TEST(EpochTest, EpochsTileTheRunAndSumToTotals) {
 TEST(GovernorTest, BoostsBusyCoreAndIdlesQuietCore) {
   auto plat = make_platform(2);
   Pmu pmu(plat->core_count());
-  plat->set_perf_sink(&pmu);
+  plat->attach(pmu);
   GovernorConfig gcfg;
   gcfg.window = microseconds(10);
   PmuGovernor gov(*plat, pmu, gcfg);

@@ -14,8 +14,15 @@ namespace {
 class MemoryTest : public ::testing::Test {
  protected:
   Kernel kernel;
-  Tracer tracer;
+  ObserverList observers;
+  Tracer tracer{observers};
   MemorySystem mem{kernel, tracer};
+};
+
+// Keeps every memory access it is handed.
+struct AccessLog final : Observer {
+  void on_mem_access(const MemAccess& a) override { seen.push_back(a); }
+  std::vector<MemAccess> seen;
 };
 
 TEST_F(MemoryTest, ReadWriteRoundTrip) {
@@ -65,8 +72,9 @@ TEST_F(MemoryTest, LocalityOffAllowsForeignAccess) {
 
 TEST_F(MemoryTest, ObserversSeeAllAccesses) {
   mem.add_region("r", 0, 256, 1);
-  std::vector<MemAccess> seen;
-  mem.add_observer([&](const MemAccess& a) { seen.push_back(a); });
+  AccessLog log;
+  observers.attach(log);
+  const std::vector<MemAccess>& seen = log.seen;
   mem.write_u32(CoreId{2}, 16, 99);
   mem.read_u32(CoreId{3}, 16);
   ASSERT_EQ(seen.size(), 2u);
@@ -88,14 +96,14 @@ TEST_F(MemoryTest, BlockTransfer) {
 
 TEST_F(MemoryTest, PokePeekBypassObservers) {
   mem.add_region("r", 0, 64, 1);
-  int notified = 0;
-  mem.add_observer([&](const MemAccess&) { ++notified; });
+  AccessLog log;
+  observers.attach(log);
   std::vector<std::uint8_t> v{42};
   mem.poke(3, v);
   std::vector<std::uint8_t> out(1);
   mem.peek(3, out);
   EXPECT_EQ(out[0], 42);
-  EXPECT_EQ(notified, 0);
+  EXPECT_EQ(log.seen.size(), 0u);
 }
 
 TEST_F(MemoryTest, LatencyLookup) {

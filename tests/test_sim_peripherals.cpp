@@ -10,7 +10,8 @@ namespace {
 class PeriphTest : public ::testing::Test {
  protected:
   Kernel kernel;
-  Tracer tracer;
+  ObserverList observers;
+  Tracer tracer{observers};
   InterruptController irqc{kernel, tracer};
 };
 
@@ -42,11 +43,17 @@ TEST_F(PeriphTest, MaskedIrqStaysPendingAndFiresOnUnmask) {
 }
 
 TEST_F(PeriphTest, LineSignalObservable) {
-  bool saw_rise = false;
-  irqc.line_signal(2).add_observer(
-      [&](const Signal& s, bool old) { saw_rise = !old && s.level(); });
+  struct RiseWatch final : Observer {
+    void on_signal(const Signal& s, bool old) override {
+      if (&s == line) saw_rise = !old && s.level();
+    }
+    const Signal* line = nullptr;
+    bool saw_rise = false;
+  } watch;
+  watch.line = &irqc.line_signal(2);
+  observers.attach(watch);
   irqc.raise(2);
-  EXPECT_TRUE(saw_rise);
+  EXPECT_TRUE(watch.saw_rise);
 }
 
 TEST_F(PeriphTest, IrqRegisterFile) {

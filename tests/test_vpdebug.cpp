@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/rng.hpp"
 #include "sim/process.hpp"
 #include "vpdebug/debugger.hpp"
@@ -151,6 +153,22 @@ TEST(RaceDetector, QuietOnLockedVersion) {
   EXPECT_TRUE(det.races().empty());
 }
 
+// A detector that is gone observes nothing: the platform's next shared
+// access must not reach it.
+TEST(RaceDetector, DestroyedDetectorIsDetached) {
+  sim::Platform p(two_cores());
+  {
+    RaceDetector det(p, p.shared_base(), 8, microseconds(2));
+    p.memory().write_u64(sim::CoreId{0}, p.shared_base(), 1);
+    EXPECT_EQ(det.accesses_observed(), 1u);
+  }
+  RacyCounterConfig cfg;
+  cfg.increments_per_core = 20;
+  cfg.seed = 5;
+  const auto r = run_racy_counter(p, cfg);
+  EXPECT_GT(r.observed, 0u);
+}
+
 // ------------------------------------------------------------- Heisenbug
 
 TEST(Heisenbug, IntrusiveProbePerturbsManifestation) {
@@ -213,6 +231,26 @@ TEST(Replay, DifferentSeedsDifferentFingerprints) {
     return rec.fingerprint();
   };
   EXPECT_NE(fp(1), fp(2));
+}
+
+// A Debugger detaches only itself: a recorder attached before it records
+// the same run whether or not a debugger came and went.
+TEST(Replay, DestroyedDebuggerLeavesRecorderAttached) {
+  RacyCounterConfig cfg;
+  cfg.increments_per_core = 30;
+  cfg.seed = 21;
+  auto record = [&](bool with_debugger) {
+    sim::Platform p(two_cores());
+    ExecutionRecorder rec(p);
+    if (with_debugger) {
+      Debugger dbg(p);
+    }
+    run_racy_counter(p, cfg);
+    return std::pair{rec.events(), rec.fingerprint()};
+  };
+  const auto plain = record(false);
+  EXPECT_GT(plain.first, 0u);
+  EXPECT_EQ(record(true), plain);
 }
 
 // The recorder's fold skips the zero high bytes of each field; it must

@@ -42,6 +42,21 @@ TEST(DmaWatch, DmaBusySignalWatch) {
   EXPECT_EQ(stop.kind, StopKind::kWatchpointSignal);
 }
 
+// Signal changes after the debugger is gone must not reach it.
+TEST(DmaWatch, DestroyedDebuggerStopsWatchingSignals) {
+  auto cfg = sim::PlatformConfig::homogeneous(1, mhz(400));
+  cfg.trace_enabled = true;
+  sim::Platform p(std::move(cfg));
+  {
+    Debugger dbg(p);
+    dbg.watch_signal("dma.busy");
+  }
+  ASSERT_TRUE(p.dma().start(p.shared_base(), p.shared_base() + 64, 8));
+  p.run();
+  EXPECT_FALSE(p.dma().busy());
+  EXPECT_EQ(p.dma().busy_signal().toggle_count(), 2u);
+}
+
 TEST(DmaWatch, ReadWatchpointSeesDmaSourceRead) {
   auto cfg = sim::PlatformConfig::homogeneous(1, mhz(400));
   cfg.trace_enabled = true;
