@@ -15,31 +15,24 @@ std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
   w.begin_object();
   w.key("displayTimeUnit").value("ns");
   w.key("traceEvents").begin_array();
-  // Pair ComputeStart/ComputeEnd per core into "X" complete events. One
-  // block at a time per core, so a single open start event per core
-  // suffices; it points into `trace`, which outlives the loop.
-  std::vector<const sim::TraceEvent*> open;
-  for (const auto& ev : trace) {
-    if (!ev.core.is_valid()) continue;
-    const std::size_t c = ev.core.index();
-    if (c >= open.size()) open.resize(c + 1, nullptr);
-    if (ev.kind == sim::TraceKind::kComputeStart) {
-      open[c] = &ev;
-    } else if (ev.kind == sim::TraceKind::kComputeEnd && open[c] != nullptr &&
-               ev.label == open[c]->label) {
-      const TimePs start = open[c]->time;
-      w.begin_object();
-      w.key("name").value(ev.label);
-      w.key("cat").value("compute");
-      w.key("ph").value("X");
-      // Chrome trace timestamps are microseconds; 1 ps = 1e-6 us.
-      w.key("ts").value(static_cast<double>(start) * 1e-6);
-      w.key("dur").value(static_cast<double>(ev.time - start) * 1e-6);
-      w.key("pid").value(std::uint64_t{0});
-      w.key("tid").value(static_cast<std::uint64_t>(c));
-      w.end_object();
-      open[c] = nullptr;
-    }
+  // One "X" complete event per paired ComputeEnd, in trace order.
+  const std::vector<std::size_t> partner = sim::pair_records(trace);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const sim::TraceEvent& ev = trace[i];
+    if (ev.kind != sim::TraceKind::kComputeEnd ||
+        partner[i] == sim::kNoPartner)
+      continue;
+    const TimePs start = trace[partner[i]].time;
+    w.begin_object();
+    w.key("name").value(ev.label);
+    w.key("cat").value("compute");
+    w.key("ph").value("X");
+    // Chrome trace timestamps are microseconds; 1 ps = 1e-6 us.
+    w.key("ts").value(static_cast<double>(start) * 1e-6);
+    w.key("dur").value(static_cast<double>(ev.time - start) * 1e-6);
+    w.key("pid").value(std::uint64_t{0});
+    w.key("tid").value(static_cast<std::uint64_t>(ev.core.index()));
+    w.end_object();
   }
   w.end_array();
   w.end_object();

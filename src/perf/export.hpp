@@ -20,8 +20,9 @@ namespace rw::perf {
 
 struct PerfReport;  // session.hpp
 
-/// Chrome trace-event JSON built from ComputeStart/ComputeEnd trace pairs
-/// (pid 0, tid = core index, timestamps in microseconds).
+/// Chrome trace-event JSON: one "X" event per compute block that
+/// sim::pair_records pairs, at its end record (pid 0, tid = core index,
+/// timestamps in microseconds). Blocks that never retired are not drawn.
 std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace);
 
 /// Folded-stack lines "core<i>;<label> <samples>", (core,label) ordered.

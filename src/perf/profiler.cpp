@@ -84,25 +84,18 @@ SamplingProfiler::Profile SamplingProfiler::profile() const {
 double attribution_accuracy(const SamplingProfiler::Profile& profile,
                             const std::vector<sim::TraceEvent>& trace,
                             std::size_t num_cores) {
-  // Exact busy time per (core,label): pair ComputeStart/ComputeEnd events.
-  // A core runs one block at a time, so a per-core open-start slot suffices.
+  // Exact busy time per (core,label), from the paired compute blocks.
   std::map<std::pair<std::size_t, std::string>, double> exact;
-  std::vector<TimePs> open_start(num_cores, 0);
-  std::vector<std::string> open_label(num_cores);
   double exact_total = 0.0;
-  for (const auto& ev : trace) {
-    if (!ev.core.is_valid() || ev.core.index() >= num_cores) continue;
-    const std::size_t c = ev.core.index();
-    if (ev.kind == sim::TraceKind::kComputeStart) {
-      open_start[c] = ev.time;
-      open_label[c] = ev.label;
-    } else if (ev.kind == sim::TraceKind::kComputeEnd &&
-               ev.label == open_label[c]) {
-      const double dur = static_cast<double>(ev.time - open_start[c]);
-      exact[{c, ev.label}] += dur;
-      exact_total += dur;
-      open_label[c].clear();
-    }
+  const std::vector<std::size_t> partner = sim::pair_records(trace);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const sim::TraceEvent& ev = trace[i];
+    if (ev.kind != sim::TraceKind::kComputeEnd ||
+        partner[i] == sim::kNoPartner || ev.core.index() >= num_cores)
+      continue;
+    const double dur = static_cast<double>(ev.time - trace[partner[i]].time);
+    exact[{ev.core.index(), ev.label}] += dur;
+    exact_total += dur;
   }
 
   if (profile.busy_samples == 0 || exact_total == 0.0)

@@ -1,29 +1,15 @@
-// TraceView: a stable, typed view over a raw execution trace.
+// TraceView: typed spans over a raw execution trace.
 //
-// Every consumer that walks sim::TraceEvent streams by hand re-derives the
-// same pairing rules (start/end per core, send/recv per edge) with slightly
-// different bugs; TraceView is the one blessed decoder. It turns the flat
-// event vector into typed *spans* — compute, transfer and DMA segments with
-// resolved start/finish times and identities — and is the input contract of
-// rw::critpath's dependence-graph builder.
+// sim::pair_records (sim/trace.hpp) owns the pairing rules; TraceView
+// turns each paired opening record into a typed *span* — compute, transfer
+// or DMA, with resolved start/finish times and identities — and is the
+// input contract of rw::critpath's dependence-graph builder. Records that
+// do not pair produce no span and are never an error.
 //
-// Recognized encodings (everything else is skipped, never an error):
-//   * kTaskStart/kTaskEnd   — one compute span per task; a = task index,
-//     start.b = executed cycles, end.b = reference cycles. Emitted by
-//     maps::execute_on_platform_traced.
-//   * kComputeStart/kComputeEnd — one compute span per labelled block
-//     (kernel-run workloads; a core runs one block at a time, paired per
-//     core by label); task identity stays kNoTask, start.a = cycles.
-//   * kMsgSend/kMsgRecv     — one transfer span per pair; a = packed
-//     (src_task<<32)|dst_task, b = bytes, FIFO-paired per key.
-//   * kDmaStart/kDmaEnd     — one DMA span per pair (engine serializes,
-//     so FIFO pairing is exact); b = length in bytes.
-//
-// Spans preserve the *encounter order* of their opening events (`seq`).
-// For traces produced by reservation-order executors this order is exactly
-// the order every platform resource serialized its requests in, which is
-// what the critpath replay leans on. The global stream need not be sorted
-// by time.
+// Spans keep the order of their opening records (`seq`). For traces
+// produced by reservation-order executors this is exactly the order every
+// platform resource serialized its requests in, which is what the critpath
+// replay leans on. The global stream need not be sorted by time.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +64,7 @@ struct DmaSpan {
 
 class TraceView {
  public:
-  /// Decode `events` (tolerant: unmatched or foreign events are counted in
+  /// Decode `events` (unpaired or foreign records are counted in
   /// total_events() but produce no span). A zero-event trace yields a
   /// valid empty view.
   static TraceView from_events(const std::vector<sim::TraceEvent>& events);

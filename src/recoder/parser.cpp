@@ -184,22 +184,32 @@ class Parser {
   }
 
  private:
-  // Nesting bound for the recursive descent: every nested block and every
-  // unary/parenthesized operand level goes one deeper, so hostile input
-  // cannot exhaust the stack.
+  // Nesting bound for the recursive descent and the AST it builds: every
+  // nested block, every unary/parenthesized operand level and every binary
+  // operator of a chain goes one deeper, so hostile input cannot exhaust
+  // the stack here, nor build a tree too deep for the printer, interpreter
+  // and transforms that walk it.
   static constexpr int kMaxDepth = 256;
 
-  // Holds one nesting level for the enclosing scope.
+  // Holds `levels` nesting levels for the enclosing scope.
   class Nest {
    public:
-    explicit Nest(int& depth) : depth_(depth) { ++depth_; }
-    ~Nest() { --depth_; }
+    explicit Nest(int& depth, int levels = 1)
+        : depth_(depth), levels_(levels) {
+      depth_ += levels_;
+    }
+    ~Nest() { depth_ -= levels_; }
     Nest(const Nest&) = delete;
     Nest& operator=(const Nest&) = delete;
+    void deepen() {
+      ++depth_;
+      ++levels_;
+    }
     [[nodiscard]] bool too_deep() const { return depth_ > kMaxDepth; }
 
    private:
     int& depth_;
+    int levels_;
   };
 
   Error err(std::string msg) {
@@ -383,9 +393,14 @@ class Parser {
 
   Result<ExprPtr> parse_expr(int min_prec = 1) {
     ExprPtr e = RW_TRY(parse_unary());
+    // Each operator puts the chain parsed so far one level deeper in the
+    // left-deep tree, so `1+1+...+1` is bounded like `((...(1)...))`.
+    Nest chain(depth_, 0);
     while (lex_.peek().kind == Tok::kPunct) {
       const int prec = precedence(lex_.peek().text);
       if (prec < min_prec || prec == 0) break;
+      chain.deepen();
+      if (chain.too_deep()) return err("nesting too deep");
       const std::string op = lex_.take().text;
       ExprPtr rhs = RW_TRY(parse_expr(prec + 1));
       e = make_binary(op, std::move(e), std::move(rhs));

@@ -1,5 +1,8 @@
 #include "sim/trace.hpp"
 
+#include <deque>
+#include <unordered_map>
+
 #include "common/strings.hpp"
 
 namespace rw::sim {
@@ -34,6 +37,69 @@ std::string TraceEvent::to_string() const {
                    trace_kind_name(kind), core_str.c_str(), label.c_str(),
                    static_cast<unsigned long long>(a),
                    static_cast<unsigned long long>(b));
+}
+
+std::vector<std::size_t> pair_records(const std::vector<TraceEvent>& events) {
+  std::vector<std::size_t> partner(events.size(), kNoPartner);
+  const auto link = [&](std::size_t open, std::size_t close) {
+    partner[open] = close;
+    partner[close] = open;
+  };
+  std::unordered_map<std::uint64_t, std::size_t> tasks;  // a -> start
+  std::vector<std::size_t> blocks;                        // core -> start
+  std::unordered_map<std::uint64_t, std::deque<std::size_t>> msgs;
+  std::deque<std::size_t> dmas;
+
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& ev = events[i];
+    switch (ev.kind) {
+      case TraceKind::kTaskStart:
+        tasks[ev.a] = i;
+        break;
+      case TraceKind::kTaskEnd:
+        if (const auto it = tasks.find(ev.a); it != tasks.end()) {
+          link(it->second, i);
+          tasks.erase(it);
+        }
+        break;
+      case TraceKind::kComputeStart:
+        if (!ev.core.is_valid()) break;
+        if (ev.core.index() >= blocks.size())
+          blocks.resize(ev.core.index() + 1, kNoPartner);
+        blocks[ev.core.index()] = i;
+        break;
+      case TraceKind::kComputeEnd: {
+        if (!ev.core.is_valid() || ev.core.index() >= blocks.size()) break;
+        std::size_t& open = blocks[ev.core.index()];
+        if (open == kNoPartner || events[open].label != ev.label) break;
+        link(open, i);
+        open = kNoPartner;
+        break;
+      }
+      case TraceKind::kMsgSend:
+        msgs[ev.a].push_back(i);
+        break;
+      case TraceKind::kMsgRecv:
+        if (const auto it = msgs.find(ev.a);
+            it != msgs.end() && !it->second.empty()) {
+          link(it->second.front(), i);
+          it->second.pop_front();
+        }
+        break;
+      case TraceKind::kDmaStart:
+        dmas.push_back(i);
+        break;
+      case TraceKind::kDmaEnd:
+        if (!dmas.empty()) {
+          link(dmas.front(), i);
+          dmas.pop_front();
+        }
+        break;
+      default:
+        break;  // not a span record
+    }
+  }
+  return partner;
 }
 
 }  // namespace rw::sim

@@ -8,6 +8,7 @@
 // retained buffer or live as Observer::on_trace (observer.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -78,5 +79,31 @@ class Tracer {
   bool enabled_ = false;
   std::vector<TraceEvent> events_;
 };
+
+/// pair_records' mark for a record without a partner.
+inline constexpr std::size_t kNoPartner = ~std::size_t{0};
+
+/// The one pairing rule for trace spans: the index of each record's
+/// partner, or kNoPartner. A span is an opening record (kTaskStart,
+/// kComputeStart, kMsgSend, kDmaStart) and the closing record paired with
+/// it; every trace reader (perf::TraceView, the Chrome exporter, the
+/// profiler's attribution check, vpdebug's history, Gantt and VCD) decodes
+/// through this function. Rules, per encoding:
+///   * kTaskStart/kTaskEnd — keyed on the task index `a`; a newer start of
+///     the same task replaces the older one. Emitted by
+///     maps::execute_on_platform_traced (start.b = executed cycles, end.b =
+///     reference cycles).
+///   * kComputeStart/kComputeEnd — one open block per core (a core runs one
+///     block at a time); a newer start replaces a block that a crash
+///     abandoned, and an end closes the open block only when its label
+///     matches. Records with an invalid core never pair. start.a = cycles.
+///   * kMsgSend/kMsgRecv — FIFO per packed key a = (src_task<<32)|dst_task,
+///     since one edge may transfer more than once; b = bytes.
+///   * kDmaStart/kDmaEnd — FIFO: the engine serializes its copies; b =
+///     length in bytes.
+/// A start replaced before its end, an end with no open start (say, of a
+/// block already in flight when tracing was switched on) and a span still
+/// open when the trace ends all stay unpaired. Other kinds never pair.
+std::vector<std::size_t> pair_records(const std::vector<TraceEvent>& events);
 
 }  // namespace rw::sim

@@ -11,22 +11,12 @@ namespace rw::vpdebug {
 std::vector<ExecutedBlock> function_history(
     const std::vector<sim::TraceEvent>& trace, sim::CoreId core) {
   std::vector<ExecutedBlock> out;
-  std::vector<ExecutedBlock> open;  // compute blocks may nest per label
-  for (const auto& ev : trace) {
-    if (ev.core != core) continue;
-    if (ev.kind == sim::TraceKind::kComputeStart) {
-      open.push_back(ExecutedBlock{ev.label, ev.time, 0});
-    } else if (ev.kind == sim::TraceKind::kComputeEnd) {
-      // Close the most recent open block with this label.
-      for (auto it = open.rbegin(); it != open.rend(); ++it) {
-        if (it->label == ev.label && it->end == 0) {
-          it->end = ev.time;
-          out.push_back(*it);
-          open.erase(std::next(it).base());
-          break;
-        }
-      }
-    }
+  const std::vector<std::size_t> partner = sim::pair_records(trace);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const sim::TraceEvent& ev = trace[i];
+    if (ev.kind == sim::TraceKind::kComputeEnd && ev.core == core &&
+        partner[i] != sim::kNoPartner)
+      out.push_back(ExecutedBlock{ev.label, trace[partner[i]].time, ev.time});
   }
   std::sort(out.begin(), out.end(),
             [](const ExecutedBlock& a, const ExecutedBlock& b) {
@@ -105,36 +95,27 @@ std::string export_vcd(const std::vector<sim::TraceEvent>& trace,
   for (const auto l : irq_lines)
     vcd += strformat("0%s\n", irq_id(l).c_str());
 
-  // Busy depth per core (nested compute blocks keep the wire high).
-  std::vector<int> depth(num_cores, 0);
-  TimePs last_time = 0;
-  bool time_open = true;
+  TimePs last_time = 0;  // "#0" is open
   auto at_time = [&](TimePs t) {
-    if (t != last_time || !time_open) {
-      vcd += strformat("#%llu\n", static_cast<unsigned long long>(t));
-      last_time = t;
-      time_open = true;
-    }
+    if (t == last_time) return;
+    vcd += strformat("#%llu\n", static_cast<unsigned long long>(t));
+    last_time = t;
   };
 
-  for (const auto& ev : trace) {
+  // A core's wire rises at a paired ComputeStart and falls at its partner.
+  const std::vector<std::size_t> partner = sim::pair_records(trace);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const sim::TraceEvent& ev = trace[i];
     switch (ev.kind) {
-      case sim::TraceKind::kComputeStart: {
-        if (!ev.core.is_valid() || ev.core.index() >= num_cores) break;
-        if (depth[ev.core.index()]++ == 0) {
-          at_time(ev.time);
-          vcd += strformat("1%s\n", core_id(ev.core.index()).c_str());
-        }
+      case sim::TraceKind::kComputeStart:
+      case sim::TraceKind::kComputeEnd:
+        if (partner[i] == sim::kNoPartner || ev.core.index() >= num_cores)
+          break;
+        at_time(ev.time);
+        vcd += strformat(
+            "%c%s\n", ev.kind == sim::TraceKind::kComputeStart ? '1' : '0',
+            core_id(ev.core.index()).c_str());
         break;
-      }
-      case sim::TraceKind::kComputeEnd: {
-        if (!ev.core.is_valid() || ev.core.index() >= num_cores) break;
-        if (--depth[ev.core.index()] == 0) {
-          at_time(ev.time);
-          vcd += strformat("0%s\n", core_id(ev.core.index()).c_str());
-        }
-        break;
-      }
       case sim::TraceKind::kIrqRaise:
         at_time(ev.time);
         vcd += strformat("1%s\n", irq_id(ev.a).c_str());

@@ -11,6 +11,10 @@
 //   * render_gantt     — ASCII timeline of all cores (the overview),
 //   * export_vcd       — IEEE-1364 VCD dump of core-busy and IRQ wires,
 //     loadable in any waveform viewer.
+// All three read compute blocks as sim::pair_records pairs them, so they
+// draw only blocks that retired: a block a crash abandoned, or one still in
+// flight when the trace ends, is not drawn. perf::to_chrome_trace draws the
+// same blocks.
 #pragma once
 
 #include <string>
@@ -27,8 +31,7 @@ struct ExecutedBlock {
   TimePs end = 0;
 };
 
-/// All compute blocks executed on `core`, in time order (paired from the
-/// kComputeStart/kComputeEnd events of the trace).
+/// All compute blocks that retired on `core`, in start-time order.
 std::vector<ExecutedBlock> function_history(
     const std::vector<sim::TraceEvent>& trace, sim::CoreId core);
 
@@ -38,8 +41,8 @@ std::string render_gantt(const std::vector<sim::TraceEvent>& trace,
                          std::size_t num_cores, TimePs t0, TimePs t1,
                          std::size_t width = 64);
 
-/// Value-change-dump with one wire per core (busy) and per raised IRQ
-/// line. Timescale 1 ps.
+/// Value-change-dump with one wire per core (busy while a retired block
+/// runs) and per raised IRQ line. Timescale 1 ps.
 std::string export_vcd(const std::vector<sim::TraceEvent>& trace,
                        std::size_t num_cores);
 

@@ -142,6 +142,34 @@ TEST(Parser, ParsesDeepButBoundedNesting) {
   EXPECT_EQ(r.value().return_value, 1);
 }
 
+// `x = 1+1+...+1` with `terms` terms: a left-deep chain of binary operators.
+std::string operator_chain(int terms) {
+  std::string src = "int main() { int x = 0; x = 1";
+  src += repeated("+1", terms - 1);
+  src += "; return x; }";
+  return src;
+}
+
+TEST(Parser, RejectsHostileOperatorChainWithTypedError) {
+  // 100k terms used to parse into a tree the printer overflowed the stack on.
+  auto r = parse_program(operator_chain(100'000));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("nesting too deep"), std::string::npos)
+      << r.error().to_string();
+}
+
+TEST(Parser, BoundedOperatorChainRoundTrips) {
+  auto p1 = parse_program(operator_chain(200));
+  ASSERT_TRUE(p1.ok()) << p1.error().to_string();
+  auto r = interpret(p1.value());
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_EQ(r.value().return_value, 200);
+  const std::string text1 = print_program(p1.value());
+  auto p2 = parse_program(text1);
+  ASSERT_TRUE(p2.ok()) << p2.error().to_string();
+  EXPECT_EQ(print_program(p2.value()), text1);
+}
+
 TEST(Printer, RoundTripsPrograms) {
   const char* src = R"(
     int buf[4];

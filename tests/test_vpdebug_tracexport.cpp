@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <utility>
+
+#include "common/json.hpp"
 #include "common/strings.hpp"
+#include "perf/export.hpp"
+#include "perf/traceview.hpp"
+#include "perf/workload.hpp"
 #include "sim/process.hpp"
 #include "vpdebug/tracexport.hpp"
 
@@ -149,6 +157,137 @@ TEST(TraceExportDeterminism, EmptyTraceVcdIsValidSkeleton) {
   // Identical on repeat, trivially — but assert it anyway so the empty
   // path stays in the determinism contract.
   EXPECT_EQ(vcd, export_vcd({}, 2));
+}
+
+// --- one pairing rule: regressions and agreement across the readers ---
+
+// The value changes of VCD wire `id`, as (time, level) after the header;
+// the first is the initial 0 at #0.
+std::vector<std::pair<TimePs, char>> wire_changes(const std::string& vcd,
+                                                  const std::string& id) {
+  std::vector<std::pair<TimePs, char>> out;
+  const auto body = vcd.find("$enddefinitions $end\n");
+  if (body == std::string::npos) return out;
+  TimePs now = 0;
+  for (const auto& line : rw::split(vcd.substr(body), '\n')) {
+    if (!line.empty() && line[0] == '#') {
+      std::uint64_t t = 0;
+      if (rw::parse_u64(line.substr(1), t)) now = t;
+    } else if (line.size() == id.size() + 1 && line.substr(1) == id) {
+      out.emplace_back(now, line[0]);
+    }
+  }
+  return out;
+}
+
+// Core 0 crashes 5 us into a 14 us block and recovers at 8 us, which
+// re-runs the whole block over [8, 22] us.
+std::vector<sim::TraceEvent> crash_and_recover_trace() {
+  auto cfg = sim::PlatformConfig::homogeneous(2, ghz(1));
+  cfg.trace_enabled = true;
+  sim::Platform p(std::move(cfg));
+  sim::spawn(p.kernel(), busy_task(p, 0, 14'000, "blk", 1));
+  p.kernel().schedule_at(microseconds(5), [&] { p.core(0).fail(); });
+  p.kernel().schedule_at(microseconds(8), [&] { p.core(0).recover(); });
+  p.kernel().run();
+  return p.tracer().events();
+}
+
+// Tracing switched on at 5 us while core 0's first block ([0, 10] us) is
+// in flight: its end has no start; blocks two and three are whole.
+std::vector<sim::TraceEvent> enabled_mid_run_trace() {
+  auto cfg = sim::PlatformConfig::homogeneous(2, ghz(1));
+  sim::Platform p(std::move(cfg));
+  sim::spawn(p.kernel(), busy_task(p, 0, 10'000, "fir", 3));
+  p.kernel().schedule_at(microseconds(5),
+                         [&] { p.tracer().set_enabled(true); });
+  p.kernel().run();
+  return p.tracer().events();
+}
+
+TEST(TracePairingRegression, CrashedBlockLeavesNoPhantomSpanAndWireFalls) {
+  const auto trace = crash_and_recover_trace();
+  const auto view = perf::TraceView::from_events(trace);
+  ASSERT_EQ(view.computes().size(), 1u);
+  for (const auto& s : view.computes()) EXPECT_GT(s.duration(), 0u);
+  EXPECT_EQ(view.computes()[0].start, microseconds(8));
+  EXPECT_EQ(view.computes()[0].finish, microseconds(22));
+
+  const std::vector<std::pair<TimePs, char>> want = {
+      {0, '0'}, {microseconds(8), '1'}, {microseconds(22), '0'}};
+  EXPECT_EQ(wire_changes(export_vcd(trace, 2), "b0"), want);
+}
+
+TEST(TracePairingRegression, MidRunTracerDrawsEveryRetiredBlockInVcd) {
+  const auto trace = enabled_mid_run_trace();
+  const auto blocks = function_history(trace, sim::CoreId{0});
+  ASSERT_EQ(blocks.size(), 2u);
+  std::vector<std::pair<TimePs, char>> want = {{0, '0'}};
+  for (const auto& b : blocks) {
+    want.emplace_back(b.start, '1');
+    want.emplace_back(b.end, '0');
+  }
+  EXPECT_EQ(wire_changes(export_vcd(trace, 2), "b0"), want);
+}
+
+// Every reader sees the same compute blocks: the Chrome "X" events, the
+// function histories summed over cores and TraceView's block spans agree
+// in number and times, as (core, ts, dur) in Chrome's microseconds.
+TEST(TracePairingAgreement, ChromeHistoryAndTraceViewSeeTheSameBlocks) {
+  using Block = std::tuple<std::uint64_t, double, double>;
+  const auto block = [](std::size_t core, TimePs start, TimePs finish) {
+    return Block{core, static_cast<double>(start) * 1e-6,
+                 static_cast<double>(finish - start) * 1e-6};
+  };
+  struct Case {
+    std::string name;
+    std::vector<sim::TraceEvent> trace;
+    std::size_t cores;
+  };
+  std::vector<Case> cases;
+  for (const bool mesh : {false, true}) {
+    for (const char* demo :
+         {"pipeline", "forkjoin", "shared_hammer", "tiled_pipeline"}) {
+      auto cfg = sim::PlatformConfig::homogeneous(4, mhz(400));
+      cfg.trace_enabled = true;
+      if (mesh) cfg.use_square_mesh();
+      sim::Platform p(std::move(cfg));
+      ASSERT_TRUE(perf::spawn_workload(demo, p, /*seed=*/9, /*scale=*/2));
+      p.kernel().run();
+      cases.push_back({std::string(demo) + (mesh ? " mesh" : " bus"),
+                       p.tracer().events(), 4});
+    }
+  }
+  cases.push_back({"crash", crash_and_recover_trace(), 2});
+  cases.push_back({"mid-run", enabled_mid_run_trace(), 2});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<Block> chrome;
+    auto doc = json::parse(perf::to_chrome_trace(c.trace));
+    ASSERT_TRUE(doc.ok()) << doc.error().to_string();
+    for (const json::Value& ev : doc.value().get("traceEvents")->items()) {
+      ASSERT_EQ(ev.get_string("ph"), "X");
+      chrome.emplace_back(ev.get_u64("tid"), ev.get_double("ts"),
+                          ev.get_double("dur"));
+    }
+    std::vector<Block> history;
+    for (std::size_t core = 0; core < c.cores; ++core)
+      for (const auto& b : function_history(
+               c.trace, sim::CoreId{static_cast<std::uint32_t>(core)}))
+        history.push_back(block(core, b.start, b.end));
+    std::vector<Block> view;
+    const auto spans = perf::TraceView::from_events(c.trace);
+    for (const auto& s : spans.computes())
+      view.push_back(block(s.core.index(), s.start, s.finish));
+
+    ASSERT_FALSE(chrome.empty());
+    std::sort(chrome.begin(), chrome.end());
+    std::sort(history.begin(), history.end());
+    std::sort(view.begin(), view.end());
+    EXPECT_EQ(chrome, history);
+    EXPECT_EQ(chrome, view);
+  }
 }
 
 }  // namespace

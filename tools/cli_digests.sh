@@ -6,6 +6,11 @@
 #
 #   tools/cli_digests.sh build | diff tools/cli_digests.txt -
 #
+# After the --json runs, rwprof (bus and mesh) and rwert run once more into
+# an empty --out-dir, and every file they write gets its own line, named
+# "<run>/<file>" in file-name order: the Chrome traces, folded stacks, CSV
+# and report JSON that --no-files skips.
+#
 # The argument is a CMake build tree that holds the built tools/ binaries
 # (default: build). A nonzero exit status is recorded, not fatal: rwlint
 # exits 1 when its corpus has findings, which it is meant to.
@@ -13,15 +18,29 @@ set -uo pipefail
 
 bin="${1:-build}/tools"
 out="$(mktemp)"
-trap 'rm -f "$out"' EXIT
+dir="$(mktemp -d)"
+trap 'rm -rf "$out" "$dir"' EXIT
+
+digest() { sha256sum < "$1" | cut -d' ' -f1; }
 
 run() {
   local name="$1" tool="$2"
   shift 2
   "$bin/$tool" "$@" --json > "$out"
   local status=$?
-  printf '%s  %d  %s\n' "$(sha256sum < "$out" | cut -d' ' -f1)" "$status" \
-    "$name"
+  printf '%s  %d  %s\n' "$(digest "$out")" "$status" "$name"
+}
+
+# Run a tool with --out-dir and print one line per file it wrote.
+files() {
+  local name="$1" tool="$2"
+  shift 2
+  mkdir "$dir/$name"
+  "$bin/$tool" "$@" --json --out-dir "$dir/$name" > /dev/null
+  local status=$? f
+  for f in $(cd "$dir/$name" && LC_ALL=C ls); do
+    printf '%s  %d  %s\n' "$(digest "$dir/$name/$f")" "$status" "$name/$f"
+  done
 }
 
 run rwprof_bus rwprof --no-files
@@ -31,3 +50,6 @@ run rwcritpath rwcritpath --no-files
 run rwfault rwfault --no-files
 run rwlint rwlint --no-files
 run rwfuzz rwfuzz --seeds 200 --tiny --no-files
+files rwprof_bus rwprof
+files rwprof_mesh rwprof --mesh
+files rwert rwert
