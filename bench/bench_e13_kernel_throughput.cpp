@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/fnv.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "harness/harness.hpp"
@@ -81,12 +82,14 @@ struct Storm {
   std::uint64_t fanout;
   std::uint64_t scheduled = 0;
   std::uint64_t executed = 0;
-  std::uint64_t order_hash = 1469598103934665603ULL;
+  std::uint64_t order_hash = fnv::kRecorderSeed;
 
   void fire(std::uint64_t id) {
     ++executed;
-    order_hash = (order_hash ^ id) * 1099511628211ULL;
-    order_hash = (order_hash ^ k->now()) * 1099511628211ULL;
+    // One FNV step per 64-bit word, not per byte: cheap enough not to
+    // skew the events/s this bench measures.
+    order_hash = (order_hash ^ id) * fnv::kPrime;
+    order_hash = (order_hash ^ k->now()) * fnv::kPrime;
     for (std::uint64_t c = 0; c < fanout && scheduled < budget; ++c) {
       const std::uint64_t child = scheduled++;
       const std::uint64_t h = mix64(child);
@@ -178,8 +181,6 @@ std::string storm_label(sim::QueuePolicy policy, std::int64_t pending,
 // ------------------------------------------------------------ tiled storm
 
 constexpr DurationPs kTileLookahead = 2048;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-constexpr std::uint64_t kFnvInit = 1469598103934665603ULL;
 
 // Partitioned event storm: one independent sub-storm per tile, with 1/8 of
 // the children posted to a sibling tile through the engine's timestamped
@@ -196,7 +197,7 @@ struct TiledStorm {
     std::uint64_t work = 0;       // mix64 rounds per event body
     std::uint64_t scheduled = 0;
     std::uint64_t executed = 0;
-    std::uint64_t order_hash = kFnvInit;
+    std::uint64_t order_hash = fnv::kRecorderSeed;
   };
 
   sim::TiledEngine* engine = nullptr;
@@ -216,8 +217,8 @@ struct TiledStorm {
     // the optimizer cannot drop it.
     std::uint64_t acc = id;
     for (std::uint64_t w = 0; w < tl.work; ++w) acc = mix64(acc);
-    tl.order_hash = (tl.order_hash ^ id ^ (acc >> 63)) * kFnvPrime;
-    tl.order_hash = (tl.order_hash ^ tl.k->now()) * kFnvPrime;
+    tl.order_hash = (tl.order_hash ^ id ^ (acc >> 63)) * fnv::kPrime;
+    tl.order_hash = (tl.order_hash ^ tl.k->now()) * fnv::kPrime;
     const auto tcount = static_cast<std::uint32_t>(tiles.size());
     for (std::uint64_t c = 0; c < tl.fanout && tl.scheduled < tl.budget;
          ++c) {
@@ -246,11 +247,11 @@ struct TiledStorm {
   // Per-tile digests combined in tile order — the same canonicalization
   // ExecutionRecorder uses, so it is identical across exec modes.
   [[nodiscard]] std::uint64_t fingerprint() const {
-    std::uint64_t f = kFnvInit;
+    std::uint64_t f = fnv::kRecorderSeed;
     for (std::size_t t = 0; t < tiles.size(); ++t) {
-      f = (f ^ t) * kFnvPrime;
-      f = (f ^ tiles[t].executed) * kFnvPrime;
-      f = (f ^ tiles[t].order_hash) * kFnvPrime;
+      f = (f ^ t) * fnv::kPrime;
+      f = (f ^ tiles[t].executed) * fnv::kPrime;
+      f = (f ^ tiles[t].order_hash) * fnv::kPrime;
     }
     return f;
   }

@@ -23,11 +23,6 @@ sim::PlatformConfig platform_for(const CritOptions& opts, bool hetero) {
     cfg = sim::PlatformConfig::homogeneous(opts.cores);
   }
   if (opts.mesh) cfg.use_square_mesh();
-  // Critical-path replay is cross-core by construction (every task can
-  // touch every PE), so cores stay on tile 0 and --threads only selects
-  // the parallel engine for any event-driven phases.
-  if (opts.threads > 1)
-    sim::apply_tiling(cfg, opts.threads, /*partition_cores=*/false);
   return cfg;
 }
 

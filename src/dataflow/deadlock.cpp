@@ -16,30 +16,6 @@ std::string DeadlockReport::to_string() const {
   return s;
 }
 
-void DeadlockReport::to_json(json::Writer& w) const {
-  w.begin_object();
-  w.key("deadlocked").value(deadlocked);
-  w.key("blocked").begin_array();
-  for (const auto& b : blocked) {
-    w.begin_object();
-    w.key("actor").value(b.actor_name);
-    w.key("starved_edge").value(b.edge_name);
-    w.key("tokens_present").value(
-        static_cast<std::uint64_t>(b.tokens_present));
-    w.key("tokens_needed").value(
-        static_cast<std::uint64_t>(b.tokens_needed));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-std::string DeadlockReport::to_json_string() const {
-  json::Writer w;
-  to_json(w);
-  return w.str();
-}
-
 DeadlockReport detect_deadlock(const Graph& g) {
   DeadlockReport rep;
   const auto rv = g.repetition_vector();

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.hpp"
 #include "dataflow/graph.hpp"
 
 namespace rw::dataflow {
@@ -31,10 +30,6 @@ struct DeadlockReport {
   std::vector<BlockedActor> blocked;
 
   [[nodiscard]] std::string to_string() const;
-  /// Emit as one JSON object ({deadlocked, blocked: [...]}), so design-
-  /// time and run-time findings diff cleanly against rw::lint output.
-  void to_json(json::Writer& w) const;
-  [[nodiscard]] std::string to_json_string() const;
 };
 
 /// Abstractly execute one graph iteration (unbounded buffers, zero time).

@@ -92,21 +92,6 @@ RunMetrics TenantStats::to_metrics() const {
   return m;
 }
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
-
 Status validate_jobspec(const JobSpec& spec, std::size_t pool_capacity) {
   if (spec.graph.tasks().empty())
     return make_error("job '" + spec.name + "': empty task graph");
@@ -495,11 +480,11 @@ void Service::finish_job_locked(std::size_t tenant_idx, std::uint64_t seq) {
   if (!res.deadline_met) ++t.stats.deadline_misses;
   t.stats.latencies.push_back(latency);
   std::uint64_t h = t.stats.fingerprint;
-  h = fnv_mix(h, res.sequence);
-  h = fnv_mix(h, res.cores);
-  h = fnv_mix(h, res.started);
-  h = fnv_mix(h, res.finished);
-  h = fnv_mix(h, res.metrics.makespan);
+  h = fnv::fold_u64(h, res.sequence);
+  h = fnv::fold_u64(h, res.cores);
+  h = fnv::fold_u64(h, res.started);
+  h = fnv::fold_u64(h, res.finished);
+  h = fnv::fold_u64(h, res.metrics.makespan);
   t.stats.fingerprint = h;
 
   complete(run.job.node, std::move(res));

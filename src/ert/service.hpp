@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/result.hpp"
 #include "common/run_metrics.hpp"
 #include "common/units.hpp"
@@ -94,7 +95,7 @@ struct TenantStats {
   /// FNV-1a over (sequence, cores, started, finished, makespan) of every
   /// completed job, in completion order. For a reserved tenant this is
   /// invariant under any other tenant's load or submission order.
-  std::uint64_t fingerprint = 0xcbf29ce484222325ULL;
+  std::uint64_t fingerprint = fnv::kOffset;
 
   [[nodiscard]] DurationPs percentile(double p) const;  // p in [0,100]
   [[nodiscard]] double mean_latency_us() const;

@@ -94,7 +94,6 @@ ScenarioConfig scenario_config(const FaultOptions& opts,
   cfg.policy = policy;
   cfg.watchdog_timeout = opts.watchdog_timeout;
   cfg.crashes_only = opts.crashes_only;
-  cfg.threads = opts.threads;
   return cfg;
 }
 

@@ -48,8 +48,8 @@ struct ScenarioConfig {
   /// makespan so faults land while work is actually in flight.
   const FaultPlan* explicit_plan = nullptr;
 
-  /// Simulation-kernel tile partitions (rwfault --threads). 1 = the plain
-  /// sequential kernel; >1 runs the conservative tiled engine in parallel
+  /// Simulation-kernel tile partitions (set by the fuzz oracle and
+  /// perfbench). 1 = the plain sequential kernel; >1 runs the conservative tiled engine in parallel
   /// mode. The scenario's own state stays on tile 0, so outcomes and
   /// timelines are bit-identical for every value — this knob exists to
   /// prove exactly that on the fault corpus.

@@ -95,10 +95,9 @@ struct CampaignCase {
   /// Mesh sizing matches fault::run_fault_scenario's; cores are spread
   /// over tiles only for tiled_pipeline (the one tileable workload —
   /// everything else keeps shared state on tile 0 and runs with idle
-  /// sibling tiles, which is how --threads works repo-wide). With
-  /// tiles > 1 the tile partition is applied either way and `parallel`
-  /// selects only the ExecMode, so twin runs produce platforms with
-  /// identical tile structure.
+  /// sibling tiles). With tiles > 1 the tile partition is applied either
+  /// way and `parallel` selects only the ExecMode, so twin runs produce
+  /// platforms with identical tile structure.
   [[nodiscard]] sim::PlatformConfig platform_config(sim::QueuePolicy policy,
                                                     bool parallel) const;
 

@@ -88,12 +88,14 @@ Result<std::uint32_t> family_mask_for(const std::string& name) {
 
 Result<FuzzOptions> parse_fuzz_args(const std::vector<std::string>& args) {
   FuzzOptions opts;
-  bool threads_given = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    if (a == "--threads") threads_given = true;
     if (RW_TRY(cli::parse_common_flag(args, i, opts))) {
       continue;
+    } else if (a == "--threads") {
+      const std::uint64_t t = RW_TRY(cli::arg_u64(args, i, a));
+      if (t == 0) return make_error("--threads must be at least 1");
+      opts.threads = static_cast<std::uint32_t>(t);
     } else if (a == "--seeds") {
       opts.seeds = RW_TRY(cli::arg_u64(args, i, a));
       if (opts.seeds == 0) return make_error("--seeds must be >= 1");
@@ -117,14 +119,14 @@ Result<FuzzOptions> parse_fuzz_args(const std::vector<std::string>& args) {
       opts.replay_path = args[++i];
     } else if (a == "--help" || a == "-h") {
       return make_error(std::string("usage: rwfuzz ") + cli::common_usage() +
-                        " [--seeds N] [--minutes M] [--shrink|--no-shrink]"
+                        " [--threads N] [--seeds N] [--minutes M]"
+                        " [--shrink|--no-shrink]"
                         " [--matrix] [--tiny] [--family NAME]"
                         " [--replay FILE] [--defect]");
     } else {
       return make_error("unknown option: " + a);
     }
   }
-  if (!threads_given) opts.threads = 0;  // 0 = hardware-width pool
   RW_TRY(family_mask_for(opts.family));  // validate early
   return opts;
 }

@@ -16,12 +16,11 @@
 
 namespace rw::fuzz {
 
-/// Shared flags come from cli::CommonOptions; --threads is re-based to
-/// 0 = one pool worker per hardware thread (the campaign is
-/// bit-identical for every pool width, so the default just goes fast).
+/// Shared flags come from cli::CommonOptions.
 struct FuzzOptions : cli::CommonOptions {
-  FuzzOptions() { threads = 0; }
-
+  /// --threads N: harness pool width; 0 (the default) = one worker per
+  /// hardware thread. The campaign is bit-identical for every width.
+  std::uint32_t threads = 0;
   std::uint64_t seeds = 1000;  // --seeds N
   double minutes = 0.0;        // --minutes M (wall cap; 0 = none)
   bool shrink = true;          // --no-shrink disables auto-shrink

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <thread>
 
+#include "common/fnv.hpp"
 #include "common/json.hpp"
 #include "common/thread_budget.hpp"
 #include "common/units.hpp"
@@ -19,14 +20,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
@@ -52,11 +45,11 @@ std::uint64_t Scenario::derive_seed(std::uint64_t base_seed,
   // FNV-1a over the identity, with explicit separators so that
   // ("ab","c") and ("a","bc") hash differently, then splitmix64 to spread
   // low-entropy inputs (consecutive indices) over the whole 64-bit space.
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ base_seed;
-  h = fnv1a(h, scenario);
-  h = fnv1a(h, "\x1f");
-  h = fnv1a(h, label);
-  h = fnv1a(h, "\x1f");
+  std::uint64_t h = fnv::kOffset ^ base_seed;
+  h = fnv::fold(h, scenario);
+  h = fnv::fold(h, "\x1f");
+  h = fnv::fold(h, label);
+  h = fnv::fold(h, "\x1f");
   h ^= index;
   return splitmix64(splitmix64(h));
 }

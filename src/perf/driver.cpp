@@ -49,14 +49,10 @@ Result<ProfOptions> parse_prof_args(const std::vector<std::string>& args) {
 
 namespace {
 
-std::unique_ptr<sim::Platform> build_platform(const ProfOptions& opts,
-                                              std::string_view workload) {
+std::unique_ptr<sim::Platform> build_platform(const ProfOptions& opts) {
   sim::PlatformConfig cfg = sim::PlatformConfig::homogeneous(opts.cores);
   cfg.trace_enabled = true;
   if (opts.mesh) cfg.use_square_mesh();
-  if (opts.threads > 1)
-    sim::apply_tiling(cfg, opts.threads,
-                      /*partition_cores=*/workload_tileable(workload));
   return std::make_unique<sim::Platform>(std::move(cfg));
 }
 
@@ -143,7 +139,7 @@ ProfReport run_prof(const ProfOptions& opts, std::ostream& out) {
     for (const auto& wl : workload_registry()) names.push_back(wl.name);
 
   for (const auto& name : names) {
-    auto platform = build_platform(opts, name);
+    auto platform = build_platform(opts);
     PerfConfig pcfg;
     pcfg.profiler.period = opts.period;
     pcfg.epoch_width = opts.epoch;

@@ -252,10 +252,6 @@ bool is_workload(std::string_view name) {
   return false;
 }
 
-bool workload_tileable(std::string_view name) {
-  return name == "tiled_pipeline";
-}
-
 bool spawn_workload(std::string_view name, sim::Platform& platform,
                     std::uint64_t seed, std::uint64_t scale) {
   if (scale == 0) scale = 1;

@@ -27,13 +27,6 @@ const std::vector<WorkloadInfo>& workload_registry();
 
 [[nodiscard]] bool is_workload(std::string_view name);
 
-/// Whether `name` partitions into tile-local state (processes touch only
-/// their own core's scratchpad and communicate over TileLinks), i.e.
-/// whether sim::apply_tiling may spread its cores across tiles. The
-/// legacy workloads share channels and memory on tile 0 and run under
-/// --threads with idle sibling tiles instead.
-[[nodiscard]] bool workload_tileable(std::string_view name);
-
 /// Spawn workload `name` onto the platform (processes adopt into the
 /// kernel; the caller then calls kernel.run()). `scale` multiplies the
 /// iteration counts — CI uses small values. Returns false for an unknown

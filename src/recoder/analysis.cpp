@@ -10,14 +10,9 @@ namespace rw::recoder {
 namespace {
 
 void collect_expr_reads(const Expr& e, std::set<std::string>& reads) {
-  switch (e.kind) {
-    case ExprKind::kIdent:
-      reads.insert(e.name);
-      return;
-    default:
-      for (const auto& k : e.kids) collect_expr_reads(*k, reads);
-      return;
-  }
+  for_each_expr(e, [&](const Expr& x) {
+    if (x.kind == ExprKind::kIdent) reads.insert(x.name);
+  });
 }
 
 void collect_lhs(const Expr& lhs, VarUse& use) {
@@ -46,52 +41,25 @@ void collect_lhs(const Expr& lhs, VarUse& use) {
   }
 }
 
-void collect_stmt(const Stmt& s, VarUse& use) {
-  switch (s.kind) {
-    case StmtKind::kDecl:
-      use.writes.insert(s.name);
-      if (s.expr) collect_expr_reads(*s.expr, use.reads);
-      return;
-    case StmtKind::kAssign:
-      collect_lhs(*s.lhs, use);
-      collect_expr_reads(*s.expr, use.reads);
-      return;
-    case StmtKind::kExprStmt:
-    case StmtKind::kReturn:
-      if (s.expr) collect_expr_reads(*s.expr, use.reads);
-      return;
-    case StmtKind::kIf:
-      collect_expr_reads(*s.expr, use.reads);
-      for (const auto& c : s.body) collect_stmt(*c, use);
-      for (const auto& c : s.orelse) collect_stmt(*c, use);
-      return;
-    case StmtKind::kFor:
-      collect_stmt(*s.init, use);
-      collect_expr_reads(*s.expr, use.reads);
-      collect_stmt(*s.step, use);
-      for (const auto& c : s.body) collect_stmt(*c, use);
-      return;
-    case StmtKind::kWhile:
-      collect_expr_reads(*s.expr, use.reads);
-      for (const auto& c : s.body) collect_stmt(*c, use);
-      return;
-    case StmtKind::kBlock:
-      for (const auto& c : s.body) collect_stmt(*c, use);
-      return;
-  }
+/// The names statement `s` itself declares, assigns and reads (nested
+/// statements are the caller's walk).
+void record_uses(const Stmt& s, VarUse& use) {
+  if (s.kind == StmtKind::kDecl) use.writes.insert(s.name);
+  if (s.lhs) collect_lhs(*s.lhs, use);
+  if (s.expr) collect_expr_reads(*s.expr, use.reads);
 }
 
 }  // namespace
 
 VarUse stmt_uses(const Stmt& s) {
   VarUse use;
-  collect_stmt(s, use);
+  for_each_stmt(s, [&](const Stmt& n) { record_uses(n, use); });
   return use;
 }
 
 VarUse body_uses(const std::vector<StmtPtr>& body) {
   VarUse use;
-  for (const auto& s : body) collect_stmt(*s, use);
+  for_each_stmt(body, [&](const Stmt& n) { record_uses(n, use); });
   return use;
 }
 
@@ -156,27 +124,17 @@ bool expr_array_ok(const Expr& e, const std::string& name,
   return true;
 }
 
-bool stmt_array_ok(const Stmt& s, const std::string& name,
-                   const std::string& loop_var) {
-  if (s.expr && !expr_array_ok(*s.expr, name, loop_var)) return false;
-  if (s.lhs && !expr_array_ok(*s.lhs, name, loop_var)) return false;
-  if (s.init && !stmt_array_ok(*s.init, name, loop_var)) return false;
-  if (s.step && !stmt_array_ok(*s.step, name, loop_var)) return false;
-  for (const auto& c : s.body)
-    if (!stmt_array_ok(*c, name, loop_var)) return false;
-  for (const auto& c : s.orelse)
-    if (!stmt_array_ok(*c, name, loop_var)) return false;
-  return true;
-}
-
 }  // namespace
 
 bool array_accessed_only_at(const std::vector<StmtPtr>& body,
                             const std::string& name,
                             const std::string& loop_var) {
-  for (const auto& s : body)
-    if (!stmt_array_ok(*s, name, loop_var)) return false;
-  return true;
+  bool ok = true;
+  for_each_stmt(body, [&](const Stmt& s) {
+    if (s.expr) ok = ok && expr_array_ok(*s.expr, name, loop_var);
+    if (s.lhs) ok = ok && expr_array_ok(*s.lhs, name, loop_var);
+  });
+  return ok;
 }
 
 bool loop_is_data_parallel(const Stmt& for_stmt) {
@@ -204,55 +162,35 @@ std::set<std::string> pointer_variables(const Function& f) {
   std::set<std::string> out;
   for (const auto& p : f.params)
     if (p.is_pointer) out.insert(p.name);
-  std::function<void(const Stmt&)> visit = [&](const Stmt& s) {
+  for_each_stmt(f.body, [&](const Stmt& s) {
     if (s.kind == StmtKind::kDecl && s.is_pointer) out.insert(s.name);
-    if (s.init) visit(*s.init);
-    if (s.step) visit(*s.step);
-    for (const auto& c : s.body) visit(*c);
-    for (const auto& c : s.orelse) visit(*c);
-  };
-  for (const auto& s : f.body) visit(*s);
+  });
   return out;
 }
 
 bool uses_pointers(const Function& f) {
   if (!pointer_variables(f).empty()) return true;
   bool found = false;
-  std::function<void(const Expr&)> visit_e = [&](const Expr& e) {
-    if (e.kind == ExprKind::kDeref || e.kind == ExprKind::kAddrOf)
-      found = true;
-    for (const auto& k : e.kids) visit_e(*k);
-  };
-  std::function<void(const Stmt&)> visit = [&](const Stmt& s) {
-    if (s.expr) visit_e(*s.expr);
-    if (s.lhs) visit_e(*s.lhs);
-    if (s.init) visit(*s.init);
-    if (s.step) visit(*s.step);
-    for (const auto& c : s.body) visit(*c);
-    for (const auto& c : s.orelse) visit(*c);
-  };
-  for (const auto& s : f.body) visit(*s);
+  for_each_stmt(f.body, [&](const Stmt& s) {
+    for_each_expr(s, [&](const Expr& e) {
+      found |= e.kind == ExprKind::kDeref || e.kind == ExprKind::kAddrOf;
+    });
+  });
   return found;
 }
 
-std::size_t count_nodes(const Program& p) {
+std::size_t count_nodes(const std::vector<StmtPtr>& body) {
   std::size_t n = 0;
-  std::function<void(const Expr&)> ce = [&](const Expr& e) {
+  for_each_stmt(body, [&](const Stmt& s) {
     ++n;
-    for (const auto& k : e.kids) ce(*k);
-  };
-  std::function<void(const Stmt&)> cs = [&](const Stmt& s) {
-    ++n;
-    if (s.expr) ce(*s.expr);
-    if (s.lhs) ce(*s.lhs);
-    if (s.init) cs(*s.init);
-    if (s.step) cs(*s.step);
-    for (const auto& c : s.body) cs(*c);
-    for (const auto& c : s.orelse) cs(*c);
-  };
-  for (const auto& g : p.globals) cs(*g);
-  for (const auto& f : p.functions)
-    for (const auto& s : f.body) cs(*s);
+    for_each_expr(s, [&](const Expr&) { ++n; });
+  });
+  return n;
+}
+
+std::size_t count_nodes(const Program& p) {
+  std::size_t n = count_nodes(p.globals);
+  for (const auto& f : p.functions) n += count_nodes(f.body);
   return n;
 }
 

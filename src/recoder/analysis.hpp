@@ -54,6 +54,7 @@ bool uses_pointers(const Function& f);
 /// Count AST nodes (statements + expressions) — the size metric used for
 /// effort accounting.
 std::size_t count_nodes(const Program& p);
+std::size_t count_nodes(const std::vector<StmtPtr>& body);
 
 /// Line-level difference between two printed sources: lines added +
 /// removed (a proxy for manual editing effort).

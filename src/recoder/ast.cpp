@@ -219,26 +219,46 @@ const Function* Program::find_function(const std::string& name) const {
   return nullptr;
 }
 
-void for_each_stmt(std::vector<StmtPtr>& body,
-                   const std::function<void(Stmt&)>& fn) {
-  for (auto& sp : body) {
-    Stmt& s = *sp;
-    fn(s);
-    if (s.init) fn(*s.init);
-    if (s.step) fn(*s.step);
-    for_each_stmt(s.body, fn);
-    for_each_stmt(s.orelse, fn);
+int binary_precedence(std::string_view op) {
+  if (op == "||") return 1;
+  if (op == "&&") return 2;
+  if (op == "==" || op == "!=") return 3;
+  if (op == "<" || op == "<=" || op == ">" || op == ">=") return 4;
+  if (op == "+" || op == "-") return 5;
+  if (op == "*" || op == "/" || op == "%") return 6;
+  return 0;
+}
+
+std::optional<std::int64_t> apply_binary(std::string_view op, std::int64_t a,
+                                         std::int64_t b) {
+  // Wrapping arithmetic is computed in unsigned, where overflow is defined.
+  const auto ua = static_cast<std::uint64_t>(a);
+  const auto ub = static_cast<std::uint64_t>(b);
+  auto wrap = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+  auto boolean = [](bool v) { return static_cast<std::int64_t>(v); };
+  if (op == "+") return wrap(ua + ub);
+  if (op == "-") return wrap(ua - ub);
+  if (op == "*") return wrap(ua * ub);
+  if (op == "/" || op == "%") {
+    if (b == 0) return std::nullopt;
+    if (b == -1) return op == "/" ? wrap(0 - ua) : 0;  // a / -1 may overflow
+    return op == "/" ? a / b : a % b;
   }
+  if (op == "==") return boolean(a == b);
+  if (op == "!=") return boolean(a != b);
+  if (op == "<") return boolean(a < b);
+  if (op == "<=") return boolean(a <= b);
+  if (op == ">") return boolean(a > b);
+  if (op == ">=") return boolean(a >= b);
+  if (op == "&&") return boolean(a != 0 && b != 0);
+  if (op == "||") return boolean(a != 0 || b != 0);
+  return std::nullopt;
 }
 
-void for_each_expr_in_expr(Expr& e, const std::function<void(Expr&)>& fn) {
-  fn(e);
-  for (auto& k : e.kids) for_each_expr_in_expr(*k, fn);
-}
-
-void for_each_expr(Stmt& s, const std::function<void(Expr&)>& fn) {
-  if (s.expr) for_each_expr_in_expr(*s.expr, fn);
-  if (s.lhs) for_each_expr_in_expr(*s.lhs, fn);
+std::optional<std::int64_t> apply_unary(std::string_view op, std::int64_t v) {
+  if (op == "-") return apply_binary("-", 0, v);
+  if (op == "!") return static_cast<std::int64_t>(v == 0);
+  return std::nullopt;
 }
 
 }  // namespace rw::recoder

@@ -6,12 +6,22 @@
 // the recoding transformations need — scalars, fixed-size int arrays,
 // pointers, functions, for/while/if control flow — and is value-cloneable
 // so the transformation journal can snapshot cheaply.
+//
+// This header also owns three rules of the language that the parser,
+// printer, interpreter and transformations all read, so no reader keeps a
+// copy of its own:
+//   - operator precedence: binary_precedence() / kPrefixPrecedence;
+//   - integer semantics: apply_binary() / apply_unary();
+//   - traversal: for_each_stmt() / for_each_expr().
 #pragma once
 
+#include <concepts>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace rw::recoder {
@@ -129,12 +139,77 @@ struct Program {
   [[nodiscard]] const Function* find_function(const std::string& name) const;
 };
 
-/// Visit every statement in a body tree, pre-order. The callback receives
-/// the owning vector and index so it can splice (visitation restarts after
-/// structural edits are the caller's concern).
-void for_each_stmt(std::vector<StmtPtr>& body,
-                   const std::function<void(Stmt&)>& fn);
-void for_each_expr(Stmt& s, const std::function<void(Expr&)>& fn);
-void for_each_expr_in_expr(Expr& e, const std::function<void(Expr&)>& fn);
+// ------------------------------------------------------------ precedence
+
+/// Binding strength of binary operator `op`, from 1 (`||`) to 6
+/// (`*` `/` `%`); 0 for anything that is not a binary operator.
+[[nodiscard]] int binary_precedence(std::string_view op);
+
+/// Prefix operators and postfix `[]` bind tighter than every binary one.
+inline constexpr int kPrefixPrecedence = 7;
+
+// ------------------------------------------------------ integer semantics
+
+/// `a op b` on mini-C's 64-bit integers: +, - and * wrap (two's
+/// complement), INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is 0,
+/// comparisons and && / || give 0 or 1 (both operands evaluated).
+/// std::nullopt for division or modulo by zero and for an unknown `op`.
+[[nodiscard]] std::optional<std::int64_t> apply_binary(std::string_view op,
+                                                       std::int64_t a,
+                                                       std::int64_t b);
+
+/// `op v` for the unary operators: - wraps (-INT64_MIN is INT64_MIN),
+/// ! gives 0 or 1. std::nullopt for an unknown `op`.
+[[nodiscard]] std::optional<std::int64_t> apply_unary(std::string_view op,
+                                                      std::int64_t v);
+
+// ------------------------------------------------------------- traversal
+
+namespace detail {
+/// `To`, const-qualified when `From` is.
+template <typename From, typename To>
+using like_const = std::conditional_t<std::is_const_v<From>, const To, To>;
+}  // namespace detail
+
+/// Visit `s` and every statement nested in it (for-loop init and step,
+/// bodies, else branches), pre-order. Works on const and non-const trees;
+/// `fn` may edit the statements it is handed but must not add or remove
+/// statements in a vector being walked.
+template <typename S, typename Fn>
+  requires std::same_as<std::remove_const_t<S>, Stmt>
+void for_each_stmt(S& s, Fn&& fn) {
+  fn(s);
+  if (s.init) for_each_stmt<S>(*s.init, fn);
+  if (s.step) for_each_stmt<S>(*s.step, fn);
+  for (const auto& c : s.body) for_each_stmt<S>(*c, fn);
+  for (const auto& c : s.orelse) for_each_stmt<S>(*c, fn);
+}
+
+/// for_each_stmt over every statement of a body, in order.
+template <typename Body, typename Fn>
+  requires std::same_as<std::remove_const_t<Body>, std::vector<StmtPtr>>
+void for_each_stmt(Body& body, Fn&& fn) {
+  for (const auto& sp : body)
+    for_each_stmt<detail::like_const<Body, Stmt>>(*sp, fn);
+}
+
+/// Visit `e` and every subexpression, pre-order.
+template <typename E, typename Fn>
+  requires std::same_as<std::remove_const_t<E>, Expr>
+void for_each_expr(E& e, Fn&& fn) {
+  fn(e);
+  for (const auto& k : e.kids) for_each_expr<E>(*k, fn);
+}
+
+/// Visit the expressions of statement `s` itself (its expr, then its
+/// assignment target), not those of nested statements; pair it with
+/// for_each_stmt to reach every expression of a tree.
+template <typename S, typename Fn>
+  requires std::same_as<std::remove_const_t<S>, Stmt>
+void for_each_expr(S& s, Fn&& fn) {
+  using E = detail::like_const<S, Expr>;
+  if (s.expr) for_each_expr<E>(*s.expr, fn);
+  if (s.lhs) for_each_expr<E>(*s.lhs, fn);
+}
 
 }  // namespace rw::recoder

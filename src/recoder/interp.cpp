@@ -112,9 +112,8 @@ class Interp {
       case ExprKind::kBinary:
         return eval_binary(e);
       case ExprKind::kUnary: {
-        const std::int64_t v = as_int(eval(*e.kids[0]));
-        if (e.op == "-") return -v;
-        if (e.op == "!") return static_cast<std::int64_t>(v == 0);
+        if (const auto v = apply_unary(e.op, as_int(eval(*e.kids[0]))))
+          return *v;
         throw InterpError("unknown unary op " + e.op);
       }
       case ExprKind::kIndex: {
@@ -155,45 +154,16 @@ class Interp {
     if (std::holds_alternative<Pointer>(lv) &&
         (e.op == "+" || e.op == "-")) {
       Pointer p = std::get<Pointer>(lv);
-      const std::int64_t d = as_int(rv);
-      p.offset += e.op == "+" ? d : -d;
+      p.offset = *apply_binary(e.op, p.offset, as_int(rv));
       return p;
     }
     if (std::holds_alternative<Array>(lv) && e.op == "+") {
       // array decays to pointer in `a + i`.
       return Pointer{std::get<Array>(lv), as_int(rv)};
     }
-    const std::int64_t a = as_int(lv);
-    const std::int64_t b = as_int(rv);
-    // Arithmetic wraps (two's complement): compute in unsigned so deep
-    // unrolled/fused expression chains stay defined behavior under UBSan.
-    auto wrap = [](std::uint64_t v) {
-      return static_cast<std::int64_t>(v);
-    };
-    const auto ua = static_cast<std::uint64_t>(a);
-    const auto ub = static_cast<std::uint64_t>(b);
-    if (e.op == "+") return wrap(ua + ub);
-    if (e.op == "-") return wrap(ua - ub);
-    if (e.op == "*") return wrap(ua * ub);
-    if (e.op == "/") {
-      if (b == 0) throw InterpError("division by zero");
-      if (a == INT64_MIN && b == -1) return INT64_MIN;  // -x would overflow
-      return a / b;
-    }
-    if (e.op == "%") {
-      if (b == 0) throw InterpError("modulo by zero");
-      if (a == INT64_MIN && b == -1) return std::int64_t{0};
-      return a % b;
-    }
-    auto boolean = [](bool v) { return static_cast<std::int64_t>(v); };
-    if (e.op == "==") return boolean(a == b);
-    if (e.op == "!=") return boolean(a != b);
-    if (e.op == "<") return boolean(a < b);
-    if (e.op == "<=") return boolean(a <= b);
-    if (e.op == ">") return boolean(a > b);
-    if (e.op == ">=") return boolean(a >= b);
-    if (e.op == "&&") return boolean(a != 0 && b != 0);
-    if (e.op == "||") return boolean(a != 0 || b != 0);
+    if (const auto v = apply_binary(e.op, as_int(lv), as_int(rv))) return *v;
+    if (e.op == "/") throw InterpError("division by zero");
+    if (e.op == "%") throw InterpError("modulo by zero");
     throw InterpError("unknown binary op " + e.op);
   }
 

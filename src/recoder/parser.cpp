@@ -1,5 +1,6 @@
 #include "recoder/parser.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 
@@ -18,6 +19,7 @@ struct Token {
   Tok kind = Tok::kEof;
   std::string text;
   std::int64_t number = 0;
+  bool in_range = true;  // kNumber: the literal fits std::int64_t
   int line = 1;
   int col = 1;
 };
@@ -63,8 +65,11 @@ class Lexer {
     if (std::isdigit(static_cast<unsigned char>(c))) {
       std::int64_t v = 0;
       while (pos_ < src_.size() &&
-             std::isdigit(static_cast<unsigned char>(src_[pos_])))
-        v = v * 10 + (get() - '0');
+             std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
+        const int d = get() - '0';
+        if (v > (INT64_MAX - d) / 10) cur_.in_range = false;
+        if (cur_.in_range) v = v * 10 + d;
+      }
       cur_.kind = Tok::kNumber;
       cur_.number = v;
       return;
@@ -184,32 +189,30 @@ class Parser {
   }
 
  private:
-  // Nesting bound for the recursive descent and the AST it builds: every
-  // nested block, every unary/parenthesized operand level and every binary
-  // operator of a chain goes one deeper, so hostile input cannot exhaust
-  // the stack here, nor build a tree too deep for the printer, interpreter
-  // and transforms that walk it.
+  // Nesting bound. The recursive descent goes one level deeper for every
+  // nested block and every unary or parenthesized operand, so hostile input
+  // cannot exhaust the stack here. Every expression tree the parser builds
+  // is at most kMaxDepth tall, so the printer, interpreter and transforms
+  // that walk it recurse no deeper than that either.
   static constexpr int kMaxDepth = 256;
 
-  // Holds `levels` nesting levels for the enclosing scope.
+  // Holds one nesting level for the enclosing scope.
   class Nest {
    public:
-    explicit Nest(int& depth, int levels = 1)
-        : depth_(depth), levels_(levels) {
-      depth_ += levels_;
-    }
-    ~Nest() { depth_ -= levels_; }
+    explicit Nest(int& depth) : depth_(depth) { ++depth_; }
+    ~Nest() { --depth_; }
     Nest(const Nest&) = delete;
     Nest& operator=(const Nest&) = delete;
-    void deepen() {
-      ++depth_;
-      ++levels_;
-    }
     [[nodiscard]] bool too_deep() const { return depth_ > kMaxDepth; }
 
    private:
     int& depth_;
-    int levels_;
+  };
+
+  // A parsed expression and the height of its tree (a leaf is 1).
+  struct Sub {
+    ExprPtr e;
+    int height = 1;
   };
 
   Error err(std::string msg) {
@@ -218,6 +221,19 @@ class Parser {
 
   [[nodiscard]] bool is_punct(std::string_view p) {
     return lex_.peek().kind == Tok::kPunct && lex_.peek().text == p;
+  }
+
+  // Node `e` over kids at most `kids` tall; an error when the tree would
+  // grow taller than kMaxDepth.
+  Result<Sub> node(ExprPtr e, int kids) {
+    if (kids >= kMaxDepth) return err("nesting too deep");
+    return Sub{std::move(e), kids + 1};
+  }
+
+  // Consume the literal at the cursor.
+  Result<std::int64_t> take_number() {
+    if (!lex_.peek().in_range) return err("integer literal out of range");
+    return lex_.take().number;
   }
 
   Status expect(Tok k, const char* what) {
@@ -283,7 +299,7 @@ class Parser {
       lex_.take();
       if (lex_.peek().kind != Tok::kNumber)
         return err("array size must be a literal");
-      const std::int64_t size = lex_.take().number;
+      const std::int64_t size = RW_TRY(take_number());
       RW_TRY_STATUS(expect(Tok::kRBracket, "']'"));
       RW_TRY_STATUS(expect(Tok::kSemi, "';'"));
       return make_array_decl(name, size);
@@ -380,89 +396,76 @@ class Parser {
     return make_while(std::move(cond), std::move(body));
   }
 
-  // Precedence-climbing expression parsing.
-  static int precedence(const std::string& op) {
-    if (op == "||") return 1;
-    if (op == "&&") return 2;
-    if (op == "==" || op == "!=") return 3;
-    if (op == "<" || op == "<=" || op == ">" || op == ">=") return 4;
-    if (op == "+" || op == "-") return 5;
-    if (op == "*" || op == "/" || op == "%") return 6;
-    return 0;
-  }
+  Result<ExprPtr> parse_expr() { return RW_TRY(parse_binary(1)).e; }
 
-  Result<ExprPtr> parse_expr(int min_prec = 1) {
-    ExprPtr e = RW_TRY(parse_unary());
-    // Each operator puts the chain parsed so far one level deeper in the
-    // left-deep tree, so `1+1+...+1` is bounded like `((...(1)...))`.
-    Nest chain(depth_, 0);
+  // Precedence climbing over binary_precedence().
+  Result<Sub> parse_binary(int min_prec) {
+    Sub lhs = RW_TRY(parse_unary());
     while (lex_.peek().kind == Tok::kPunct) {
-      const int prec = precedence(lex_.peek().text);
-      if (prec < min_prec || prec == 0) break;
-      chain.deepen();
-      if (chain.too_deep()) return err("nesting too deep");
+      const int prec = binary_precedence(lex_.peek().text);
+      if (prec < min_prec) break;  // also ends at a non-operator (0)
       const std::string op = lex_.take().text;
-      ExprPtr rhs = RW_TRY(parse_expr(prec + 1));
-      e = make_binary(op, std::move(e), std::move(rhs));
+      Sub rhs = RW_TRY(parse_binary(prec + 1));
+      lhs = RW_TRY(node(make_binary(op, std::move(lhs.e), std::move(rhs.e)),
+                        std::max(lhs.height, rhs.height)));
     }
-    return e;
+    return lhs;
   }
 
-  Result<ExprPtr> parse_unary() {
+  Result<Sub> parse_unary() {
     const Nest nest(depth_);
     if (nest.too_deep()) return err("nesting too deep");
     if (is_punct("-") || is_punct("!")) {
       const std::string op = lex_.take().text;
-      return make_unary(op, RW_TRY(parse_unary()));
+      Sub operand = RW_TRY(parse_unary());
+      return node(make_unary(op, std::move(operand.e)), operand.height);
     }
-    if (is_punct("*")) {
-      lex_.take();
-      return make_deref(RW_TRY(parse_unary()));
-    }
-    if (is_punct("&")) {
-      lex_.take();
-      return make_addrof(RW_TRY(parse_unary()));
+    if (is_punct("*") || is_punct("&")) {
+      const bool deref = lex_.take().text == "*";
+      Sub operand = RW_TRY(parse_unary());
+      return node(deref ? make_deref(std::move(operand.e))
+                        : make_addrof(std::move(operand.e)),
+                  operand.height);
     }
     return parse_postfix();
   }
 
-  Result<ExprPtr> parse_postfix() {
-    ExprPtr e = RW_TRY(parse_primary());
+  Result<Sub> parse_postfix() {
+    Sub e = RW_TRY(parse_primary());
     while (lex_.peek().kind == Tok::kLBracket) {
       lex_.take();
-      ExprPtr idx = RW_TRY(parse_expr());
+      Sub idx = RW_TRY(parse_binary(1));
       RW_TRY_STATUS(expect(Tok::kRBracket, "']'"));
-      e = make_index(std::move(e), std::move(idx));
+      e = RW_TRY(node(make_index(std::move(e.e), std::move(idx.e)),
+                      std::max(e.height, idx.height)));
     }
     return e;
   }
 
-  Result<ExprPtr> parse_primary() {
+  Result<Sub> parse_primary() {
     const Token t = lex_.peek();
-    if (t.kind == Tok::kNumber) {
-      lex_.take();
-      return make_int(t.number);
-    }
+    if (t.kind == Tok::kNumber) return Sub{make_int(RW_TRY(take_number()))};
     if (t.kind == Tok::kIdent) {
       lex_.take();
-      if (lex_.peek().kind == Tok::kLParen) {
-        lex_.take();
-        std::vector<ExprPtr> args;
-        if (lex_.peek().kind != Tok::kRParen) {
-          for (;;) {
-            args.push_back(RW_TRY(parse_expr()));
-            if (lex_.peek().kind != Tok::kComma) break;
-            lex_.take();
-          }
+      if (lex_.peek().kind != Tok::kLParen) return Sub{make_ident(t.text)};
+      lex_.take();
+      std::vector<ExprPtr> args;
+      int tallest = 0;
+      if (lex_.peek().kind != Tok::kRParen) {
+        for (;;) {
+          Sub arg = RW_TRY(parse_binary(1));
+          tallest = std::max(tallest, arg.height);
+          args.push_back(std::move(arg.e));
+          if (lex_.peek().kind != Tok::kComma) break;
+          lex_.take();
         }
-        RW_TRY_STATUS(expect(Tok::kRParen, "')'"));
-        return make_call(t.text, std::move(args));
       }
-      return make_ident(t.text);
+      RW_TRY_STATUS(expect(Tok::kRParen, "')'"));
+      return node(make_call(t.text, std::move(args)), tallest);
     }
     if (t.kind == Tok::kLParen) {
       lex_.take();
-      ExprPtr e = RW_TRY(parse_expr());
+      Sub e = RW_TRY(parse_binary(1));
       RW_TRY_STATUS(expect(Tok::kRParen, "')'"));
       return e;
     }

@@ -1,41 +1,35 @@
 #include "recoder/printer.hpp"
 
-#include "common/strings.hpp"
+#include <cstdint>
 
 namespace rw::recoder {
 namespace {
 
-int precedence_of(const std::string& op) {
-  if (op == "||") return 1;
-  if (op == "&&") return 2;
-  if (op == "==" || op == "!=") return 3;
-  if (op == "<" || op == "<=" || op == ">" || op == ">=") return 4;
-  if (op == "+" || op == "-") return 5;
-  return 6;
-}
-
 std::string print_expr_prec(const Expr& e, int parent_prec) {
   switch (e.kind) {
     case ExprKind::kIntLit:
+      // INT64_MIN has no literal (its magnitude does not fit); this
+      // spelling parses back to the same value.
+      if (e.value == INT64_MIN) return "(-9223372036854775807 - 1)";
       return std::to_string(e.value);
     case ExprKind::kIdent:
       return e.name;
     case ExprKind::kBinary: {
-      const int prec = precedence_of(e.op);
+      const int prec = binary_precedence(e.op);
       std::string s = print_expr_prec(*e.kids[0], prec) + " " + e.op + " " +
                       print_expr_prec(*e.kids[1], prec + 1);
       if (prec < parent_prec) return "(" + s + ")";
       return s;
     }
     case ExprKind::kUnary:
-      return e.op + print_expr_prec(*e.kids[0], 7);
+      return e.op + print_expr_prec(*e.kids[0], kPrefixPrecedence);
     case ExprKind::kIndex:
-      return print_expr_prec(*e.kids[0], 7) + "[" +
+      return print_expr_prec(*e.kids[0], kPrefixPrecedence) + "[" +
              print_expr_prec(*e.kids[1], 0) + "]";
     case ExprKind::kDeref:
     case ExprKind::kAddrOf:
       return std::string(e.kind == ExprKind::kDeref ? "*" : "&")
-          .append(print_expr_prec(*e.kids[0], 7));
+          .append(print_expr_prec(*e.kids[0], kPrefixPrecedence));
     case ExprKind::kCall: {
       std::string s = e.name + "(";
       for (std::size_t i = 0; i < e.kids.size(); ++i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "recoder/analysis.hpp"
@@ -373,43 +374,30 @@ Status insert_channel(Program& prog, Function& f, const std::string& name,
 
 Status pointer_to_index(Function& f) {
   // Collect rewritable pointers: declared with init `&arr[expr]` or `arr`,
-  // never reassigned, never address-taken, never passed to a call.
+  // never reassigned, never address-taken, never passed to a call. A
+  // for-loop's init declaration is no candidate: erase_decls below cannot
+  // remove it. (Pre-order visits a loop's init right after the loop.)
   struct PtrInfo {
     std::string base;
     ExprPtr offset;  // may be null (offset 0)
-    std::vector<StmtPtr>* owner = nullptr;
-    std::size_t pos = 0;
   };
   std::map<std::string, PtrInfo> ptrs;
-
-  std::function<void(std::vector<StmtPtr>&)> collect =
-      [&](std::vector<StmtPtr>& body) {
-        for (std::size_t i = 0; i < body.size(); ++i) {
-          Stmt& s = *body[i];
-          if (s.kind == StmtKind::kDecl && s.is_pointer && s.expr) {
-            const Expr& init = *s.expr;
-            if (init.kind == ExprKind::kAddrOf &&
-                init.kids[0]->kind == ExprKind::kIndex &&
-                init.kids[0]->kids[0]->kind == ExprKind::kIdent) {
-              PtrInfo info;
-              info.base = init.kids[0]->kids[0]->name;
-              info.offset = init.kids[0]->kids[1]->clone();
-              info.owner = &body;
-              info.pos = i;
-              ptrs[s.name] = std::move(info);
-            } else if (init.kind == ExprKind::kIdent) {
-              PtrInfo info;
-              info.base = init.name;
-              info.owner = &body;
-              info.pos = i;
-              ptrs[s.name] = std::move(info);
-            }
-          }
-          collect(s.body);
-          collect(s.orelse);
-        }
-      };
-  collect(f.body);
+  const Stmt* for_init = nullptr;
+  for_each_stmt(f.body, [&](const Stmt& s) {
+    if (s.kind == StmtKind::kFor) for_init = s.init.get();
+    if (&s == for_init || s.kind != StmtKind::kDecl || !s.is_pointer ||
+        !s.expr)
+      return;
+    const Expr& init = *s.expr;
+    if (init.kind == ExprKind::kAddrOf &&
+        init.kids[0]->kind == ExprKind::kIndex &&
+        init.kids[0]->kids[0]->kind == ExprKind::kIdent) {
+      ptrs[s.name] = PtrInfo{init.kids[0]->kids[0]->name,
+                             init.kids[0]->kids[1]->clone()};
+    } else if (init.kind == ExprKind::kIdent) {
+      ptrs[s.name] = PtrInfo{init.name, nullptr};
+    }
+  });
 
   if (ptrs.empty()) {
     if (uses_pointers(f))
@@ -420,32 +408,20 @@ Status pointer_to_index(Function& f) {
 
   // Reject pointers that are reassigned, address-taken or escape.
   std::set<std::string> bad;
-  std::function<void(const Stmt&)> verify = [&](const Stmt& s) {
+  for_each_stmt(f.body, [&](const Stmt& s) {
     if (s.kind == StmtKind::kAssign && s.lhs->kind == ExprKind::kIdent &&
         ptrs.count(s.lhs->name))
       bad.insert(s.lhs->name);
-    auto check_expr = [&](const Expr& root) {
-      std::function<void(const Expr&)> ve = [&](const Expr& e) {
-        if (e.kind == ExprKind::kAddrOf &&
-            e.kids[0]->kind == ExprKind::kIdent &&
-            ptrs.count(e.kids[0]->name))
-          bad.insert(e.kids[0]->name);
-        if (e.kind == ExprKind::kCall)
-          for (const auto& a : e.kids)
-            if (a->kind == ExprKind::kIdent && ptrs.count(a->name))
-              bad.insert(a->name);
-        for (const auto& k : e.kids) ve(*k);
-      };
-      ve(root);
-    };
-    if (s.expr) check_expr(*s.expr);
-    if (s.lhs) check_expr(*s.lhs);
-    if (s.init) verify(*s.init);
-    if (s.step) verify(*s.step);
-    for (const auto& c : s.body) verify(*c);
-    for (const auto& c : s.orelse) verify(*c);
-  };
-  for (const auto& s : f.body) verify(*s);
+    for_each_expr(s, [&](const Expr& e) {
+      if (e.kind == ExprKind::kAddrOf &&
+          e.kids[0]->kind == ExprKind::kIdent && ptrs.count(e.kids[0]->name))
+        bad.insert(e.kids[0]->name);
+      if (e.kind == ExprKind::kCall)
+        for (const auto& a : e.kids)
+          if (a->kind == ExprKind::kIdent && ptrs.count(a->name))
+            bad.insert(a->name);
+    });
+  });
   for (const auto& b : bad) ptrs.erase(b);
   if (ptrs.empty())
     return make_error("pointer_to_index: every candidate pointer is "
@@ -501,10 +477,7 @@ Status pointer_to_index(Function& f) {
     }
     return base_index(ptrs.at(e.kids[0]->name), e.kids[1]->clone());
   };
-  std::function<void(Stmt&)> rw = [&](Stmt& s) {
-    rewrite_stmt_exprs(s, match, build);
-  };
-  for (auto& s : f.body) rw(*s);
+  for (auto& s : f.body) rewrite_stmt_exprs(*s, match, build);
 
   // Remove the now-dead pointer declarations (walk again, erase by name).
   std::function<void(std::vector<StmtPtr>&)> erase_decls =
@@ -536,35 +509,19 @@ bool expr_has_call(const Expr& e) {
   return false;
 }
 
+/// Fold constant subexpressions bottom-up with the interpreter's integer
+/// semantics; what the interpreter would reject (x / 0) stays unfolded.
 void fold_expr(ExprPtr& e) {
   for (auto& k : e->kids) fold_expr(k);
-  if (e->kind == ExprKind::kBinary &&
-      e->kids[0]->kind == ExprKind::kIntLit &&
-      e->kids[1]->kind == ExprKind::kIntLit) {
-    const std::int64_t a = e->kids[0]->value;
-    const std::int64_t b = e->kids[1]->value;
-    std::int64_t v = 0;
-    bool ok = true;
-    if (e->op == "+") v = a + b;
-    else if (e->op == "-") v = a - b;
-    else if (e->op == "*") v = a * b;
-    else if (e->op == "/" && b != 0) v = a / b;
-    else if (e->op == "%" && b != 0) v = a % b;
-    else if (e->op == "==") v = a == b;
-    else if (e->op == "!=") v = a != b;
-    else if (e->op == "<") v = a < b;
-    else if (e->op == "<=") v = a <= b;
-    else if (e->op == ">") v = a > b;
-    else if (e->op == ">=") v = a >= b;
-    else if (e->op == "&&") v = a != 0 && b != 0;
-    else if (e->op == "||") v = a != 0 || b != 0;
-    else ok = false;
-    if (ok) e = make_int(v);
-  } else if (e->kind == ExprKind::kUnary &&
-             e->kids[0]->kind == ExprKind::kIntLit) {
-    if (e->op == "-") e = make_int(-e->kids[0]->value);
-    else if (e->op == "!") e = make_int(e->kids[0]->value == 0);
-  }
+  auto literal = [&](std::size_t i) {
+    return e->kids[i]->kind == ExprKind::kIntLit;
+  };
+  std::optional<std::int64_t> v;
+  if (e->kind == ExprKind::kBinary && literal(0) && literal(1))
+    v = apply_binary(e->op, e->kids[0]->value, e->kids[1]->value);
+  else if (e->kind == ExprKind::kUnary && literal(0))
+    v = apply_unary(e->op, e->kids[0]->value);
+  if (v) e = make_int(*v);
 }
 
 void prune_body(std::vector<StmtPtr>& body) {
@@ -615,19 +572,13 @@ void prune_body(std::vector<StmtPtr>& body) {
   }
 }
 
-std::size_t count_fn_nodes(const Function& f) {
-  Program tmp;
-  tmp.functions.push_back(f.clone());
-  return count_nodes(tmp);
-}
-
 }  // namespace
 
 Status prune_control(Function& f, std::size_t* removed) {
-  const std::size_t before = count_fn_nodes(f);
+  const std::size_t before = count_nodes(f.body);
   prune_body(f.body);
   if (removed) {
-    const std::size_t after = count_fn_nodes(f);
+    const std::size_t after = count_nodes(f.body);
     *removed = before > after ? before - after : 0;
   }
   return Status::ok_status();
@@ -647,18 +598,14 @@ Status outline_statements(Program& prog, Function& f, std::size_t from,
   std::vector<StmtPtr> region;
   VarUse use;
   std::set<std::string> region_decls;
-  std::function<void(const Stmt&)> collect_decls = [&](const Stmt& s) {
-    if (s.kind == StmtKind::kDecl) region_decls.insert(s.name);
-    if (s.init) collect_decls(*s.init);
-    if (s.step) collect_decls(*s.step);
-    for (const auto& c : s.body) collect_decls(*c);
-    for (const auto& c : s.orelse) collect_decls(*c);
-  };
   for (std::size_t i = from; i < to; ++i) {
-    const VarUse u = stmt_uses(*f.body[i]);
+    const Stmt& s = *f.body[i];
+    const VarUse u = stmt_uses(s);
     use.reads.insert(u.reads.begin(), u.reads.end());
     use.writes.insert(u.writes.begin(), u.writes.end());
-    collect_decls(*f.body[i]);
+    for_each_stmt(s, [&](const Stmt& d) {
+      if (d.kind == StmtKind::kDecl) region_decls.insert(d.name);
+    });
   }
 
   std::set<std::string> globals;
@@ -861,22 +808,18 @@ Status rename_variable(Program& prog, Function& f,
   if (!all.reads.count(old_name) && !all.writes.count(old_name))
     return make_error("rename_variable: no variable '" + old_name + "'");
 
-  std::function<void(Stmt&)> rw = [&](Stmt& s) {
+  for (auto& p : f.params)
+    if (p.name == old_name) p.name = new_name;
+  for_each_stmt(f.body, [&](Stmt& s) {
     if (s.kind == StmtKind::kDecl && s.name == old_name) s.name = new_name;
+  });
+  for (auto& s : f.body)
     rewrite_stmt_exprs(
-        s,
+        *s,
         [&](const Expr& e) {
           return e.kind == ExprKind::kIdent && e.name == old_name;
         },
         [&](const Expr&) { return make_ident(new_name); });
-    if (s.init) rw(*s.init);
-    if (s.step) rw(*s.step);
-    for (auto& c : s.body) rw(*c);
-    for (auto& c : s.orelse) rw(*c);
-  };
-  for (auto& p : f.params)
-    if (p.name == old_name) p.name = new_name;
-  for (auto& s : f.body) rw(*s);
   return Status::ok_status();
 }
 

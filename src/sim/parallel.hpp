@@ -71,11 +71,11 @@ struct PlatformConfig;
 [[nodiscard]] Status validate_tiling(const PlatformConfig& cfg);
 
 /// Configure `cfg` for parallel tiled execution with (up to) `num_tiles`
-/// tiles — the CLI --threads entry point. Clamps to the core count; 1 is
-/// a no-op (sequential reference). With `partition_cores` the cores are
-/// spread over the tiles in contiguous balanced blocks; without it every
-/// core stays on tile 0 (legal: the extra tiles idle, which is how
-/// workloads with cross-core shared state run under --threads).
+/// tiles. Clamps to the core count; 1 is a no-op (sequential reference).
+/// With `partition_cores` the cores are spread over the tiles in
+/// contiguous balanced blocks; without it every core stays on tile 0
+/// (legal: the extra tiles idle, which is how workloads with cross-core
+/// shared state run tiled).
 void apply_tiling(PlatformConfig& cfg, std::uint32_t num_tiles,
                   bool partition_cores);
 

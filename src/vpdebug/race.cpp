@@ -13,30 +13,6 @@ std::string RaceReport::to_string() const {
       format_time(second_time).c_str());
 }
 
-void RaceReport::to_json(json::Writer& w) const {
-  w.begin_object();
-  w.key("addr").value(strformat("0x%llx",
-                                static_cast<unsigned long long>(addr)));
-  w.key("first_core").value(static_cast<std::uint64_t>(first_core.value()));
-  w.key("second_core").value(
-      static_cast<std::uint64_t>(second_core.value()));
-  w.key("first_time_ps").value(static_cast<std::uint64_t>(first_time));
-  w.key("second_time_ps").value(static_cast<std::uint64_t>(second_time));
-  w.key("first_is_write").value(first_is_write);
-  w.key("second_is_write").value(second_is_write);
-  w.end_object();
-}
-
-std::string races_to_json(const std::vector<RaceReport>& races) {
-  json::Writer w;
-  w.begin_object();
-  w.key("races").begin_array();
-  for (const auto& r : races) r.to_json(w);
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
-
 RaceDetector::RaceDetector(sim::Platform& platform, sim::Addr base,
                            std::uint64_t len, DurationPs window)
     : platform_(platform), base_(base), len_(len), window_(window) {

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.hpp"
 #include "sim/platform.hpp"
 
 namespace rw::vpdebug {
@@ -28,13 +27,7 @@ struct RaceReport {
   bool second_is_write = false;
 
   [[nodiscard]] std::string to_string() const;
-  /// Emit as one JSON object, so dynamic findings diff cleanly against
-  /// the static rw::lint diagnostics (same writer, same determinism).
-  void to_json(json::Writer& w) const;
 };
-
-/// A full detector result as a JSON document: {races: [...]}.
-std::string races_to_json(const std::vector<RaceReport>& races);
 
 class RaceDetector final : public sim::Observer {
  public:

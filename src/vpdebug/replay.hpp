@@ -20,13 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "sim/platform.hpp"
 
 namespace rw::vpdebug {
-
-/// One FNV-1a step per little-endian byte of `v`, folded into `h`: the
-/// recorder's per-field hash, bit-identical to the byte-wise loop.
-[[nodiscard]] std::uint64_t fnv1a_fold_u64(std::uint64_t h, std::uint64_t v);
 
 /// FNV-1a-folded digest of every trace event (time, kind, core, label,
 /// payloads) plus the event count, canonicalized per tile. It observes the
@@ -49,7 +46,7 @@ class ExecutionRecorder final : public sim::Observer {
 
  private:
   struct Slot {
-    std::uint64_t hash = 1469598103934665603ULL;
+    std::uint64_t hash = fnv::kRecorderSeed;
     std::uint64_t count = 0;
   };
 

@@ -5,9 +5,15 @@
 
 #include "cic/archfile.hpp"
 #include "cic/translator.hpp"
+#include "critpath/driver.hpp"
+#include "ert/driver.hpp"
+#include "fault/driver.hpp"
+#include "fuzz/driver.hpp"
+#include "lint/driver.hpp"
 #include "maps/mapping.hpp"
 #include "maps/partition.hpp"
 #include "maps/workloads.hpp"
+#include "perf/driver.hpp"
 #include "sim/process.hpp"
 #include "vpdebug/debugger.hpp"
 #include "vpdebug/replay.hpp"
@@ -123,6 +129,32 @@ TEST(Integration, CicRunIsReplayDeterministicAcrossProcesses) {
   EXPECT_EQ(a.sink_outputs, b.sink_outputs);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.messages, b.messages);
+}
+
+// --------------------------------------------------------------- CLI flags
+
+// --threads means one thing, rwfuzz's harness pool width. The other tools
+// have no thread knob (their outputs never depended on one), so they
+// reject the flag like any other unknown option.
+TEST(CliFlags, OnlyRwfuzzTakesThreads) {
+  const std::vector<std::string> args = {"--threads", "4"};
+  auto expect_unknown = [](const auto& r, const char* tool) {
+    ASSERT_FALSE(r.ok()) << tool;
+    EXPECT_EQ(r.error().message, "unknown option: --threads") << tool;
+  };
+  expect_unknown(perf::parse_prof_args(args), "rwprof");
+  expect_unknown(critpath::parse_crit_args(args), "rwcritpath");
+  expect_unknown(fault::parse_fault_args(args), "rwfault");
+  expect_unknown(ert::parse_ert_args(args), "rwert");
+  expect_unknown(lint::parse_driver_args(args), "rwlint");
+
+  auto fuzz = fuzz::parse_fuzz_args(args);
+  ASSERT_TRUE(fuzz.ok()) << fuzz.error().to_string();
+  EXPECT_EQ(fuzz.value().threads, 4u);
+  auto fuzz_default = fuzz::parse_fuzz_args({});
+  ASSERT_TRUE(fuzz_default.ok());
+  EXPECT_EQ(fuzz_default.value().threads, 0u);  // hardware-width pool
+  EXPECT_FALSE(fuzz::parse_fuzz_args({"--threads", "0"}).ok());
 }
 
 }  // namespace

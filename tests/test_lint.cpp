@@ -6,7 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "dataflow/deadlock.hpp"
 #include "lint/adapters.hpp"
 #include "lint/corpus.hpp"
 #include "lint/driver.hpp"
@@ -256,25 +255,6 @@ TEST(LintAdapters, SharedReportSeverityTracksRecommendation) {
   // kKeepShared -> warning (real synchronization needed on an MPSoC).
   EXPECT_EQ(diags[0].severity, Severity::kWarning);
   EXPECT_EQ(diags[0].kind, "shared-access");
-}
-
-// -------------------------------------------------- legacy JSON satellites
-
-TEST(LintAdapters, LegacyReportsExportJson) {
-  vpdebug::RaceReport r;
-  r.addr = 0xabc;
-  json::Writer w;
-  r.to_json(w);
-  EXPECT_NE(w.str().find("\"addr\""), std::string::npos);
-
-  dataflow::Graph g;
-  const auto a = g.add_actor("a", 10);
-  const auto b = g.add_actor("b", 10);
-  g.connect(a, b, 1, 1);
-  g.connect(b, a, 1, 1);
-  const auto js = dataflow::detect_deadlock(g).to_json_string();
-  EXPECT_NE(js.find("\"deadlocked\": true"), std::string::npos);
-  EXPECT_NE(js.find("\"blocked\""), std::string::npos);
 }
 
 // ------------------------------------------------------------------ driver

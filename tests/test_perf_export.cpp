@@ -3,6 +3,7 @@
 #include <memory>
 #include <sstream>
 
+#include "common/fnv.hpp"
 #include "harness/harness.hpp"
 #include "perf/driver.hpp"
 #include "perf/export.hpp"
@@ -43,12 +44,8 @@ Exports run_and_export(const char* workload, bool mesh = false) {
 }
 
 std::uint64_t fnv1a(std::string_view doc,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : doc) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+                    std::uint64_t h = fnv::kRecorderSeed) {
+  return fnv::fold(h, doc);
 }
 
 // The headline determinism claim: every export format is a pure function

@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/fnv.hpp"
 #include "perf/export.hpp"
 #include "perf/session.hpp"
 #include "perf/workload.hpp"
@@ -23,12 +24,8 @@ std::unique_ptr<sim::Platform> make_platform(bool mesh, bool traced) {
 }
 
 std::uint64_t fnv1a(std::string_view doc,
-                    std::uint64_t h = 1469598103934665603ull) {
-  for (const char c : doc) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+                    std::uint64_t h = fnv::kRecorderSeed) {
+  return fnv::fold(h, doc);
 }
 
 const char* const kDemos[] = {"pipeline", "forkjoin", "shared_hammer",

@@ -170,6 +170,48 @@ TEST(Parser, BoundedOperatorChainRoundTrips) {
   EXPECT_EQ(print_program(p2.value()), text1);
 }
 
+TEST(Parser, BoundsTheHeightOfNestedOperatorChains) {
+  // Every level's chain fits the bound on its own; the tree they build
+  // together (150 terms per chain, 100 chains deep) does not.
+  const std::string chain = repeated("+1", 149);
+  std::string e = "1" + chain;
+  for (int level = 1; level < 100; ++level) e = "(" + e + ")" + chain;
+  auto r = parse_program("int main() { return " + e + "; }");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("nesting too deep"), std::string::npos)
+      << r.error().to_string();
+  // Two levels of 100-term chains make a tree 199 tall, inside the bound.
+  const std::string shorter = repeated("+1", 99);
+  auto ok = parse_program("int main() { return (1" + shorter + ")" +
+                          shorter + "; }");
+  ASSERT_TRUE(ok.ok()) << ok.error().to_string();
+}
+
+TEST(Parser, RejectsOutOfRangeLiteralWithLocation) {
+  auto r = parse_program("int main() {\n  return 99999999999999999999;\n}");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("integer literal out of range"),
+            std::string::npos)
+      << r.error().to_string();
+  EXPECT_EQ(r.error().line, 2);
+  EXPECT_EQ(r.error().column, 10);
+  EXPECT_FALSE(parse_program("int a[9223372036854775808];").ok());
+  auto max = parse_expression("9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.error().to_string();
+  EXPECT_EQ(max.value()->value, INT64_MAX);
+}
+
+TEST(Printer, SpellsInt64MinSoItParsesBack) {
+  const auto e = make_binary("*", make_int(INT64_MIN), make_int(2));
+  const std::string text = print_expr(*e);
+  EXPECT_EQ(text, "(-9223372036854775807 - 1) * 2");
+  auto back = parse_program("int main() { return " + text + "; }");
+  ASSERT_TRUE(back.ok()) << back.error().to_string();
+  auto r = interpret(back.value());
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_EQ(r.value().return_value, 0);  // 2 * INT64_MIN wraps to 0
+}
+
 TEST(Printer, RoundTripsPrograms) {
   const char* src = R"(
     int buf[4];
@@ -304,6 +346,84 @@ TEST(Interp, MainArguments) {
   auto r = interpret(p.value(), "main", {6, 7});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().return_value, 42);
+}
+
+// ---------------------------------------------------------- language rules
+
+TEST(LanguageRules, PrecedenceCoversExactlyTheBinaryOperators) {
+  EXPECT_EQ(binary_precedence("||"), 1);
+  EXPECT_EQ(binary_precedence("&&"), 2);
+  EXPECT_EQ(binary_precedence("!="), 3);
+  EXPECT_EQ(binary_precedence(">="), 4);
+  EXPECT_EQ(binary_precedence("-"), 5);
+  EXPECT_EQ(binary_precedence("%"), 6);
+  for (const char* op : {"!", "=", "&", "[", "", "+="})
+    EXPECT_EQ(binary_precedence(op), 0) << op;
+  EXPECT_GT(kPrefixPrecedence, binary_precedence("*"));
+}
+
+TEST(LanguageRules, IntegerArithmeticWrapsAndRejectsZeroDivisors) {
+  EXPECT_EQ(apply_binary("+", INT64_MAX, 1), INT64_MIN);
+  EXPECT_EQ(apply_binary("-", INT64_MIN, 1), INT64_MAX);
+  EXPECT_EQ(apply_binary("*", INT64_MIN, -1), INT64_MIN);
+  EXPECT_EQ(apply_binary("/", INT64_MIN, -1), INT64_MIN);
+  EXPECT_EQ(apply_binary("%", INT64_MIN, -1), 0);
+  EXPECT_EQ(apply_binary("/", -7, 2), -3);
+  EXPECT_EQ(apply_binary("%", -7, 2), -1);
+  EXPECT_EQ(apply_binary("/", 1, 0), std::nullopt);
+  EXPECT_EQ(apply_binary("%", 1, 0), std::nullopt);
+  EXPECT_EQ(apply_binary("<<", 1, 1), std::nullopt);
+  EXPECT_EQ(apply_binary("||", 0, 5), 1);
+  EXPECT_EQ(apply_unary("-", INT64_MIN), INT64_MIN);
+  EXPECT_EQ(apply_unary("!", 3), 0);
+  EXPECT_EQ(apply_unary("~", 3), std::nullopt);
+}
+
+TEST(LanguageRules, InterpreterWrapsUnaryMinus) {
+  auto p = parse_program(
+      "int main() { int m = -9223372036854775807 - 1; return -m; }");
+  ASSERT_TRUE(p.ok()) << p.error().to_string();
+  auto r = interpret(p.value());
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_EQ(r.value().return_value, INT64_MIN);
+}
+
+TEST(LanguageRules, TraversalReachesEveryNodeOnConstAndMutableTrees) {
+  auto p = parse_program(R"(
+    int main() {
+      for (int i = 0; i < 2; i = i + 1) {
+        if (i) { return -i; } else { while (0) { i = 1; } }
+      }
+      return 0;
+    })");
+  ASSERT_TRUE(p.ok()) << p.error().to_string();
+  const Program& cp = p.value();
+  std::vector<StmtKind> kinds;
+  for_each_stmt(cp.functions[0].body,
+                [&](const Stmt& s) { kinds.push_back(s.kind); });
+  EXPECT_EQ(kinds, (std::vector<StmtKind>{
+                       StmtKind::kFor, StmtKind::kDecl, StmtKind::kAssign,
+                       StmtKind::kIf, StmtKind::kReturn, StmtKind::kWhile,
+                       StmtKind::kAssign, StmtKind::kReturn}));
+  // Mutable walk: rename every identifier in place.
+  for_each_stmt(p.value().functions[0].body, [](Stmt& s) {
+    for_each_expr(s, [](Expr& e) {
+      if (e.kind == ExprKind::kIdent) e.name = "k";
+    });
+  });
+  std::size_t idents = 0, others = 0;
+  for_each_stmt(cp.functions[0].body, [&](const Stmt& s) {
+    for_each_expr(s, [&](const Expr& e) {
+      if (e.kind == ExprKind::kIdent) {
+        EXPECT_EQ(e.name, "k");
+        ++idents;
+      } else {
+        ++others;
+      }
+    });
+  });
+  EXPECT_EQ(idents, 6u);  // i < 2; i = i + 1; if (i); -i; i = 1
+  EXPECT_EQ(count_nodes(cp), kinds.size() + idents + others);
 }
 
 TEST(Analysis, VarUses) {

@@ -267,6 +267,55 @@ TEST(PruneControl, KeepsConditionsWithCalls) {
   EXPECT_NE(s.source().find("bump()"), std::string::npos);
 }
 
+/// prune_control on `src`: the folded program, and its printed text parsed
+/// back, must both compute what the original computes.
+void expect_prune_keeps_meaning(const char* src) {
+  auto s = open(src);
+  const auto ref = reference_of(s);
+  ASSERT_TRUE(s.cmd_prune_control("main").ok());
+  expect_equivalent(s, ref);
+  auto reparsed = parse_program(s.source());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.error().to_string() << "\n"
+                             << s.source();
+  const auto r = interpret(reparsed.value());
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_EQ(r.value(), ref) << s.source();
+}
+
+TEST(PruneControl, FoldsDivisionByMinusOneLikeTheInterpreter) {
+  // The host's INT64_MIN / -1 and % -1 trap (SIGFPE); the folder must
+  // apply the interpreter's rule instead.
+  expect_prune_keeps_meaning(R"(
+    int r[2];
+    int main() {
+      r[0] = (-9223372036854775807 - 1) / -1;
+      r[1] = (-9223372036854775807 - 1) % -1;
+      return r[0];
+    })");
+}
+
+TEST(PruneControl, FoldsOverflowWithTheInterpretersWrapping) {
+  // Each folds to INT64_MIN, which the printer must spell so that it
+  // parses back.
+  expect_prune_keeps_meaning(R"(
+    int r[3];
+    int main() {
+      r[0] = 9223372036854775807 + 1;
+      r[1] = (-9223372036854775807 - 1) * -1;
+      r[2] = -(-9223372036854775807 - 1);
+      return r[0] + r[1] + r[2];
+    })");
+}
+
+TEST(PruneControl, LeavesDivisionByZeroUnfolded) {
+  auto s = open("int main() { if (0) { return 1 / 0; } return 7 % 0; }");
+  ASSERT_TRUE(s.cmd_prune_control("main").ok());
+  EXPECT_NE(s.source().find("7 % 0"), std::string::npos) << s.source();
+  const auto r = s.execute();
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("modulo by zero"), std::string::npos);
+}
+
 // ---------------------------------------------------------------- outline
 
 TEST(Outline, ExtractsRegionIntoFunction) {

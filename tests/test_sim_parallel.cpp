@@ -402,6 +402,12 @@ CorpusRun run_corpus(const sim::PlatformConfig& cfg, const std::string& wl,
           p.engine() != nullptr && p.engine()->last_run_parallel()};
 }
 
+// tiled_pipeline is the one workload whose state partitions into tiles
+// (tile-local scratchpads and TileLinks); the others share state on tile 0.
+bool tileable(const std::string& workload) {
+  return workload == "tiled_pipeline";
+}
+
 sim::PlatformConfig corpus_config(std::uint32_t tiles, bool partition) {
   sim::PlatformConfig cfg = sim::PlatformConfig::homogeneous(4);
   cfg.trace_enabled = true;
@@ -417,7 +423,7 @@ sim::PlatformConfig corpus_config(std::uint32_t tiles, bool partition) {
 // fingerprints) to the sequential reference.
 TEST(ParallelCorpus, SequentialVsParallelFingerprints) {
   for (const auto& wl : perf::workload_registry()) {
-    const bool partition = perf::workload_tileable(wl.name);
+    const bool partition = tileable(wl.name);
     for (const std::uint64_t seed : {3ull, 99ull}) {
       for (const bool profile : {false, true}) {
         sim::PlatformConfig cfg = corpus_config(4, partition);
@@ -457,7 +463,7 @@ TEST(AdaptiveExecutor, SparseTiledPipelineStaysOnCallerThread) {
 // on the plain single-kernel platform: the empty sibling tiles are inert.
 TEST(ParallelCorpus, AllTileZeroMatchesPlainKernel) {
   for (const auto& wl : perf::workload_registry()) {
-    if (perf::workload_tileable(wl.name)) continue;
+    if (tileable(wl.name)) continue;
     const CorpusRun plain = run_corpus(corpus_config(1, false), wl.name,
                                        /*seed=*/3, /*profile=*/false, false);
     const CorpusRun tiled =

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/rng.hpp"
 #include "sim/process.hpp"
 #include "vpdebug/debugger.hpp"
 #include "vpdebug/race.hpp"
@@ -251,38 +250,6 @@ TEST(Replay, DestroyedDebuggerLeavesRecorderAttached) {
   const auto plain = record(false);
   EXPECT_GT(plain.first, 0u);
   EXPECT_EQ(record(true), plain);
-}
-
-// The recorder's fold skips the zero high bytes of each field; it must
-// equal the plain byte-wise FNV-1a loop on every input.
-std::uint64_t fold_bytewise(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-TEST(Replay, WordFoldMatchesBytewiseFnv) {
-  std::vector<std::uint64_t> edges = {0, ~0ULL};
-  for (int k = 0; k < 8; ++k) {
-    const std::uint64_t p = 1ULL << (8 * k);  // 256^k
-    edges.insert(edges.end(), {p - 1, p, p + 1});
-  }
-  for (const std::uint64_t v : edges)
-    for (const std::uint64_t h : {1469598103934665603ULL, 0ULL, ~0ULL})
-      ASSERT_EQ(fnv1a_fold_u64(h, v), fold_bytewise(h, v)) << v;
-
-  // Fixed-seed values spread over every byte width (a uniform draw is
-  // almost always 8 bytes wide).
-  Rng rng(0x5eedf01d);
-  std::uint64_t h = 1469598103934665603ULL;
-  for (int i = 0; i < 1'000'000; ++i) {
-    const std::uint64_t v = rng.next_u64() >> rng.next_below(64);
-    const std::uint64_t want = fold_bytewise(h, v);
-    ASSERT_EQ(fnv1a_fold_u64(h, v), want) << v;
-    h = want;
-  }
 }
 
 // ------------------------------------------------------------- masked irq

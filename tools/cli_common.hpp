@@ -27,12 +27,6 @@ struct CommonOptions {
   bool write_files = true;   // cleared by --no-files
   std::uint64_t seed = 1;    // --seed S
   std::string out_dir = ".";  // --out-dir DIR (also --out=DIR)
-  /// --threads N: simulation-kernel tile partitions. 1 (the default) is
-  /// the sequential reference kernel; N > 1 runs the conservative tiled
-  /// engine in parallel mode, which uses worker threads only once an
-  /// epoch is dense enough to pay for them. Results are bit-identical for
-  /// every value — the flag only changes wall-clock time.
-  std::uint32_t threads = 1;
 };
 
 /// Numeric value following flag `args[i]`; advances `i` past it.
@@ -71,10 +65,6 @@ inline Result<bool> parse_common_flag(const std::vector<std::string>& args,
     opts.out_dir = dir.empty() ? std::string(".") : dir;
   } else if (a.rfind("--out=", 0) == 0) {
     opts.out_dir = a.size() > 6 ? a.substr(6) : std::string(".");
-  } else if (a == "--threads") {
-    const std::uint64_t t = RW_TRY(arg_u64(args, i, a));
-    if (t == 0) return make_error("--threads must be at least 1");
-    opts.threads = static_cast<std::uint32_t>(t);
   } else {
     return false;
   }
@@ -83,8 +73,7 @@ inline Result<bool> parse_common_flag(const std::vector<std::string>& args,
 
 /// The usage fragment for the shared flags, for per-tool --help text.
 inline const char* common_usage() {
-  return "[--list] [--json] [--no-files] [--seed S]"
-         " [--out-dir DIR] [--threads N]";
+  return "[--list] [--json] [--no-files] [--seed S] [--out-dir DIR]";
 }
 
 /// Wrap a pre-rendered tool document in the rw-tool-1 envelope:
