@@ -59,10 +59,17 @@ int main() {
   Table t({"target", "style", "PEs", "makespan", "core util", "messages",
            "outputs match ref?"});
   std::string reference;
-  for (const auto& arch :
+  for (const auto& builtin :
        {ArchInfo::cell_like(2), ArchInfo::cell_like(4),
         ArchInfo::cell_like(6), ArchInfo::smp_like(2),
         ArchInfo::smp_like(4), ArchInfo::smp_like(8)}) {
+    // Every target is read back from its architecture information file.
+    const auto read = round_trip_arch_file(builtin);
+    if (!read.ok()) {
+      std::fprintf(stderr, "%s\n", read.error().to_string().c_str());
+      return 1;
+    }
+    const ArchInfo& arch = read.value();
     const auto mapping = CicMapping::automatic(app, arch);
     if (!mapping.ok()) continue;
     auto target = TargetProgram::translate(app, arch, mapping.value());
@@ -87,8 +94,8 @@ int main() {
   t.print("same CicProgram across six targets");
 
   // The code actually differs per back end:
-  const auto cell = ArchInfo::cell_like(4);
-  const auto smp = ArchInfo::smp_like(4);
+  const auto cell = round_trip_arch_file(ArchInfo::cell_like(4)).value();
+  const auto smp = round_trip_arch_file(ArchInfo::smp_like(4)).value();
   auto tc = TargetProgram::translate(app, cell,
                                      CicMapping::automatic(app, cell).value());
   auto ts = TargetProgram::translate(app, smp,

@@ -9,7 +9,9 @@
 //  (b) is perturbed or masked by an intrusive single-core debug stall,
 //      with the effect growing with the stall length,
 //  (c) is pinpointed non-intrusively by the race detector, and the
-//      semaphore fix passes the same scrutiny clean.
+//      semaphore fix passes the same scrutiny clean;
+// and (d) a wrongly masked interrupt, a hang on real hardware, shows as
+// a pending line on the virtual platform.
 #include <cstdio>
 
 #include "common/strings.hpp"
@@ -94,5 +96,14 @@ int main() {
               "intrusive stall\nchanges most runs (the Heisenbug); the "
               "detector flags the racy version and is\nsilent on the "
               "fixed one.\n");
-  return 0;
+
+  // (d) the wrongly masked interrupt.
+  sim::Platform masked_platform(platform_cfg);
+  const auto masked = run_masked_irq_bug(masked_platform);
+  std::printf("\nmasked IRQ: handler ran: %s, pending line visible: %s\n",
+              masked.handler_ran ? "yes" : "no",
+              masked.irq_line_high ? "yes" : "no");
+  const bool shape = deterministic == kSeeds && !masked.handler_ran &&
+                     masked.irq_line_high;
+  return shape ? 0 : 1;
 }

@@ -39,9 +39,19 @@ int main() {
   using namespace rw;
   const cic::CicProgram app = build_h264_like();
 
-  // Architecture information files — literally XML, as the paper says.
-  const cic::ArchInfo cell = cic::ArchInfo::cell_like(6);
-  const cic::ArchInfo smp = cic::ArchInfo::smp_like(4);
+  // Architecture information files — literally XML, as the paper says;
+  // both targets are read back from theirs.
+  const auto cell_file =
+      cic::round_trip_arch_file(cic::ArchInfo::cell_like(6));
+  const auto smp_file = cic::round_trip_arch_file(cic::ArchInfo::smp_like(4));
+  for (const auto* file : {&cell_file, &smp_file}) {
+    if (!file->ok()) {
+      std::fprintf(stderr, "%s\n", file->error().to_string().c_str());
+      return 1;
+    }
+  }
+  const cic::ArchInfo& cell = cell_file.value();
+  const cic::ArchInfo& smp = smp_file.value();
   std::printf("--- architecture file for '%s' ---\n%s\n", cell.name.c_str(),
               cic::arch_to_xml(cell).c_str());
 

@@ -57,26 +57,25 @@ int main() {
     RaceDetector races(p, racy_counter_addr(p), 8, microseconds(2));
     ScriptEngine script(dbg);
 
-    // Arm everything from the script — no change to the firmware.
-    script.execute_line("echo armed: watchpoint + assertion");
-    script.execute_line("watch-mem 0x80000000 8 w");
-
     // Start the victim and stop at the first write to the counter.
     RacyCounterConfig once = bug;
     once.increments_per_core = 5;
-    // (run_racy_counter drives the kernel itself, so for the interactive
-    // session we spawn it and step manually through the debugger.)
-    const auto result = [&] {
-      // spawn only; the debugger drives execution
-      sim::Platform& plat = p;
-      const sim::Addr counter = racy_counter_addr(plat);
-      const std::uint8_t zero[8] = {};
-      plat.memory().poke(counter, zero);
-      return counter;
-    }();
-    (void)result;
+    // (run_racy_counter drives the kernel itself, so the scripted session
+    // runs against a zeroed counter first and the victim afterwards.)
+    const std::uint8_t zero[8] = {};
+    p.memory().poke(racy_counter_addr(p), zero);
 
-    script.execute_line("run");  // runs to completion of the empty spawn
+    // Arm everything from the script — no change to the firmware — and
+    // run to completion of the empty spawn.
+    const Status session = script.execute_script(
+        "echo armed: watchpoint + assertion\n"
+        "watch-mem 0x80000000 8 w\n"
+        "run\n");
+    if (!session.ok()) {
+      std::fprintf(stderr, "script failed: %s\n",
+                   session.error().to_string().c_str());
+      return 1;
+    }
     std::printf("%s", script.transcript().c_str());
 
     // Full run under the race detector.

@@ -83,6 +83,12 @@ int main() {
        [&] { return session.cmd_split_vector("main", "input", 4); }},
   };
 
+  auto preserved = [&] {
+    const auto check = session.execute();
+    return check.ok() &&
+           check.value().return_value == reference.value().return_value;
+  };
+  bool all_preserved = true;
   for (const auto& step : steps) {
     banner(step.what);
     const auto st = step.run();
@@ -90,13 +96,11 @@ int main() {
       std::printf("REFUSED: %s\n", st.error().message.c_str());
       continue;
     }
-    const auto check = session.execute();
+    const bool same = preserved();
+    all_preserved &= same;
     std::printf("ok — %zu source lines changed, semantics %s\n",
                 session.journal().back().lines_changed,
-                check.ok() && check.value().return_value ==
-                                  reference.value().return_value
-                    ? "preserved"
-                    : "BROKEN");
+                same ? "preserved" : "BROKEN");
   }
 
   banner("final parallel-shaped model");
@@ -111,5 +115,27 @@ int main() {
   std::printf(
       "\n%zu designer commands replaced %zu lines of manual editing\n",
       session.commands_applied(), session.total_lines_changed());
-  return 0;
+
+  // The designer types a change by hand (the Text Editor path of Fig. 3),
+  // then takes it back and forth: undo restores the recoded model exactly,
+  // redo the typed one.
+  banner("direct text edit, undo, redo");
+  const std::string recoded = session.source();
+  std::string typed = recoded;
+  typed.replace(typed.find("checksum * 31"), 13, "checksum * 37");
+  const bool edited = session.cmd_edit_text(typed).ok();
+  const auto edited_run = session.execute();
+  std::printf("typed 'checksum * 37': result %lld (was %lld)\n",
+              edited_run.ok() ? static_cast<long long>(
+                                    edited_run.value().return_value)
+                              : -1LL,
+              static_cast<long long>(reference.value().return_value));
+  const bool undone = session.undo() && session.source() == recoded &&
+                      preserved();
+  const bool redone = session.redo() && session.source() == typed;
+  const bool back = session.undo() && session.source() == recoded;
+  std::printf("undo restores the recoded model: %s; redo the typed one: "
+              "%s\n",
+              undone && back ? "yes" : "NO", redone ? "yes" : "NO");
+  return all_preserved && edited && undone && redone && back ? 0 : 1;
 }

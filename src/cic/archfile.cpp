@@ -1,9 +1,7 @@
 #include "cic/archfile.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <memory>
 
-#include "common/strings.hpp"
 #include "common/xml.hpp"
 
 namespace rw::cic {
@@ -121,64 +119,52 @@ Result<ArchInfo> parse_arch_file(const std::string& xml_text) {
   return arch;
 }
 
-namespace {
-
-Result<std::string> read_text_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return make_error("cannot open architecture file '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-}  // namespace
-
-Result<ArchInfo> load_arch_file(const std::string& path) {
-  return read_text_file(path).and_then(
-      [](const std::string& text) { return parse_arch_file(text); });
-}
-
-Status save_arch_file(const ArchInfo& arch, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return make_error("cannot write architecture file '" + path +
-                              "'");
-  out << arch_to_xml(arch);
-  return out.good() ? Status::ok_status()
-                    : Status(make_error("write failed for '" + path + "'"));
-}
-
 std::string arch_to_xml(const ArchInfo& arch) {
-  std::string s = strformat("<architecture name=\"%s\" style=\"%s\">\n",
-                            arch.name.c_str(),
-                            memory_style_name(arch.style));
-  for (const auto& c : arch.platform.cores) {
-    s += strformat(
-        "  <processor class=\"%s\" freq=\"%llu\" scratchpad=\"%llu\"/>\n",
-        sim::pe_class_name(c.cls),
-        static_cast<unsigned long long>(c.frequency),
-        static_cast<unsigned long long>(c.scratchpad_bytes));
-  }
-  s += strformat("  <memory kind=\"shared\" bytes=\"%llu\" latency=\"%llu\"/>\n",
-                 static_cast<unsigned long long>(
-                     arch.platform.shared_mem_bytes),
-                 static_cast<unsigned long long>(
-                     arch.platform.shared_mem_latency));
+  using Attributes = std::vector<std::pair<std::string, std::string>>;
+  auto element = [](std::string name, Attributes attributes) {
+    auto e = std::make_unique<xml::Element>();
+    e->name = std::move(name);
+    e->attributes = std::move(attributes);
+    return e;
+  };
+  auto u64 = [](std::uint64_t v) { return std::to_string(v); };
+  const auto root =
+      element("architecture",
+              {{"name", arch.name}, {"style", memory_style_name(arch.style)}});
+  auto add = [&](std::string name, Attributes attributes) {
+    root->children.push_back(element(std::move(name), std::move(attributes)));
+  };
+  for (const auto& c : arch.platform.cores)
+    add("processor", {{"class", sim::pe_class_name(c.cls)},
+                      {"freq", u64(c.frequency)},
+                      {"scratchpad", u64(c.scratchpad_bytes)}});
+  add("memory", {{"kind", "shared"},
+                 {"bytes", u64(arch.platform.shared_mem_bytes)},
+                 {"latency", u64(arch.platform.shared_mem_latency)}});
   if (arch.platform.interconnect == sim::PlatformConfig::Icn::kSharedBus) {
-    s += strformat("  <interconnect kind=\"bus\" freq=\"%llu\" width=\"%u\"/>\n",
-                   static_cast<unsigned long long>(
-                       arch.platform.bus.frequency),
-                   arch.platform.bus.width_bytes);
+    add("interconnect", {{"kind", "bus"},
+                         {"freq", u64(arch.platform.bus.frequency)},
+                         {"width", u64(arch.platform.bus.width_bytes)}});
   } else {
-    s += strformat(
-        "  <interconnect kind=\"mesh\" width=\"%u\" height=\"%u\" freq=\"%llu\"/>\n",
-        arch.platform.mesh.width, arch.platform.mesh.height,
-        static_cast<unsigned long long>(
-            arch.platform.mesh.link_frequency));
+    add("interconnect", {{"kind", "mesh"},
+                         {"width", u64(arch.platform.mesh.width)},
+                         {"height", u64(arch.platform.mesh.height)},
+                         {"freq", u64(arch.platform.mesh.link_frequency)}});
   }
-  s += strformat("  <lock cycles=\"%llu\"/>\n",
-                 static_cast<unsigned long long>(arch.lock_cycles));
-  s += "</architecture>\n";
-  return s;
+  add("lock", {{"cycles", u64(arch.lock_cycles)}});
+  return xml::serialize(*root);
+}
+
+Result<ArchInfo> round_trip_arch_file(const ArchInfo& arch) {
+  const std::string text = arch_to_xml(arch);
+  auto parsed = parse_arch_file(text);
+  if (!parsed.ok())
+    return make_error("architecture file for '" + arch.name +
+                      "' rejected: " + parsed.error().to_string());
+  if (arch_to_xml(parsed.value()) != text)
+    return make_error("architecture file for '" + arch.name +
+                      "' does not round-trip");
+  return parsed;
 }
 
 }  // namespace rw::cic

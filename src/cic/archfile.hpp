@@ -44,12 +44,13 @@ struct ArchInfo {
 /// Parse the XML text of an architecture information file.
 Result<ArchInfo> parse_arch_file(const std::string& xml_text);
 
-/// Render an ArchInfo back to XML (round-trip support / file generation).
+/// Render an ArchInfo as the XML text parse_arch_file reads back: the
+/// same ArchInfo, and the same text when rendered again.
 std::string arch_to_xml(const ArchInfo& arch);
 
-/// File-system conveniences for the tool flow (HOPES keeps architecture
-/// files next to the application sources).
-Result<ArchInfo> load_arch_file(const std::string& path);
-Status save_arch_file(const ArchInfo& arch, const std::string& path);
+/// Read a target back from its own architecture information file: render
+/// it, parse the text, and require the parsed target to render to the
+/// same text. The error names the target when either step fails.
+Result<ArchInfo> round_trip_arch_file(const ArchInfo& arch);
 
 }  // namespace rw::cic

@@ -140,21 +140,9 @@ Writer& Writer::value(std::uint64_t v) {
   return *this;
 }
 
-Writer& Writer::value(std::int64_t v) {
-  prepare_value();
-  append_chars(out_, v);
-  return *this;
-}
-
 Writer& Writer::value(bool v) {
   prepare_value();
   out_ += v ? "true" : "false";
-  return *this;
-}
-
-Writer& Writer::null() {
-  prepare_value();
-  out_ += "null";
   return *this;
 }
 
@@ -189,21 +177,11 @@ std::uint64_t Value::get_u64(std::string_view key,
   return v != nullptr && v->is_number() ? v->u64() : fallback;
 }
 
-double Value::get_double(std::string_view key, double fallback) const {
-  const Value* v = get(key);
-  return v != nullptr && v->is_number() ? v->number() : fallback;
-}
-
 std::string Value::get_string(std::string_view key,
                               std::string_view fallback) const {
   const Value* v = get(key);
   return v != nullptr && v->is_string() ? v->string()
                                         : std::string(fallback);
-}
-
-bool Value::get_bool(std::string_view key, bool fallback) const {
-  const Value* v = get(key);
-  return v != nullptr && v->is_bool() ? v->boolean() : fallback;
 }
 
 /// Recursive-descent parser over a string_view; tracks line/column for

@@ -48,10 +48,7 @@ class Writer {
   Writer& value(const char* s) { return value(std::string_view(s)); }
   Writer& value(double v);
   Writer& value(std::uint64_t v);
-  Writer& value(std::int64_t v);
-  Writer& value(int v) { return value(static_cast<std::int64_t>(v)); }
   Writer& value(bool v);
-  Writer& null();
 
   /// Splice a pre-rendered JSON document in value position. The caller
   /// vouches that `json` is itself valid JSON; the writer only handles
@@ -117,12 +114,8 @@ class Value {
   // in this repo needs: missing key or wrong type -> fallback.
   [[nodiscard]] std::uint64_t get_u64(std::string_view key,
                                       std::uint64_t fallback = 0) const;
-  [[nodiscard]] double get_double(std::string_view key,
-                                  double fallback = 0.0) const;
   [[nodiscard]] std::string get_string(std::string_view key,
                                        std::string_view fallback = "") const;
-  [[nodiscard]] bool get_bool(std::string_view key,
-                              bool fallback = false) const;
 
  private:
   friend class Parser;

@@ -22,7 +22,6 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-  have_spare_normal_ = false;
 }
 
 std::uint64_t Rng::next_u64() {
@@ -76,21 +75,6 @@ double Rng::next_exponential(double mean) {
   // Guard against log(0).
   if (u <= 0.0) u = 0x1.0p-53;
   return -mean * std::log(u);
-}
-
-double Rng::next_normal(double mean, double stddev) {
-  if (have_spare_normal_) {
-    have_spare_normal_ = false;
-    return mean + stddev * spare_normal_;
-  }
-  double u1 = next_double();
-  double u2 = next_double();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * 3.14159265358979323846 * u2;
-  spare_normal_ = r * std::sin(theta);
-  have_spare_normal_ = true;
-  return mean + stddev * r * std::cos(theta);
 }
 
 }  // namespace rw

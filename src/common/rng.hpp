@@ -37,13 +37,8 @@ class Rng {
   /// Exponentially distributed value with the given mean.
   double next_exponential(double mean);
 
-  /// Normally distributed value (Box–Muller, deterministic).
-  double next_normal(double mean, double stddev);
-
  private:
   std::uint64_t s_[4] = {};
-  bool have_spare_normal_ = false;
-  double spare_normal_ = 0.0;
 };
 
 }  // namespace rw

@@ -19,17 +19,12 @@ std::vector<std::string> split(std::string_view s, char delim);
 /// Split on arbitrary whitespace runs; empty fields are dropped.
 std::vector<std::string> split_ws(std::string_view s);
 
-/// True if `s` starts with / ends with the given prefix or suffix.
+/// True if `s` starts with the given prefix.
 bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
 
 /// Join pieces with a separator.
 std::string join(const std::vector<std::string>& parts,
                  std::string_view sep);
-
-/// Replace all occurrences of `from` with `to`.
-std::string replace_all(std::string s, std::string_view from,
-                        std::string_view to);
 
 /// printf-style formatting into a std::string.
 std::string strformat(const char* fmt, ...)

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "common/json.hpp"
 #include "common/strings.hpp"
 
 namespace rw {
@@ -57,19 +56,6 @@ std::string Table::to_string() const {
   out += rule + '\n';
   for (const auto& row : rows_) out += render_row(row);
   return out;
-}
-
-std::string Table::to_json() const {
-  json::Writer w;
-  w.begin_array();
-  for (const auto& row : rows_) {
-    w.begin_object();
-    for (std::size_t c = 0; c < row.size(); ++c)
-      w.key(headers_[c]).value(row[c]);
-    w.end_object();
-  }
-  w.end_array();
-  return w.str();
 }
 
 void Table::print(const std::string& title) const {

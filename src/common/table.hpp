@@ -26,11 +26,6 @@ class Table {
   /// Render with column alignment and a header rule.
   [[nodiscard]] std::string to_string() const;
 
-  /// Render as a JSON array of objects, one per row, keyed by header.
-  /// Cells stay strings — the table layer is presentation; benches that
-  /// need typed numbers export RunMetrics through rw::harness instead.
-  [[nodiscard]] std::string to_json() const;
-
   /// Render `title`, a rule, the table, and a blank line to stdout.
   void print(const std::string& title) const;
 

@@ -232,11 +232,6 @@ std::uint64_t Element::attr_u64(std::string_view name,
   return parse_u64(attr(name), v) ? v : fallback;
 }
 
-double Element::attr_double(std::string_view name, double fallback) const {
-  double v = 0;
-  return parse_double(attr(name), v) ? v : fallback;
-}
-
 const Element* Element::child(std::string_view name) const {
   for (const auto& c : children)
     if (c->name == name) return c.get();
@@ -255,9 +250,9 @@ Result<std::unique_ptr<Element>> parse(std::string_view input) {
   return Parser(input).parse_document();
 }
 
-std::string serialize(const Element& root, int indent) {
+std::string serialize(const Element& root) {
   std::string out;
-  serialize_into(root, indent, out);
+  serialize_into(root, 0, out);
   return out;
 }
 

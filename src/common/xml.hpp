@@ -29,11 +29,9 @@ struct Element {
   /// First attribute value with the given name, or empty view.
   [[nodiscard]] std::string_view attr(std::string_view name) const;
 
-  /// Attribute value parsed as u64/double; `fallback` when absent/bad.
+  /// Attribute value parsed as u64; `fallback` when absent/bad.
   [[nodiscard]] std::uint64_t attr_u64(std::string_view name,
                                        std::uint64_t fallback = 0) const;
-  [[nodiscard]] double attr_double(std::string_view name,
-                                   double fallback = 0.0) const;
 
   /// First child element with the given tag name, or nullptr.
   [[nodiscard]] const Element* child(std::string_view name) const;
@@ -46,7 +44,8 @@ struct Element {
 /// Parse a complete document; returns its root element.
 Result<std::unique_ptr<Element>> parse(std::string_view input);
 
-/// Serialize back to text (used by tests for round-tripping).
-std::string serialize(const Element& root, int indent = 0);
+/// Serialize back to text that parse() reads back: two-space indent per
+/// level, attribute values and text escaped.
+std::string serialize(const Element& root);
 
 }  // namespace rw::xml

@@ -6,20 +6,6 @@
 
 namespace rw::critpath {
 
-maps::PartitionConfig PlacementHints::advise_partition(
-    maps::PartitionConfig base) const {
-  base.comm_weight *= 1.0 + 4.0 * comm_fraction;
-  base.max_tasks = std::max(base.max_tasks, gang_cores);
-  return base;
-}
-
-std::vector<std::size_t> allocate_with_hints(sched::SpaceAllocator& alloc,
-                                             const PlacementHints& hints,
-                                             std::size_t min_cores,
-                                             std::size_t max_cores) {
-  return alloc.allocate_preferred(min_cores, max_cores, hints.preferred_pes);
-}
-
 namespace {
 
 PlacementHints hints_from(const DepGraph& dep, const Retimed& r,

@@ -10,45 +10,28 @@
 // baseline mapping, so advise_remap is never slower than what it started
 // from — the contract the tests and the E17 gate enforce.
 //
-// The result also distils the attribution into PlacementHints for the
-// other planning layers: preferred PEs (critical-path-hot first) feed
-// sched::SpaceAllocator::allocate_preferred, and the measured
-// communication share tunes maps::PartitionConfig::comm_weight.
+// The result also distils the attribution into PlacementHints: the PEs
+// ordered by critical-path heat, the advised gang size and the share of
+// the makespan that transfers own.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "critpath/whatif.hpp"
-#include "maps/partition.hpp"
-#include "sched/spacealloc.hpp"
 
 namespace rw::critpath {
 
 /// Attribution distilled for the planning layers.
 struct PlacementHints {
-  /// PEs ordered by critical-path heat (hottest first); pass to
-  /// sched::SpaceAllocator::allocate_preferred.
+  /// PEs ordered by critical-path heat (hottest first).
   std::vector<std::size_t> preferred_pes;
   /// Distinct PEs the advised mapping actually uses (a gang-size hint).
   std::size_t gang_cores = 0;
   /// Fraction of the makespan owned by transfers.
   double comm_fraction = 0.0;
 
-  /// Fold the hints into a partitioner config: when transfers own a large
-  /// share of the critical path, cutting fewer edges matters more than
-  /// balancing load (comm_weight scales up to 5x at comm_fraction 1.0),
-  /// and the task count should at least cover the advised gang.
-  [[nodiscard]] maps::PartitionConfig advise_partition(
-      maps::PartitionConfig base) const;
 };
-
-/// Grant a gang for the advised mapping: preferred (hot) PEs first, then
-/// lowest-free. Thin glue over allocate_preferred so callers holding only
-/// hints need not know the allocator API shape.
-[[nodiscard]] std::vector<std::size_t> allocate_with_hints(
-    sched::SpaceAllocator& alloc, const PlacementHints& hints,
-    std::size_t min_cores, std::size_t max_cores);
 
 struct RemapAdvice {
   std::vector<std::size_t> task_to_pe;  // advised mapping (== input if none)

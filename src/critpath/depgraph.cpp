@@ -172,11 +172,6 @@ std::size_t DepGraph::node_of_task(std::uint64_t t) const {
   return it->second;
 }
 
-bool DepGraph::is_acyclic() const {
-  return std::all_of(edges_.begin(), edges_.end(),
-                     [](const DepEdge& e) { return e.src < e.dst; });
-}
-
 std::size_t DepGraph::dependence_edge_count() const {
   return static_cast<std::size_t>(
       std::count_if(edges_.begin(), edges_.end(), [](const DepEdge& e) {

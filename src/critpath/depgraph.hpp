@@ -107,9 +107,6 @@ class DepGraph {
   /// Observed makespan (max segment finish).
   [[nodiscard]] TimePs observed_makespan() const { return obs_makespan_; }
 
-  /// Every edge goes forward in node order; verified here rather than
-  /// assumed (the invariant the tests hold the builder to).
-  [[nodiscard]] bool is_acyclic() const;
 
   /// Edge-count bookkeeping against the source trace: nodes consume
   /// exactly two events each, and each transfer contributes at most two

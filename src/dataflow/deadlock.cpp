@@ -1,20 +1,7 @@
 #include "dataflow/deadlock.hpp"
 
-#include "common/strings.hpp"
 
 namespace rw::dataflow {
-
-std::string DeadlockReport::to_string() const {
-  if (!deadlocked) return "no deadlock: one full iteration completes";
-  std::string s = "DEADLOCK: ";
-  for (const auto& b : blocked) {
-    s += strformat("%s starved on %s (%llu of %llu tokens); ",
-                   b.actor_name.c_str(), b.edge_name.c_str(),
-                   static_cast<unsigned long long>(b.tokens_present),
-                   static_cast<unsigned long long>(b.tokens_needed));
-  }
-  return s;
-}
 
 DeadlockReport detect_deadlock(const Graph& g) {
   DeadlockReport rep;

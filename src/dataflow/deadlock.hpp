@@ -28,8 +28,6 @@ struct DeadlockReport {
     std::uint64_t tokens_needed = 0;
   };
   std::vector<BlockedActor> blocked;
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Abstractly execute one graph iteration (unbounded buffers, zero time).

@@ -1,7 +1,6 @@
 #include "ert/adapters.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace rw::ert {
@@ -56,39 +55,6 @@ JobSpec jobspec_from_cic(const cic::CicProgram& prog,
     if (periodic_source) spec.qos = QosClass::kRealtime;
   }
   return spec;
-}
-
-harness::Scenario scenario_from_jobspecs(std::string name,
-                                         std::vector<JobSpec> specs,
-                                         ServiceConfig cfg,
-                                         std::uint64_t base_seed) {
-  harness::Scenario scenario(std::move(name), base_seed);
-  for (JobSpec& spec : specs) {
-    std::string label = spec.name;
-    scenario.add_run(std::move(label),
-                     [spec = std::move(spec), cfg](
-                         const harness::RunContext&) -> RunMetrics {
-                       Service service(cfg);
-                       auto session = service.open_session(
-                           TenantConfig{.name = "harness"});
-                       if (!session.ok())
-                         throw std::runtime_error(
-                             session.error().to_string());
-                       const JobHandle handle =
-                           session.value().submit(spec);
-                       const auto& outcome = handle.result();
-                       if (!outcome.ok())
-                         throw std::runtime_error(
-                             outcome.error().to_string());
-                       RunMetrics m = outcome.value().metrics;
-                       m.set_extra("ert.latency_us",
-                                   static_cast<double>(
-                                       outcome.value().latency()) /
-                                       1e6);
-                       return m;
-                     });
-  }
-  return scenario;
 }
 
 }  // namespace rw::ert

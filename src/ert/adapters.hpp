@@ -2,15 +2,13 @@
 // descriptions.
 //
 // Before rw::ert, every layer grew its own run description: maps::multiapp
-// consumed annotated TaskGraphs, rw::harness consumed opaque closures, the
-// benches kept local duplicates (bench_a4's pipeline builder), and CIC
-// programs could only run through the translator. These adapters convert
-// each legacy shape to and from JobSpec so the old entry points become
-// thin views of the one API:
+// consumed annotated TaskGraphs, the benches kept local duplicates
+// (bench_a4's pipeline builder), and CIC programs could only run through
+// the translator. These adapters convert each legacy shape to and from
+// JobSpec so the old entry points become thin views of the one API:
 //
 //   maps::TaskGraph  <-> JobSpec      (multiapp app descriptors)
 //   cic::CicProgram   -> JobSpec      (architecture-independent programs)
-//   vector<JobSpec>   -> harness::Scenario (fan-out via ert Sessions)
 #pragma once
 
 #include <string>
@@ -19,7 +17,6 @@
 #include "cic/model.hpp"
 #include "ert/job.hpp"
 #include "ert/service.hpp"
-#include "harness/harness.hpp"
 #include "maps/multiapp.hpp"
 
 namespace rw::ert {
@@ -40,13 +37,5 @@ namespace rw::ert {
 /// job realtime with deadline = max task deadline (if any is annotated).
 [[nodiscard]] JobSpec jobspec_from_cic(const cic::CicProgram& prog,
                                        std::uint64_t iterations = 1);
-
-/// Harness adapter: one labelled run per spec, each executed through a
-/// fresh single-tenant ert::Session — the harness drives the sanctioned
-/// API instead of hand-rolled closures. Failed jobs surface as thrown
-/// run errors (the harness records them per run).
-[[nodiscard]] harness::Scenario scenario_from_jobspecs(
-    std::string name, std::vector<JobSpec> specs, ServiceConfig cfg,
-    std::uint64_t base_seed = harness::Scenario::kDefaultBaseSeed);
 
 }  // namespace rw::ert

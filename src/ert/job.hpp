@@ -96,8 +96,6 @@ class JobHandle {
   JobHandle() = default;
 
   [[nodiscard]] bool valid() const { return node_ != nullptr; }
-  /// True once the job has completed (successfully or not).
-  [[nodiscard]] bool ready() const;
   /// The job's outcome; drains the owning service until available.
   [[nodiscard]] const Result<JobResult>& result() const;
 

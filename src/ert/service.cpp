@@ -48,10 +48,6 @@ struct JobNode {
 };
 }  // namespace detail
 
-bool JobHandle::ready() const {
-  return node_ && node_->done.load(std::memory_order_acquire);
-}
-
 const Result<JobResult>& JobHandle::result() const {
   if (!node_) throw std::logic_error("result() on an empty JobHandle");
   while (!node_->done.load(std::memory_order_acquire)) service_->drain();
@@ -74,22 +70,6 @@ double TenantStats::mean_latency_us() const {
   double sum = 0;
   for (const DurationPs l : latencies) sum += static_cast<double>(l);
   return sum / static_cast<double>(latencies.size()) / 1e6;
-}
-
-RunMetrics TenantStats::to_metrics() const {
-  RunMetrics m;
-  m.deadline_misses = deadline_misses;
-  m.set_extra("ert.submitted", static_cast<double>(submitted));
-  m.set_extra("ert.completed", static_cast<double>(completed));
-  m.set_extra("ert.rejected", static_cast<double>(rejected));
-  m.set_extra("ert.peak_cores", static_cast<double>(peak_cores));
-  m.set_extra("ert.core_ms", core_ps / 1e9);
-  m.set_extra("ert.p50_us", static_cast<double>(percentile(50)) / 1e6);
-  m.set_extra("ert.p99_us", static_cast<double>(percentile(99)) / 1e6);
-  m.set_extra("ert.mean_us", mean_latency_us());
-  m.set_extra("ert.fingerprint_lo",
-              static_cast<double>(fingerprint % 1000000));
-  return m;
 }
 
 Status validate_jobspec(const JobSpec& spec, std::size_t pool_capacity) {
@@ -317,16 +297,6 @@ JobHandle Service::submit(std::size_t tenant, JobSpec spec) {
 TimePs Service::now() const {
   std::lock_guard lock(impl_->engine_mu);
   return impl_->now;
-}
-
-std::size_t Service::shared_available() const {
-  std::lock_guard lock(impl_->engine_mu);
-  return impl_->shared_pool.available();
-}
-
-std::size_t Service::tenant_count() const {
-  std::lock_guard lock(impl_->engine_mu);
-  return impl_->tenants.size();
 }
 
 TenantStats Service::tenant_stats(std::size_t tenant) const {

@@ -99,9 +99,6 @@ struct TenantStats {
 
   [[nodiscard]] DurationPs percentile(double p) const;  // p in [0,100]
   [[nodiscard]] double mean_latency_us() const;
-  /// Harness-exportable shape (completed/rejected/misses/p50/p99/... as
-  /// extras) for the per-tenant metrics stream.
-  [[nodiscard]] RunMetrics to_metrics() const;
 };
 
 class Session;
@@ -128,12 +125,8 @@ class Service {
 
   /// Engine virtual time (advances only inside drain()).
   [[nodiscard]] TimePs now() const;
-  /// Free cores in the shared pool right now — the admission-controller
-  /// view, backed by sched::SpaceAllocator::available().
-  [[nodiscard]] std::size_t shared_available() const;
 
   [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
-  [[nodiscard]] std::size_t tenant_count() const;
   /// Snapshot of a tenant's stats (by session index, in open order).
   [[nodiscard]] TenantStats tenant_stats(std::size_t tenant) const;
   [[nodiscard]] std::vector<TenantStats> all_tenant_stats() const;

@@ -42,18 +42,8 @@ void write_outcome(json::Writer& w, const ScenarioOutcome& oc) {
   w.key("gave_up").value(oc.gave_up);
   w.key("max_recovery_latency_ps").value(oc.max_recovery_latency);
   w.key("total_recovery_latency_ps").value(oc.total_recovery_latency);
-  w.key("timeline").begin_array();
-  for (const FaultRecord& r : oc.timeline.records()) {
-    w.begin_object();
-    w.key("time_ps").value(r.time);
-    w.key("what").value(r.what);
-    w.key("target").value(static_cast<std::uint64_t>(r.target));
-    w.key("a").value(r.a);
-    w.key("b").value(r.b);
-    if (!r.note.empty()) w.key("note").value(r.note);
-    w.end_object();
-  }
-  w.end_array();
+  w.key("timeline");
+  oc.timeline.write_json(w);
   w.end_object();
 }
 

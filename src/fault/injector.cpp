@@ -14,22 +14,11 @@ void FaultTimeline::record(TimePs time, std::string what,
       FaultRecord{time, std::move(what), target, a, b, std::move(note)});
 }
 
-std::size_t FaultTimeline::count_prefix(std::string_view prefix) const {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(),
-                    [&](const FaultRecord& r) {
-                      return r.what.compare(0, prefix.size(), prefix) == 0;
-                    }));
-}
-
-std::string FaultTimeline::to_json() const {
-  json::Writer w;
-  w.begin_object();
-  w.key("schema").value("rw-fault-timeline-1");
-  w.key("records").begin_array();
-  for (const auto& r : records_) {
+void FaultTimeline::write_json(json::Writer& w) const {
+  w.begin_array();
+  for (const FaultRecord& r : records_) {
     w.begin_object();
-    w.key("time_ps").value(static_cast<std::uint64_t>(r.time));
+    w.key("time_ps").value(r.time);
     w.key("what").value(r.what);
     w.key("target").value(static_cast<std::uint64_t>(r.target));
     w.key("a").value(r.a);
@@ -38,8 +27,6 @@ std::string FaultTimeline::to_json() const {
     w.end_object();
   }
   w.end_array();
-  w.end_object();
-  return w.str();
 }
 
 FaultInjector::FaultInjector(sim::Platform& platform, FaultPlan plan)

@@ -44,11 +44,8 @@ class FaultTimeline {
   }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
 
-  /// Count of records whose `what` starts with `prefix`.
-  [[nodiscard]] std::size_t count_prefix(std::string_view prefix) const;
-
-  /// Deterministic JSON (schema rw-fault-timeline-1).
-  [[nodiscard]] std::string to_json() const;
+  /// Emit the records, in order, as a deterministic JSON array.
+  void write_json(json::Writer& w) const;
 
  private:
   std::vector<FaultRecord> records_;

@@ -206,12 +206,6 @@ Result<FaultPlan> FaultPlan::from_json_value(const json::Value& doc) {
   return plan;
 }
 
-std::string FaultPlan::to_json() const {
-  json::Writer w;
-  write_json(w);
-  return w.str();
-}
-
 void FaultPlan::write_json(json::Writer& w) const {
   w.begin_object();
   w.key("schema").value("rw-fault-plan-1");

@@ -131,17 +131,15 @@ class FaultPlan {
   /// uniform. Same (seed, spec) -> identical plan, always.
   static FaultPlan random(std::uint64_t seed, const RandomSpec& spec);
 
-  /// Deterministic JSON (schema rw-fault-plan-1).
-  [[nodiscard]] std::string to_json() const;
-  /// Emit the rw-fault-plan-1 object into an open writer, for documents
-  /// that nest a plan (rw-fuzz-case-1). to_json() is this plus nothing.
+  /// Emit the deterministic rw-fault-plan-1 object into an open writer
+  /// (documents nest a plan, e.g. rw-fuzz-case-1).
   void write_json(json::Writer& w) const;
 
-  /// Inverse of to_json(). Accepts any rw-fault-plan-1 document; the
-  /// round trip plan -> to_json -> from_json -> to_json is byte-stable
-  /// (events re-sort identically because to_json already emits them in
-  /// armed order). Unknown kinds or malformed fields are errors — a
-  /// committed repro must not silently lose events.
+  /// Inverse of write_json(). Accepts any rw-fault-plan-1 document; the
+  /// round trip plan -> write_json -> from_json -> write_json is
+  /// byte-stable (events re-sort identically because write_json already
+  /// emits them in armed order). Unknown kinds or malformed fields are
+  /// errors — a committed repro must not silently lose events.
   static Result<FaultPlan> from_json(std::string_view text);
   /// As from_json(), over an already-parsed rw-fault-plan-1 object.
   static Result<FaultPlan> from_json_value(const json::Value& doc);

@@ -205,7 +205,8 @@ sim::Process sink_proc(RunCtx& ctx) {
 ///    exempt.
 class IntegritySink final : public sim::Observer {
  public:
-  explicit IntegritySink(sim::Platform& plat) : plat_(plat) {
+  explicit IntegritySink(sim::Platform& plat)
+      : plat_(plat), outstanding_(plat.core_count()) {
     plat_.attach(*this);
   }
   ~IntegritySink() override { plat_.detach(*this); }
@@ -213,33 +214,24 @@ class IntegritySink final : public sim::Observer {
   void on_core_reserve(sim::CoreId core, Cycles cycles, TimePs start,
                        TimePs finish, HertzT freq) override {
     (void)freq;
-    reservations_.push_back({core.index(), start, finish, cycles, false});
+    outstanding_[core.index()].push_back({start, finish, cycles});
   }
   void on_compute_block(sim::CoreId core, const std::string& label,
                         Cycles cycles, TimePs start,
                         TimePs finish) override {
     (void)label;
-    std::size_t match = reservations_.size();
-    for (std::size_t i = 0; i < reservations_.size(); ++i) {
-      const Reservation& r = reservations_[i];
-      if (!r.retired && r.core == core.index() && r.start == start) {
-        match = i;
-        break;
-      }
-    }
-    if (match == reservations_.size()) {
+    auto& open = outstanding_[core.index()];
+    const auto match =
+        std::find_if(open.begin(), open.end(),
+                     [&](const Reservation& r) { return r.start == start; });
+    if (match == open.end()) {
       ++violations_;  // retired a block that was never reserved
       return;
     }
-    reservations_[match].retired = true;
-    if (reservations_[match].finish != finish ||
-        reservations_[match].cycles != cycles) {
-      ++violations_;
-    }
-    for (std::size_t i = match + 1; i < reservations_.size(); ++i) {
-      const Reservation& j = reservations_[i];
-      if (!j.retired && j.core == core.index() && j.start > start &&
-          j.start < finish) {
+    if (match->finish != finish || match->cycles != cycles) ++violations_;
+    const auto later = open.erase(match);
+    for (auto j = later; j != open.end(); ++j) {
+      if (j->start > start && j->start < finish) {
         ++violations_;  // overtaken: a newer window opened mid-block
       }
     }
@@ -250,13 +242,12 @@ class IntegritySink final : public sim::Observer {
  private:
   sim::Platform& plat_;
   struct Reservation {
-    std::size_t core;
     TimePs start;
     TimePs finish;
     Cycles cycles;
-    bool retired;
   };
-  std::vector<Reservation> reservations_;
+  /// Per core, the reservations not yet retired, in issue order.
+  std::vector<std::vector<Reservation>> outstanding_;
   std::uint64_t violations_ = 0;
 };
 

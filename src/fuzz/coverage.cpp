@@ -70,10 +70,6 @@ std::vector<CoverageCell> CoverageMatrix::unhit_reachable() const {
   return out;
 }
 
-std::vector<CoverageCell> CoverageMatrix::hits() const {
-  return {hit_.begin(), hit_.end()};
-}
-
 Table CoverageMatrix::to_table() const {
   std::vector<std::string> header{"family", "none"};
   for (std::size_t k = 0; k < fault::kNumFaultKinds; ++k)

@@ -60,9 +60,6 @@ class CoverageMatrix {
   /// phase's worklist).
   [[nodiscard]] std::vector<CoverageCell> unhit_reachable() const;
 
-  /// All hit cells in key order.
-  [[nodiscard]] std::vector<CoverageCell> hits() const;
-
   /// family x kind grid, each cell "n/m" = hit / reachable
   /// (policy x exec collapsed), for the CLI and the E19 table.
   [[nodiscard]] Table to_table() const;

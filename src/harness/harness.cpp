@@ -136,35 +136,6 @@ const RunRecord* ScenarioResult::find(std::string_view label) const {
   return nullptr;
 }
 
-bool ScenarioResult::sim_equal(const ScenarioResult& o) const {
-  if (scenario != o.scenario || runs.size() != o.runs.size()) return false;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunRecord& a = runs[i];
-    const RunRecord& b = o.runs[i];
-    if (a.label != b.label || a.index != b.index || a.seed != b.seed ||
-        a.ok != b.ok || a.error != b.error ||
-        !a.metrics.sim_equal(b.metrics))
-      return false;
-  }
-  return true;
-}
-
-Table ScenarioResult::to_table() const {
-  Table t({"run", "makespan", "util", "misses", "wall"});
-  for (const auto& r : runs) {
-    if (!r.ok) {
-      t.add_row({r.label, "ERROR", "-", "-", "-"});
-      continue;
-    }
-    t.add_row({r.label, format_time(r.metrics.makespan),
-               Table::percent(r.metrics.mean_core_utilization),
-               Table::num(r.metrics.deadline_misses),
-               Table::num(static_cast<double>(r.metrics.wall_ns) / 1e6, 2) +
-                   "ms"});
-  }
-  return t;
-}
-
 // -------------------------------------------------------------------- JSON
 
 std::string to_json(const std::vector<ScenarioResult>& results) {

@@ -26,7 +26,6 @@
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/run_metrics.hpp"
-#include "common/table.hpp"
 
 namespace rw::harness {
 
@@ -102,15 +101,6 @@ struct ScenarioResult {
 
   /// The record with the given label (first match), or nullptr.
   [[nodiscard]] const RunRecord* find(std::string_view label) const;
-
-  /// Deterministic-fields equality against another result (labels, seeds,
-  /// order, sim metrics; wall clocks and thread counts ignored).
-  [[nodiscard]] bool sim_equal(const ScenarioResult& o) const;
-
-  /// Generic presentation: one row per run with the standard metric
-  /// columns. Benches with pivoted layouts build their own Table from
-  /// `runs` instead.
-  [[nodiscard]] Table to_table() const;
 };
 
 struct RunnerConfig {

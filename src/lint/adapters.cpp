@@ -4,26 +4,6 @@
 
 namespace rw::lint {
 
-Diagnostic from_race_report(const vpdebug::RaceReport& r, std::string unit,
-                            std::string entity) {
-  Diagnostic d;
-  d.severity = Severity::kError;
-  d.subsystem = "vpdebug";
-  d.pass = "dynamic";
-  d.kind = "race";
-  d.location = {std::move(unit), std::move(entity)};
-  d.message = r.to_string();
-  d.with_evidence("addr", strformat("0x%llx",
-                                    static_cast<unsigned long long>(r.addr)))
-      .with_evidence("first_core",
-                     strformat("%u", r.first_core.value()))
-      .with_evidence("second_core",
-                     strformat("%u", r.second_core.value()))
-      .with_evidence("first_access", r.first_is_write ? "write" : "read")
-      .with_evidence("second_access", r.second_is_write ? "write" : "read");
-  return d;
-}
-
 std::vector<Diagnostic> from_deadlock_report(
     const dataflow::DeadlockReport& rep, std::string unit,
     std::string pass) {

@@ -1,12 +1,10 @@
 // Adapters: the pre-existing one-off report structs, re-spoken as
 // Diagnostics.
 //
-// vpdebug::RaceReport (dynamic, Sec. VII), dataflow::DeadlockReport
-// (design-time, Sec. III/VII) and recoder's shared-access ArrayReport
-// (Sec. VI) predate the lint framework and each carried its own shape.
-// These converters let every producer emit the one Diagnostic format, so
-// the static-vs-dynamic cross-check is a set comparison over keys rather
-// than bespoke glue per subsystem.
+// dataflow::DeadlockReport (design-time, Sec. III/VII) and recoder's
+// shared-access ArrayReport (Sec. VI) predate the lint framework and each
+// carried its own shape. These converters let every producer emit the one
+// Diagnostic format.
 #pragma once
 
 #include <string>
@@ -15,14 +13,8 @@
 #include "dataflow/deadlock.hpp"
 #include "lint/diagnostic.hpp"
 #include "recoder/shared_report.hpp"
-#include "vpdebug/race.hpp"
 
 namespace rw::lint {
-
-/// A dynamic race observation. `entity` is the shared variable the raced
-/// address resolves to (the caller owns the address map).
-Diagnostic from_race_report(const vpdebug::RaceReport& r, std::string unit,
-                            std::string entity);
 
 /// One diagnostic per blocked actor; empty when not deadlocked.
 std::vector<Diagnostic> from_deadlock_report(

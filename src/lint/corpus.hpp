@@ -1,11 +1,12 @@
-// The seeded-defect corpus and its dynamic (virtual-platform) twin.
+// The seeded-defect corpus.
 //
 // The headline experiment of the lint framework: every program here
 // exists in two forms — a static Target the passes analyze, and (for the
 // mapped ones) a deterministic execution on rw::sim with the
 // vpdebug::RaceDetector armed and bounded blocking waits so wedges are
-// observable facts. The contract under test: the static findings are a
-// conservative superset of whatever any dynamic run observes. Defects are
+// observable facts (the dynamic twin, in tests/lint_dynamic.*). The
+// contract under test: the static findings are a conservative superset
+// of whatever any dynamic run observes. Defects are
 // seeded per program: two racy, two deadlocking (one a pure wait cycle,
 // one a mapping-induced order inversion), one uninitialized read, one
 // clean, plus a token-starved CSDF graph for the dataflow side.
@@ -23,7 +24,6 @@
 #include "maps/taskgraph.hpp"
 #include "recoder/ast.hpp"
 #include "sim/platform.hpp"
-#include "vpdebug/race.hpp"
 
 namespace rw::lint {
 
@@ -52,9 +52,9 @@ struct CorpusProgram {
   bool has_graph = false;
   dataflow::ExecConfig graph_cfg;
 
-  /// Platform the mapping targets — the same shape run_dynamic builds,
-  /// so the static makespan contract and the dynamic twin agree on the
-  /// machine. Set for every mapped program.
+  /// Platform the mapping targets — the same shape the dynamic twin in
+  /// tests/ builds, so the static makespan contract and the dynamic run
+  /// agree on the machine. Set for every mapped program.
   sim::PlatformConfig platform;
   bool has_platform = false;
 
@@ -65,40 +65,5 @@ struct CorpusProgram {
 
 /// Build the full corpus (deterministic; no global state).
 std::vector<CorpusProgram> build_corpus();
-
-/// Names in corpus order, for the driver's --list.
-std::vector<std::string> corpus_names();
-
-/// What one dynamic run observed.
-struct DynamicObservations {
-  std::vector<vpdebug::RaceReport> races;
-  std::vector<std::string> race_vars;   // parallel to races: resolved name
-  std::set<std::string> raced_vars;     // race addresses -> variable names
-  std::set<std::string> blocked_tasks;  // wedged at the horizon
-  std::uint64_t accesses_observed = 0;
-
-  [[nodiscard]] bool any() const {
-    return !raced_vars.empty() || !blocked_tasks.empty();
-  }
-
-  /// The observations as Diagnostics (pass = "dynamic"), keyed exactly
-  /// like the static ones so the superset check is set containment.
-  [[nodiscard]] std::vector<Diagnostic> to_diagnostics(
-      const std::string& unit) const;
-};
-
-struct DynamicRunConfig {
-  std::uint64_t seed = 1;
-  std::uint64_t iterations = 24;  // task-body repetitions (race exposure)
-  DurationPs horizon = milliseconds(4);  // wedge-detection deadline
-  DurationPs race_window = microseconds(2);
-};
-
-/// Execute a mapped corpus program: one coroutine per PE running its
-/// tasks to completion in order, channel waits as bounded spins on token
-/// flags, shared variables as real shared-memory words watched by the
-/// race detector. Deterministic in (program, cfg).
-DynamicObservations run_dynamic(const CorpusProgram& p,
-                                const DynamicRunConfig& cfg = {});
 
 }  // namespace rw::lint

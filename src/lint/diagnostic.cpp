@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <tuple>
 
-#include "common/strings.hpp"
 
 namespace rw::lint {
 
@@ -14,20 +13,6 @@ const char* severity_name(Severity s) {
     case Severity::kError: return "error";
   }
   return "?";
-}
-
-std::string Diagnostic::key() const {
-  return kind + ":" + location.unit + ":" + location.entity;
-}
-
-std::string Diagnostic::to_string() const {
-  std::string s = strformat("[%s] %s/%s %s", severity_name(severity),
-                            subsystem.c_str(), kind.c_str(),
-                            location.unit.c_str());
-  if (!location.entity.empty()) s += ":" + location.entity;
-  s += ": " + message;
-  for (const auto& [k, v] : evidence) s += " {" + k + "=" + v + "}";
-  return s;
 }
 
 void Diagnostic::to_json(json::Writer& w) const {

@@ -45,12 +45,6 @@ struct Diagnostic {
     return *this;
   }
 
-  /// Identity at the granularity the static-vs-dynamic cross-check uses:
-  /// kind + unit + entity. Two detectors that find "a race on counter in
-  /// racy_counter" agree on this key whatever else they disagree on.
-  [[nodiscard]] std::string key() const;
-
-  [[nodiscard]] std::string to_string() const;
   void to_json(json::Writer& w) const;
 };
 

@@ -23,10 +23,6 @@ void ConcurrencyGraph::add_conflict(std::size_t a, std::size_t b) {
   adj_[a][b] = adj_[b][a] = true;
 }
 
-bool ConcurrencyGraph::may_overlap(std::size_t a, std::size_t b) const {
-  return adj_.at(a).at(b);
-}
-
 ConcurrencyGraph::WorstCase ConcurrencyGraph::worst_case_load() const {
   WorstCase best;
   std::vector<std::size_t> current;

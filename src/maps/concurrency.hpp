@@ -31,7 +31,6 @@ class ConcurrencyGraph {
   void add_conflict(std::size_t a, std::size_t b);
 
   [[nodiscard]] const std::vector<AppNode>& apps() const { return apps_; }
-  [[nodiscard]] bool may_overlap(std::size_t a, std::size_t b) const;
 
   struct WorstCase {
     double load = 0;

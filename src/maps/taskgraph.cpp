@@ -26,13 +26,6 @@ std::vector<TaskNodeId> TaskGraph::predecessors(TaskNodeId t) const {
   return out;
 }
 
-std::vector<TaskNodeId> TaskGraph::successors(TaskNodeId t) const {
-  std::vector<TaskNodeId> out;
-  for (const auto& e : edges_)
-    if (e.src == t) out.push_back(e.dst);
-  return out;
-}
-
 std::vector<TaskNodeId> TaskGraph::topological_order() const {
   std::vector<std::size_t> indeg(tasks_.size(), 0);
   for (const auto& e : edges_) ++indeg[e.dst.index()];

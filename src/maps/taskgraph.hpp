@@ -78,7 +78,6 @@ class TaskGraph {
   [[nodiscard]] TaskNode& task(TaskNodeId t) { return tasks_.at(t.index()); }
 
   [[nodiscard]] std::vector<TaskNodeId> predecessors(TaskNodeId t) const;
-  [[nodiscard]] std::vector<TaskNodeId> successors(TaskNodeId t) const;
 
   /// Topological order; empty when the graph has a cycle.
   [[nodiscard]] std::vector<TaskNodeId> topological_order() const;

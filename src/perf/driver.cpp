@@ -8,6 +8,7 @@
 #include "perf/export.hpp"
 #include "perf/governor.hpp"
 #include "perf/workload.hpp"
+#include "vpdebug/tracexport.hpp"
 
 namespace rw::perf {
 
@@ -164,6 +165,10 @@ ProfReport run_prof(const ProfOptions& opts, std::ostream& out) {
       bool ok = cli::write_text(oc.json_path, to_json(oc.report));
       ok = cli::write_text(base + ".trace.json",
                            to_chrome_trace(platform->tracer().events())) &&
+           ok;
+      ok = cli::write_text(base + ".vcd",
+                           vpdebug::export_vcd(platform->tracer().events(),
+                                               platform->core_count())) &&
            ok;
       ok = cli::write_text(base + ".folded",
                            to_folded_stacks(oc.report.profile)) &&

@@ -1,7 +1,7 @@
 // The rwprof driver, as a library so tests exercise exactly what the CLI
 // does: build a platform, run demo workloads under a PerfSession, print
 // the counter and profile tables, and write the deterministic export
-// files (PERF_<name>.json + Chrome trace + folded stacks + CSV).
+// files (PERF_<name>.json + Chrome trace + VCD + folded stacks + CSV).
 #pragma once
 
 #include <ostream>

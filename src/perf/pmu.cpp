@@ -68,11 +68,4 @@ PmuSnapshot Pmu::snapshot(TimePs now) const {
   return s;
 }
 
-void Pmu::reset() {
-  for (auto& c : cores_) c = CoreCounters{};
-  unattributed_ = CoreCounters{};
-  icn_ = IcnCounters{};
-  dma_ = DmaCounters{};
-}
-
 }  // namespace rw::perf

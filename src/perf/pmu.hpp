@@ -134,8 +134,6 @@ class Pmu final : public sim::Observer {
   /// Copy every counter, stamped with `now`.
   [[nodiscard]] PmuSnapshot snapshot(TimePs now) const;
 
-  /// Zero every counter (a new measurement interval on live hardware).
-  void reset();
 
  private:
   CoreCounters& bucket(sim::CoreId core) {

@@ -55,14 +55,6 @@ void SamplingProfiler::tick(std::uint32_t tile) {
                             cfg_.tick_priority);
 }
 
-std::uint64_t SamplingProfiler::Profile::samples_for(
-    std::string_view label) const {
-  std::uint64_t n = 0;
-  for (const auto& e : entries)
-    if (e.label == label) n += e.samples;
-  return n;
-}
-
 SamplingProfiler::Profile SamplingProfiler::profile() const {
   Profile p;
   p.total_samples = ticks_ * per_core_.size();

@@ -73,8 +73,6 @@ class SamplingProfiler {
     std::uint64_t busy_samples = 0;
     std::uint64_t idle_samples = 0;
 
-    /// Busy samples attributed to `label` on any core.
-    [[nodiscard]] std::uint64_t samples_for(std::string_view label) const;
 
     bool operator==(const Profile&) const = default;
   };

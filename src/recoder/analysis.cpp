@@ -188,12 +188,6 @@ std::size_t count_nodes(const std::vector<StmtPtr>& body) {
   return n;
 }
 
-std::size_t count_nodes(const Program& p) {
-  std::size_t n = count_nodes(p.globals);
-  for (const auto& f : p.functions) n += count_nodes(f.body);
-  return n;
-}
-
 std::size_t line_diff(const std::string& before, const std::string& after) {
   const auto a = split(before, '\n');
   const auto b = split(after, '\n');

@@ -51,9 +51,8 @@ std::set<std::string> pointer_variables(const Function& f);
 /// decl)? Drives the "analyzability" metric.
 bool uses_pointers(const Function& f);
 
-/// Count AST nodes (statements + expressions) — the size metric used for
-/// effort accounting.
-std::size_t count_nodes(const Program& p);
+/// Count AST nodes (statements + expressions) of a body — the size metric
+/// used for effort accounting.
 std::size_t count_nodes(const std::vector<StmtPtr>& body);
 
 /// Line-level difference between two printed sources: lines added +

@@ -13,15 +13,6 @@ ExprPtr Expr::clone() const {
   return e;
 }
 
-bool Expr::equals(const Expr& other) const {
-  if (kind != other.kind || value != other.value || name != other.name ||
-      op != other.op || kids.size() != other.kids.size())
-    return false;
-  for (std::size_t i = 0; i < kids.size(); ++i)
-    if (!kids[i]->equals(*other.kids[i])) return false;
-  return true;
-}
-
 ExprPtr make_int(std::int64_t v) {
   auto e = std::make_unique<Expr>();
   e->kind = ExprKind::kIntLit;

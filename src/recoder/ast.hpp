@@ -50,7 +50,6 @@ struct Expr {
   std::vector<ExprPtr> kids;
 
   [[nodiscard]] ExprPtr clone() const;
-  [[nodiscard]] bool equals(const Expr& other) const;
 };
 
 ExprPtr make_int(std::int64_t v);

@@ -227,10 +227,26 @@ class Interp {
 
   // ----------------------------------------------------------- statements
 
+  // Zero-filling n cells is n units of work, so the cells of all live
+  // arrays are bounded by the step budget too.
+  Array allocate(const Stmt& s) {
+    const auto cells = static_cast<std::uint64_t>(s.array_size);
+    if (cells > budget_ - live_cells_)
+      throw InterpError("array '" + s.name + "[" +
+                        std::to_string(s.array_size) +
+                        "]' exceeds the interpreter budget of " +
+                        std::to_string(budget_) + " live cells");
+    live_cells_ += cells;
+    return Array(new std::vector<std::int64_t>(cells, 0),
+                 [this](std::vector<std::int64_t>* v) {
+                   live_cells_ -= v->size();
+                   delete v;
+                 });
+  }
+
   void exec_decl(const Stmt& s) {
     if (s.is_array) {
-      scopes_.back()[s.name] = std::make_shared<std::vector<std::int64_t>>(
-          static_cast<std::size_t>(s.array_size), 0);
+      scopes_.back()[s.name] = allocate(s);
     } else if (s.is_pointer) {
       scopes_.back()[s.name] =
           s.expr ? eval(*s.expr) : Value{Pointer{nullptr, 0}};
@@ -326,6 +342,7 @@ class Interp {
   std::uint64_t budget_;
   std::uint64_t steps_ = 0;
   int call_depth_ = 0;
+  std::uint64_t live_cells_ = 0;  // declared before the arrays that count it
   std::vector<std::map<std::string, Value>> scopes_;
   std::map<std::int64_t, std::deque<std::int64_t>> channels_;
 };

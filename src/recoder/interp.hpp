@@ -30,7 +30,8 @@ struct InterpResult {
 };
 
 /// Run `entry` (default "main") with integer arguments. Fails on runtime
-/// errors (OOB access, unknown identifiers, step-budget exhaustion).
+/// errors (OOB access, unknown identifiers, step-budget exhaustion). The
+/// cells of all arrays alive at once may not exceed `max_steps` either.
 Result<InterpResult> interpret(const Program& prog,
                                const std::string& entry = "main",
                                const std::vector<std::int64_t>& args = {},

@@ -182,12 +182,6 @@ class Parser {
     return prog;
   }
 
-  Result<ExprPtr> parse_single_expression() {
-    ExprPtr e = RW_TRY(parse_expr());
-    if (lex_.peek().kind != Tok::kEof) return err("trailing tokens");
-    return e;
-  }
-
  private:
   // Nesting bound. The recursive descent goes one level deeper for every
   // nested block and every unary or parenthesized operand, so hostile input
@@ -480,10 +474,6 @@ class Parser {
 
 Result<Program> parse_program(std::string_view source) {
   return Parser(source).parse();
-}
-
-Result<ExprPtr> parse_expression(std::string_view source) {
-  return Parser(source).parse_single_expression();
 }
 
 }  // namespace rw::recoder

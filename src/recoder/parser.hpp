@@ -31,7 +31,4 @@ namespace rw::recoder {
 /// Parse a complete translation unit.
 Result<Program> parse_program(std::string_view source);
 
-/// Parse a single expression (used by tests and the interactive session).
-Result<ExprPtr> parse_expression(std::string_view source);
-
 }  // namespace rw::recoder

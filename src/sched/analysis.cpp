@@ -7,15 +7,6 @@
 
 namespace rw::sched {
 
-const char* criticality_name(Criticality c) {
-  switch (c) {
-    case Criticality::kHard: return "hard";
-    case Criticality::kSoft: return "soft";
-    case Criticality::kBestEffort: return "best-effort";
-  }
-  return "?";
-}
-
 double rm_utilization_bound(std::size_t n) {
   if (n == 0) return 1.0;
   const double nn = static_cast<double>(n);

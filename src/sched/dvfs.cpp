@@ -7,12 +7,6 @@
 
 namespace rw::sched {
 
-HertzT FrequencyLadder::ceil_level(HertzT f) const {
-  for (const HertzT l : levels)
-    if (l >= f) return l;
-  return highest();
-}
-
 HertzT FrequencyLadder::step_up(HertzT f) const {
   for (const HertzT l : levels)
     if (l > f) return l;

@@ -23,8 +23,6 @@ struct FrequencyLadder {
 
   [[nodiscard]] HertzT lowest() const { return levels.front(); }
   [[nodiscard]] HertzT highest() const { return levels.back(); }
-  /// Smallest level >= f, or highest if none.
-  [[nodiscard]] HertzT ceil_level(HertzT f) const;
   /// Next level up/down from f (clamped).
   [[nodiscard]] HertzT step_up(HertzT f) const;
   [[nodiscard]] HertzT step_down(HertzT f) const;

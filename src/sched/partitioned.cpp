@@ -5,16 +5,6 @@
 
 namespace rw::sched {
 
-const char* packing_name(PackingHeuristic h) {
-  switch (h) {
-    case PackingHeuristic::kFirstFit: return "first-fit";
-    case PackingHeuristic::kBestFit: return "best-fit";
-    case PackingHeuristic::kWorstFit: return "worst-fit";
-    case PackingHeuristic::kFirstFitDecreasing: return "first-fit-decr";
-  }
-  return "?";
-}
-
 namespace {
 
 bool core_feasible(TaskSet& ts, PerCoreTest test, Cycles overhead) {

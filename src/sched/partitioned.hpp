@@ -24,8 +24,6 @@ enum class PackingHeuristic : std::uint8_t {
   kFirstFitDecreasing,  // sort by utilization first, then first-fit
 };
 
-const char* packing_name(PackingHeuristic h);
-
 /// Admission test applied per core.
 enum class PerCoreTest : std::uint8_t {
   kResponseTime,  // exact RTA under DM priorities

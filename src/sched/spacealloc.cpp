@@ -69,27 +69,6 @@ const char* arbitration_name(ArbitrationStrategy s) {
   return "?";
 }
 
-double GangResult::mean_response_us() const {
-  double sum = 0;
-  std::size_t ran = 0;
-  for (const auto& a : apps) {
-    if (!a.admitted) continue;  // rejected apps never ran
-    sum += static_cast<double>(a.finish - a.arrival);
-    ++ran;
-  }
-  if (ran == 0) return 0.0;
-  return sum / static_cast<double>(ran) / 1e6;
-}
-
-double GangResult::throughput_apps_per_ms() const {
-  if (metrics.makespan == 0) return 0.0;
-  std::size_t ran = 0;
-  for (const auto& a : apps)
-    if (a.admitted) ++ran;
-  return static_cast<double>(ran) /
-         (static_cast<double>(metrics.makespan) / 1e9);
-}
-
 RunMetrics GangResult::to_metrics() const {
   RunMetrics m = metrics;
   m.set_extra("arbitration_wait_ps", static_cast<double>(arbitration_wait));

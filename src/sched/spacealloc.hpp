@@ -105,8 +105,6 @@ struct GangResult {
   std::uint64_t operations = 0;     // allocate + release operations
 
   [[nodiscard]] TimePs makespan() const { return metrics.makespan; }
-  [[nodiscard]] double mean_response_us() const;
-  [[nodiscard]] double throughput_apps_per_ms() const;
 
   /// The metrics plus gang extras, ready for harness export.
   [[nodiscard]] RunMetrics to_metrics() const;

@@ -23,8 +23,6 @@ using TaskId = Id<TaskTag>;
 /// soft/best-effort dynamically; the hybrid scheduler uses the same split.
 enum class Criticality : std::uint8_t { kHard, kSoft, kBestEffort };
 
-const char* criticality_name(Criticality c);
-
 /// Periodic (or sporadic, reading `period` as minimum inter-arrival)
 /// sequential real-time task.
 struct RtTask {

@@ -149,10 +149,6 @@ void MeshNoc::set_link_degrade(std::size_t link, double factor) {
   link_degrade_[link] = factor < 1.0 ? 1.0 : factor;
 }
 
-double MeshNoc::link_degrade(std::size_t link) const {
-  return link < link_degrade_.size() ? link_degrade_[link] : 1.0;
-}
-
 DurationPs MeshNoc::serialization_time(std::uint64_t bytes) const {
   return mesh_serialization_time(cfg_, bytes);
 }

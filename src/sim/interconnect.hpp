@@ -144,7 +144,6 @@ class MeshNoc final : public Interconnect {
   /// Per-link fault: scale the occupancy of one directed link (on top of
   /// the fabric-wide set_degrade factor). factor < 1.0 clamps to 1.0.
   void set_link_degrade(std::size_t link, double factor);
-  [[nodiscard]] double link_degrade(std::size_t link) const;
   [[nodiscard]] std::size_t num_links() const {
     return link_busy_until_.size();
   }

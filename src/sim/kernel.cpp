@@ -208,14 +208,6 @@ void Kernel::run(std::uint64_t max_events) {
   }
 }
 
-void Kernel::run_until(TimePs t) {
-  stop_requested_ = false;
-  while (!stop_requested_ && size_ > 0 && next_event_time() <= t) {
-    step();
-  }
-  if (now_ < t && !stop_requested_) now_ = t;
-}
-
 std::uint64_t Kernel::run_window(TimePs limit, bool live_only) {
   std::uint64_t n = 0;
   while (!stop_requested_ && size_ > 0 && (!live_only || live_ > 0) &&

@@ -110,15 +110,12 @@ class Kernel {
   /// budget is exhausted (a safety net against runaway simulations).
   void run(std::uint64_t max_events = UINT64_MAX);
 
-  /// Run events with timestamp <= `t`, then set now to `t`.
-  void run_until(TimePs t);
-
   /// One epoch window of the tiled engine: execute events with timestamp
   /// <= `limit` in (time, priority, seq) order. With `live_only` the
   /// window additionally stops once no live events remain (run()'s
-  /// termination rule); without it daemons keep executing up to the limit
-  /// (run_until()'s rule). Honours request_stop() but — unlike run() —
-  /// never clears it: the engine owns the stop flag across windows.
+  /// termination rule); without it daemons keep executing up to the
+  /// limit. Honours request_stop() but — unlike run() — never clears it:
+  /// the engine owns the stop flag across windows.
   /// Returns the number of events executed.
   std::uint64_t run_window(TimePs limit, bool live_only);
 
@@ -126,7 +123,7 @@ class Kernel {
   /// engine's run_until() epilogue). Pre: no pending event earlier than t.
   void advance_to(TimePs t);
 
-  /// Ask run()/run_until() to return after the current event.
+  /// Ask run() or the current window to return after the current event.
   void request_stop() { stop_requested_ = true; }
   [[nodiscard]] bool stop_requested() const { return stop_requested_; }
   void clear_stop() { stop_requested_ = false; }

@@ -60,11 +60,6 @@ const Region* MemorySystem::find_region(Addr a) const {
   return i == kNoRegion ? nullptr : &regions_[i];
 }
 
-Cycles MemorySystem::latency_for(Addr a) const {
-  const Region* r = find_region(a);
-  return r ? r->access_latency : 1;
-}
-
 Region& MemorySystem::region_for(Addr a, std::uint64_t len, CoreId core,
                                  bool is_write) {
   if (const std::size_t i = lookup(a, len); i != kNoRegion) {
@@ -134,20 +129,6 @@ void MemorySystem::write_u64(CoreId core, Addr a, std::uint64_t v) {
   Region& r = region_for(a, 8, core, /*is_write=*/true);
   std::memcpy(r.bytes.data() + (a - r.base), &v, 8);
   observe(r, core, a, 8, /*is_write=*/true, v, v);
-}
-
-std::uint32_t MemorySystem::read_u32(CoreId core, Addr a) {
-  Region& r = region_for(a, 4, core, /*is_write=*/false);
-  std::uint32_t v = 0;
-  std::memcpy(&v, r.bytes.data() + (a - r.base), 4);
-  observe(r, core, a, 4, /*is_write=*/false, v, v);
-  return v;
-}
-
-void MemorySystem::write_u32(CoreId core, Addr a, std::uint32_t v) {
-  Region& r = region_for(a, 4, core, /*is_write=*/true);
-  std::memcpy(r.bytes.data() + (a - r.base), &v, 4);
-  observe(r, core, a, 4, /*is_write=*/true, v, v);
 }
 
 // Block accesses trace their length and observe no value.

@@ -88,14 +88,8 @@ class MemorySystem {
   /// reported through the trace before the throw).
   std::uint64_t read_u64(CoreId core, Addr a);
   void write_u64(CoreId core, Addr a, std::uint64_t v);
-  std::uint32_t read_u32(CoreId core, Addr a);
-  void write_u32(CoreId core, Addr a, std::uint32_t v);
   void read_block(CoreId core, Addr a, std::span<std::uint8_t> out);
   void write_block(CoreId core, Addr a, std::span<const std::uint8_t> in);
-
-  /// Latency of one access to the region containing `a`, in cycles at the
-  /// accessing core (the caller turns this into time at its frequency).
-  [[nodiscard]] Cycles latency_for(Addr a) const;
 
   /// Raw (unobserved, untraced, zero-latency) access for loaders and
   /// checkers.
@@ -118,7 +112,7 @@ class MemorySystem {
  private:
   static constexpr std::size_t kNoRegion = static_cast<std::size_t>(-1);
   /// Index in regions_ of the region holding [a, a + len), or kNoRegion.
-  /// The one region lookup: every accessor, find_region, latency_for,
+  /// The one region lookup: every accessor, find_region,
   /// poke and peek go through it. Regions never overlap, so only the last
   /// region (by base) starting at or below `a` can hold the access: one
   /// binary search over by_base_ and one contains() check. It reads no

@@ -67,8 +67,6 @@ struct TraceEvent {
   std::string label;    // task/function/peripheral name
   std::uint64_t a = 0;  // kind-specific (address, irq line, value, ...)
   std::uint64_t b = 0;  // kind-specific (size, old value, ...)
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// One memory access: what the PMU counts and what watchpoints and the

@@ -121,8 +121,8 @@ class TiledEngine {
   /// barriers, so it is an approximate safety net, not an exact count.
   void run(std::uint64_t max_events = UINT64_MAX);
 
-  /// Tiled analogue of Kernel::run_until(): run all events (daemons
-  /// included) with timestamp <= t, then advance every tile's clock to t.
+  /// Run all events (daemons included) with timestamp <= t, then advance
+  /// every tile's clock to t.
   void run_until(TimePs t);
 
   [[nodiscard]] std::size_t tile_count() const { return tiles_.size(); }

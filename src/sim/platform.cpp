@@ -120,14 +120,6 @@ void Platform::run(std::uint64_t max_events) {
   }
 }
 
-void Platform::run_until(TimePs t) {
-  if (engine_) {
-    engine_->run_until(t);
-  } else {
-    kernel_.run_until(t);
-  }
-}
-
 TimePs Platform::now() const {
   return engine_ ? engine_->now() : kernel_.now();
 }

@@ -105,10 +105,9 @@ class Platform {
   [[nodiscard]] TiledEngine* engine() { return engine_.get(); }
 
   /// Run the platform: the tiled engine when one exists, the plain kernel
-  /// otherwise. Use these instead of kernel().run()/run_until() in code
-  /// that must work on any num_tiles. now() is the max of the tile clocks.
+  /// otherwise. Use these instead of kernel().run() in code that must
+  /// work on any num_tiles. now() is the max of the tile clocks.
   void run(std::uint64_t max_events = UINT64_MAX);
-  void run_until(TimePs t);
   [[nodiscard]] TimePs now() const;
   [[nodiscard]] Interconnect& interconnect() { return *icn_; }
   [[nodiscard]] InterruptController& irqc() { return *irqc_; }

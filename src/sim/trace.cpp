@@ -3,7 +3,6 @@
 #include <deque>
 #include <unordered_map>
 
-#include "common/strings.hpp"
 
 namespace rw::sim {
 
@@ -27,16 +26,6 @@ const char* trace_kind_name(TraceKind k) {
     case TraceKind::kCustom: return "custom";
   }
   return "?";
-}
-
-std::string TraceEvent::to_string() const {
-  std::string core_str =
-      core.is_valid() ? strformat("core%u", core.value()) : "-";
-  return strformat("[%12llu ps] %-14s %-6s %-20s a=%llu b=%llu",
-                   static_cast<unsigned long long>(time),
-                   trace_kind_name(kind), core_str.c_str(), label.c_str(),
-                   static_cast<unsigned long long>(a),
-                   static_cast<unsigned long long>(b));
 }
 
 std::vector<std::size_t> pair_records(const std::vector<TraceEvent>& events) {

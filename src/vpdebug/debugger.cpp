@@ -155,28 +155,10 @@ std::size_t Debugger::watch_signal(const std::string& name) {
   return signal_watches_.size() - 1;
 }
 
-void Debugger::clear_stops() {
-  task_breaks_.clear();
-  mem_watches_.clear();
-  signal_watches_.clear();
-  assertions_.clear();
-}
-
 std::size_t Debugger::add_assertion(std::string description,
                                     std::function<bool()> predicate) {
   assertions_.push_back({std::move(description), std::move(predicate)});
   return assertions_.size() - 1;
-}
-
-TimePs Debugger::now() const { return platform_.kernel().now(); }
-
-sim::Signal* Debugger::find_signal(const std::string& name) const {
-  for (auto* periph :
-       const_cast<sim::Platform&>(platform_).peripherals()) {
-    for (auto* sig : periph->signals())
-      if (sig->name() == name) return sig;
-  }
-  return nullptr;
 }
 
 std::uint64_t Debugger::core_register(std::size_t core,
@@ -184,21 +166,11 @@ std::uint64_t Debugger::core_register(std::size_t core,
   return const_cast<sim::Platform&>(platform_).core(core).reg(reg);
 }
 
-std::string Debugger::core_task(std::size_t core) const {
-  return const_cast<sim::Platform&>(platform_).core(core).current_label();
-}
-
 std::uint64_t Debugger::peripheral_register(const std::string& periph,
                                             std::size_t reg) const {
   for (auto* p : const_cast<sim::Platform&>(platform_).peripherals())
     if (p->name() == periph) return p->read_reg(reg);
   throw std::invalid_argument("no peripheral '" + periph + "'");
-}
-
-bool Debugger::signal_level(const std::string& name) const {
-  sim::Signal* sig = find_signal(name);
-  if (!sig) throw std::invalid_argument("no signal '" + name + "'");
-  return sig->level();
 }
 
 std::uint64_t Debugger::read_mem_u64(sim::Addr addr) const {

@@ -67,7 +67,6 @@ class Debugger final : public sim::Observer {
                            bool on_write = true, bool on_read = false);
   /// Stop when the named signal changes (e.g. "irq3", "dma.busy").
   std::size_t watch_signal(const std::string& name);
-  void clear_stops();
 
   /// Assertions: predicate evaluated after every event; returning false
   /// suspends the system with kAssertion.
@@ -75,7 +74,6 @@ class Debugger final : public sim::Observer {
                             std::function<bool()> predicate);
 
   // ------------------------------------------------- state inspection
-  [[nodiscard]] TimePs now() const;
   [[nodiscard]] const StopInfo& last_stop() const { return last_stop_; }
 
   /// Consistent whole-system snapshot, printable while suspended.
@@ -83,10 +81,8 @@ class Debugger final : public sim::Observer {
 
   [[nodiscard]] std::uint64_t core_register(std::size_t core,
                                             std::size_t reg) const;
-  [[nodiscard]] std::string core_task(std::size_t core) const;
   [[nodiscard]] std::uint64_t peripheral_register(const std::string& periph,
                                                   std::size_t reg) const;
-  [[nodiscard]] bool signal_level(const std::string& name) const;
   [[nodiscard]] std::uint64_t read_mem_u64(sim::Addr addr) const;
 
   [[nodiscard]] sim::Platform& platform() { return platform_; }
@@ -98,7 +94,6 @@ class Debugger final : public sim::Observer {
   void on_signal(const sim::Signal& sig, bool old_level) override;
 
   void request_stop(StopKind kind, std::string detail);
-  sim::Signal* find_signal(const std::string& name) const;
 
   sim::Platform& platform_;
   StopInfo last_stop_;

@@ -125,15 +125,26 @@ TEST(ArchFile, RoundTripsThroughXml) {
 }
 
 
-TEST(ArchFile, SaveAndLoadFromDisk) {
-  const std::string path = ::testing::TempDir() + "/rw_arch_test.xml";
-  const auto orig = ArchInfo::smp_like(3);
-  ASSERT_TRUE(save_arch_file(orig, path).ok());
-  const auto r = load_arch_file(path);
+TEST(ArchFile, RendersTheDocumentedLayout) {
+  EXPECT_EQ(arch_to_xml(ArchInfo::smp_like(2)),
+            "<architecture name=\"mpcoreish\" style=\"shared\">\n"
+            "  <processor class=\"RISC\" freq=\"400000000\" "
+            "scratchpad=\"32768\"/>\n"
+            "  <processor class=\"RISC\" freq=\"400000000\" "
+            "scratchpad=\"32768\"/>\n"
+            "  <memory kind=\"shared\" bytes=\"1048576\" latency=\"12\"/>\n"
+            "  <interconnect kind=\"bus\" freq=\"266000000\" width=\"8\"/>\n"
+            "  <lock cycles=\"40\"/>\n"
+            "</architecture>\n");
+}
+
+TEST(ArchFile, RoundTripsNamesWithXmlSpecialCharacters) {
+  auto orig = ArchInfo::smp_like(4);
+  orig.name = "smp \"quad\" & co <rev2>";
+  const auto r = round_trip_arch_file(orig);
   ASSERT_TRUE(r.ok()) << r.error().to_string();
-  EXPECT_EQ(r.value().platform.cores.size(), 3u);
-  EXPECT_EQ(r.value().style, MemoryStyle::kShared);
-  EXPECT_FALSE(load_arch_file("/nonexistent/arch.xml").ok());
+  EXPECT_EQ(r.value().name, orig.name);
+  EXPECT_EQ(r.value().platform.cores.size(), 4u);
 }
 
 TEST(Mapping, AutomaticCoversAllTasks) {

@@ -56,20 +56,6 @@ TEST(Ids, Streaming) {
   EXPECT_EQ(os.str(), "#5 <invalid>");
 }
 
-TEST(TraceEvent, ToStringContainsFields) {
-  sim::TraceEvent ev;
-  ev.time = 123456;
-  ev.kind = sim::TraceKind::kMsgSend;
-  ev.core = sim::CoreId{2};
-  ev.label = "chan0";
-  ev.a = 42;
-  const std::string s = ev.to_string();
-  EXPECT_NE(s.find("msg_send"), std::string::npos);
-  EXPECT_NE(s.find("core2"), std::string::npos);
-  EXPECT_NE(s.find("chan0"), std::string::npos);
-  EXPECT_NE(s.find("a=42"), std::string::npos);
-}
-
 TEST(TraceEvent, AllKindsHaveNames) {
   for (int k = 0; k <= static_cast<int>(sim::TraceKind::kCustom); ++k) {
     const char* name =

@@ -98,20 +98,5 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / 20000.0, 5.0, 0.25);
 }
 
-TEST(Rng, NormalMoments) {
-  Rng r(23);
-  double sum = 0, sumsq = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double v = r.next_normal(10.0, 2.0);
-    sum += v;
-    sumsq += v * v;
-  }
-  const double mean = sum / n;
-  const double var = sumsq / n - mean * mean;
-  EXPECT_NEAR(mean, 10.0, 0.1);
-  EXPECT_NEAR(var, 4.0, 0.3);
-}
-
 }  // namespace
 }  // namespace rw

@@ -3,6 +3,7 @@
 // never-slower contract, and the allocator placement hints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -17,6 +18,13 @@
 
 namespace rw::critpath {
 namespace {
+
+/// Every edge goes forward in node order: the builder's acyclicity
+/// invariant.
+bool edges_go_forward(const DepGraph& g) {
+  return std::all_of(g.edges().begin(), g.edges().end(),
+                     [](const DepEdge& e) { return e.src < e.dst; });
+}
 
 /// Hand-built 3-task pipeline rx -> proc -> tx across two PEs: the
 /// smallest graph whose critical path mixes compute and fabric segments.
@@ -48,7 +56,7 @@ TEST(DepGraph, EmptyTraceYieldsEmptyGraph) {
   EXPECT_EQ(view.makespan(), 0u);
   const DepGraph g = DepGraph::build(view, bus2());
   EXPECT_TRUE(g.empty());
-  EXPECT_TRUE(g.is_acyclic());
+  EXPECT_TRUE(edges_go_forward(g));
   // Analyses on the empty graph are well-defined no-ops.
   const Retimed r = retime(g);
   EXPECT_EQ(r.makespan, 0u);
@@ -63,7 +71,7 @@ TEST(DepGraph, AcyclicAndEdgeConservation) {
   const DepGraph g = trace_mapping(app, bus2(), map);
 
   ASSERT_FALSE(g.empty());
-  EXPECT_TRUE(g.is_acyclic());
+  EXPECT_TRUE(edges_go_forward(g));
   // One node per task and per edge; each node consumed exactly two trace
   // events (the traced executor emits nothing else).
   EXPECT_EQ(g.nodes().size(), app.tasks().size() + app.edges().size());
@@ -305,11 +313,6 @@ TEST(Advise, HintsReflectAttribution) {
   EXPECT_GE(adv.hints.comm_fraction, 0.0);
   EXPECT_LE(adv.hints.comm_fraction, 1.0);
   EXPECT_GE(adv.hints.gang_cores, 1u);
-  // Partition advice scales comm_weight with the measured comm share.
-  maps::PartitionConfig base;
-  const maps::PartitionConfig tuned = adv.hints.advise_partition(base);
-  EXPECT_GE(tuned.comm_weight, base.comm_weight);
-  EXPECT_GE(tuned.max_tasks, base.max_tasks);
 }
 
 // ------------------------------------------------- allocator integration
@@ -344,14 +347,6 @@ TEST(AllocatePreferred, HonoursMinCoresContract) {
   EXPECT_TRUE(alloc.allocate_preferred(1, 2, {0, 1}).empty());
   alloc.release(all);
   EXPECT_TRUE(alloc.allocate_preferred(0, 2, {0}).empty());  // min 0 invalid
-}
-
-TEST(AllocatePreferred, HintsGlueGrantsHotCoresFirst) {
-  sched::SpaceAllocator alloc(8);
-  PlacementHints hints;
-  hints.preferred_pes = {6, 4};
-  const auto got = allocate_with_hints(alloc, hints, 2, 2);
-  EXPECT_EQ(got, (std::vector<std::size_t>{4, 6}));
 }
 
 // ------------------------------------------------------------ CLI driver

@@ -19,7 +19,7 @@ TEST(DataflowDeadlock, AcyclicGraphNeverDeadlocks) {
   g.connect(a, b, 2, 3);
   const auto rep = dataflow::detect_deadlock(g);
   EXPECT_FALSE(rep.deadlocked);
-  EXPECT_NE(rep.to_string().find("no deadlock"), std::string::npos);
+  EXPECT_TRUE(rep.blocked.empty());
 }
 
 TEST(DataflowDeadlock, CycleWithEnoughTokensIsLive) {
@@ -40,8 +40,9 @@ TEST(DataflowDeadlock, TokenlessCycleDeadlocks) {
   const auto rep = dataflow::detect_deadlock(g);
   ASSERT_TRUE(rep.deadlocked);
   EXPECT_EQ(rep.blocked.size(), 2u);
-  EXPECT_NE(rep.to_string().find("alpha"), std::string::npos);
-  EXPECT_NE(rep.to_string().find("starved"), std::string::npos);
+  EXPECT_EQ(rep.blocked[0].actor_name, "alpha");
+  EXPECT_EQ(rep.blocked[0].tokens_present, 0u);
+  EXPECT_EQ(rep.blocked[0].tokens_needed, 1u);
 }
 
 TEST(DataflowDeadlock, MultiRateCycleNeedsEnoughTokens) {

@@ -104,9 +104,9 @@ TEST(ErtService, HandleStatesAndRepeatedResultCalls) {
   ASSERT_TRUE(session.ok());
   const JobHandle h = session.value().submit(make_template("diamond"));
   EXPECT_TRUE(h.valid());
-  EXPECT_FALSE(h.ready());  // nothing drained yet
+  EXPECT_EQ(service.tenant_stats(0).completed, 0u);  // nothing drained yet
   ASSERT_TRUE(h.result().ok());
-  EXPECT_TRUE(h.ready());
+  EXPECT_EQ(service.tenant_stats(0).completed, 1u);
   // result() is idempotent.
   EXPECT_EQ(h.result().value().finished, h.result().value().finished);
 }
@@ -193,7 +193,6 @@ TEST(ErtService, OpenSessionRejectsBadTenantConfigs) {
                   .open_session(TenantConfig{
                       .name = "e", .share = 0.75, .reserved = true})
                   .ok());
-  EXPECT_EQ(service.shared_available(), 1u);
   EXPECT_FALSE(service
                    .open_session(TenantConfig{
                        .name = "f", .share = 0.5, .reserved = true})
@@ -267,7 +266,6 @@ TEST(ErtService, SharedAdmissionAccountsForReservedCarveouts) {
       TenantConfig{.name = "res", .share = 0.5, .reserved = true});
   auto shr = service.open_session(TenantConfig{.name = "shr"});
   ASSERT_TRUE(res.ok() && shr.ok());
-  ASSERT_EQ(service.shared_available(), 4u);
 
   JobSpec wide = make_template("forkjoin");
   wide.min_cores = 5;
@@ -497,10 +495,12 @@ TEST(ErtDeterminism, ConcurrentDrainerKeepsAccounting) {
     TenantRig rig;
     rig.submit_concurrently(/*drainer=*/true);
     for (std::size_t t = 0; t < TenantRig::kTenants; ++t) {
+      // Read before any result() call, which would drain what is left.
+      const TenantStats st = rig.service.tenant_stats(t);
+      EXPECT_EQ(st.completed + st.rejected, st.submitted);
       std::set<std::uint64_t> sequences;
       std::uint64_t ok = 0;
       for (const JobHandle& h : rig.handles[t]) {
-        ASSERT_TRUE(h.ready());
         const Result<JobResult>& res = h.result();
         if (!res.ok()) continue;
         ++ok;
@@ -508,10 +508,8 @@ TEST(ErtDeterminism, ConcurrentDrainerKeepsAccounting) {
         sequences.insert(res.value().sequence);
       }
       EXPECT_EQ(sequences.size(), ok) << "a job completed twice";
-      const TenantStats st = rig.service.tenant_stats(t);
       EXPECT_EQ(st.submitted, TenantRig::kJobs);
       EXPECT_EQ(st.completed, ok);
-      EXPECT_EQ(st.completed + st.rejected, st.submitted);
       EXPECT_EQ(st.latencies.size(), st.completed);
     }
   }
@@ -557,24 +555,6 @@ TEST(ErtAdapters, CicProgramBecomesScaledJobspec) {
   // Periodic source + deadline annotation => realtime job.
   EXPECT_EQ(spec.qos, QosClass::kRealtime);
   EXPECT_EQ(spec.deadline, microseconds(50) * 3);
-}
-
-TEST(ErtAdapters, ScenarioFromJobspecsRunsThroughSessions) {
-  ServiceConfig cfg;
-  std::vector<JobSpec> specs = {make_template("pipeline"),
-                                make_template("diamond")};
-  harness::Scenario scenario =
-      scenario_from_jobspecs("ert_adapter", specs, cfg);
-  ASSERT_EQ(scenario.run_count(), 2u);
-  const harness::ScenarioResult result = harness::Runner().run(scenario);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const harness::RunRecord& rec = result.runs[i];
-    ASSERT_TRUE(rec.ok) << rec.error;
-    const auto direct = run_jobspec_direct(specs[i], cfg);
-    ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(rec.metrics.makespan, direct.value().makespan);
-    EXPECT_GT(rec.metrics.extra_or("ert.latency_us"), 0.0);
-  }
 }
 
 // ------------------------------------------------------------ CLI surface

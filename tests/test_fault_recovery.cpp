@@ -3,8 +3,10 @@
 // remapping in maps/sched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/strings.hpp"
@@ -16,6 +18,28 @@
 
 namespace rw::fault {
 namespace {
+
+/// The plan's rw-fault-plan-1 document.
+std::string plan_json(const FaultPlan& plan) {
+  json::Writer w;
+  plan.write_json(w);
+  return w.str();
+}
+
+/// The timeline's records as JSON.
+std::string timeline_json(const FaultTimeline& timeline) {
+  json::Writer w;
+  timeline.write_json(w);
+  return w.str();
+}
+
+/// Count of records whose `what` starts with `prefix`.
+std::size_t count_prefix(const FaultTimeline& timeline,
+                         std::string_view prefix) {
+  return static_cast<std::size_t>(std::count_if(
+      timeline.records().begin(), timeline.records().end(),
+      [&](const FaultRecord& r) { return r.what.starts_with(prefix); }));
+}
 
 TEST(RetryPolicy, ExponentialBackoffAndBudget) {
   RetryPolicy r;
@@ -46,8 +70,8 @@ TEST(FaultPlanRandom, SameSeedSamePlanDifferentSeedDifferentPlan) {
   const FaultPlan b = FaultPlan::random(13, spec);
   const FaultPlan c = FaultPlan::random(14, spec);
   ASSERT_GT(a.size(), 10u);
-  EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_NE(a.to_json(), c.to_json());
+  EXPECT_EQ(plan_json(a), plan_json(b));
+  EXPECT_NE(plan_json(a), plan_json(c));
 }
 
 TEST(FaultPlanRandom, EventsLandInsideTheWindowSorted) {
@@ -127,7 +151,7 @@ TEST(Scenario, DirectedCrashDeadlocksWithoutRecoveryAndHealsWithIt) {
     // than a few watchdog periods to notice and act.
     EXPECT_GT(out.max_recovery_latency, 0u);
     EXPECT_LE(out.max_recovery_latency, 3 * cfg.watchdog_timeout);
-    EXPECT_GE(out.timeline.count_prefix("recovery."), 1u);
+    EXPECT_GE(count_prefix(out.timeline, "recovery."), 1u);
   }
 }
 
@@ -154,7 +178,7 @@ TEST(Scenario, EqualConfigsProduceByteIdenticalTimelines) {
   const ScenarioOutcome a = run_fault_scenario(cfg);
   const ScenarioOutcome b = run_fault_scenario(cfg);
   ASSERT_GT(a.faults_injected, 0u);
-  EXPECT_EQ(a.timeline.to_json(), b.timeline.to_json());
+  EXPECT_EQ(timeline_json(a.timeline), timeline_json(b.timeline));
   EXPECT_EQ(a.items_done, b.items_done);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.to_metrics().sim_equal(b.to_metrics()), true);

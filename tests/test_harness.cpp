@@ -6,7 +6,9 @@
 
 #include "cic/dse.hpp"
 #include "common/strings.hpp"
+#include "common/table.hpp"
 #include "harness/harness.hpp"
+#include "harness_equal.hpp"
 
 namespace rw::harness {
 namespace {
@@ -82,11 +84,7 @@ TEST(Runner, ParallelIdenticalToSerial) {
   const auto parallel = Runner({8}).run(s);
   EXPECT_EQ(serial.threads_used, 1u);
   EXPECT_EQ(parallel.threads_used, 8u);
-  EXPECT_TRUE(serial.sim_equal(parallel));
-  // The rendered tables agree byte-for-byte once the wall column (host
-  // noise by construction) is excluded — to_json/to_table layouts derive
-  // from the same records.
-  EXPECT_EQ(serial.to_table().row_count(), parallel.to_table().row_count());
+  EXPECT_TRUE(sim_equal(serial, parallel));
 }
 
 TEST(Runner, ThreadCountNeverExceedsRuns) {
@@ -113,7 +111,7 @@ TEST(Runner, CapturesRunExceptionsAsRecords) {
   EXPECT_FALSE(r.runs[1].ok);
   EXPECT_EQ(r.runs[1].error, "simulated failure");
   // Serial execution reports the failure identically.
-  EXPECT_TRUE(r.sim_equal(Runner({1}).run(s)));
+  EXPECT_TRUE(sim_equal(r, Runner({1}).run(s)));
 }
 
 // ---------------------------------------------------------- JSON export
@@ -170,7 +168,7 @@ TEST(HarnessDse, ParallelSweepByteIdenticalToSerial) {
         << serial[i].arch.name;
   }
   EXPECT_EQ(serial_fanout.threads_used, 1u);
-  EXPECT_TRUE(serial_fanout.sim_equal(parallel_fanout));
+  EXPECT_TRUE(sim_equal(serial_fanout, parallel_fanout));
   // Byte-identical formatted output too (tables carry no wall clocks).
   auto table_of = [](const std::vector<DsePoint>& pts) {
     Table t({"arch", "area", "makespan", "pareto"});

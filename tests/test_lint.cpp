@@ -11,6 +11,7 @@
 #include "lint/driver.hpp"
 #include "lint/pass.hpp"
 #include "lint/passes.hpp"
+#include "lint_dynamic.hpp"
 #include "recoder/parser.hpp"
 #include "recoder/shared_report.hpp"
 
@@ -44,10 +45,12 @@ TEST(LintDiagnostic, KeyAndRendering) {
   d.location = {"prog", "counter"};
   d.message = "boom";
   d.with_evidence("task_a", "inc0");
-  EXPECT_EQ(d.key(), "race:prog:counter");
-  const auto s = d.to_string();
-  EXPECT_NE(s.find("[error]"), std::string::npos);
-  EXPECT_NE(s.find("task_a=inc0"), std::string::npos);
+  EXPECT_EQ(key(d), "race:prog:counter");
+  json::Writer w;
+  d.to_json(w);
+  const std::string s = w.str();
+  EXPECT_NE(s.find("\"severity\": \"error\""), std::string::npos);
+  EXPECT_NE(s.find("\"task_a\": \"inc0\""), std::string::npos);
 }
 
 TEST(LintDiagnostic, SortErrorsFirstThenLexicographic) {
@@ -214,7 +217,7 @@ TEST(LintAdapters, RaceReportBecomesDynamicErrorDiagnostic) {
   EXPECT_EQ(d.severity, Severity::kError);
   EXPECT_EQ(d.kind, "race");
   EXPECT_EQ(d.pass, "dynamic");
-  EXPECT_EQ(d.key(), "race:prog:frame");
+  EXPECT_EQ(key(d), "race:prog:frame");
 }
 
 TEST(LintAdapters, DeadlockReportFansOutPerBlockedActor) {
@@ -227,8 +230,8 @@ TEST(LintAdapters, DeadlockReportFansOutPerBlockedActor) {
   ASSERT_TRUE(rep.deadlocked);
   const auto diags = from_deadlock_report(rep, "g");
   ASSERT_EQ(diags.size(), 2u);
-  EXPECT_EQ(diags[0].key(), "deadlock:g:alpha");
-  EXPECT_EQ(diags[1].key(), "deadlock:g:beta");
+  EXPECT_EQ(key(diags[0]), "deadlock:g:alpha");
+  EXPECT_EQ(key(diags[1]), "deadlock:g:beta");
 
   dataflow::Graph ok;
   const auto c = ok.add_actor("c", 10);
@@ -342,8 +345,8 @@ TEST(LintDriver, ListShowsTheWholeCorpus) {
   DriverOptions opts;
   opts.list = true;
   EXPECT_EQ(run_driver(opts, out).exit_code, 0);
-  for (const auto& name : corpus_names())
-    EXPECT_NE(out.str().find(name), std::string::npos) << name;
+  for (const auto& p : build_corpus())
+    EXPECT_NE(out.str().find(p.name), std::string::npos) << p.name;
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "lint/corpus.hpp"
 #include "lint/pass.hpp"
+#include "lint_dynamic.hpp"
 
 namespace rw::lint {
 namespace {
@@ -18,7 +19,7 @@ namespace {
 std::set<std::string> error_keys(const std::vector<Diagnostic>& diags) {
   std::set<std::string> out;
   for (const auto& d : diags)
-    if (d.severity == Severity::kError) out.insert(d.key());
+    if (d.severity == Severity::kError) out.insert(key(d));
   return out;
 }
 
@@ -32,9 +33,9 @@ TEST(LintCrossCheck, StaticFindingsAreASupersetOfDynamicObservations) {
       cfg.seed = seed;
       const auto obs = run_dynamic(p, cfg);
       for (const auto& d : obs.to_diagnostics(p.name))
-        EXPECT_TRUE(statics.count(d.key()))
+        EXPECT_TRUE(statics.count(key(d)))
             << p.name << " seed " << seed << ": dynamic observation "
-            << d.key() << " was not statically predicted";
+            << key(d) << " was not statically predicted";
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include "common/fnv.hpp"
 #include "harness/harness.hpp"
+#include "harness_equal.hpp"
 #include "perf/driver.hpp"
 #include "perf/export.hpp"
 #include "perf/session.hpp"
@@ -191,7 +192,7 @@ TEST(ExportTest, HarnessSerialAndParallelProduceSameExports) {
   };
   const auto serial = harness::Runner({.threads = 1}).run(scenario());
   const auto parallel = harness::Runner({.threads = 4}).run(scenario());
-  EXPECT_TRUE(serial.sim_equal(parallel));
+  EXPECT_TRUE(harness::sim_equal(serial, parallel));
 }
 
 TEST(DriverTest, ListPrintsRegistryAndExitsZero) {

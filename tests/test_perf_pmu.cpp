@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "perf/pmu.hpp"
@@ -53,8 +54,9 @@ TEST(PmuTest, SplitsLocalAndSharedAccesses) {
 
   mem.write_u64(c0, plat->scratchpad_base(c0), 1);       // local write
   (void)mem.read_u64(c0, plat->scratchpad_base(c0));     // local read
-  mem.write_u32(c0, plat->shared_base(), 2);             // shared write
-  (void)mem.read_u32(c0, plat->shared_base());           // shared read
+  std::array<std::uint8_t, 4> word{2, 0, 0, 0};
+  mem.write_block(c0, plat->shared_base(), word);        // shared write
+  mem.read_block(c0, plat->shared_base(), word);         // shared read
   // Another core's scratchpad is remote: counted as shared.
   (void)mem.read_u64(c0, plat->scratchpad_base(sim::CoreId{1}));
 
@@ -217,9 +219,10 @@ TEST(PmuTest, SnapshotAndResetRoundTrip) {
   plat->core(0).reserve(1000);
   const PmuSnapshot s = pmu.snapshot(plat->kernel().now());
   EXPECT_EQ(s.cores[0].busy_cycles, 1000u);
-  pmu.reset();
-  EXPECT_EQ(pmu.core(0).busy_cycles, 0u);
-  EXPECT_EQ(pmu.snapshot(0).cores[0], CoreCounters{});
+  plat->core(0).reserve(500);
+  EXPECT_EQ(s.cores[0].busy_cycles, 1000u);  // a copy, not a view
+  EXPECT_EQ(pmu.snapshot(0).cores[0], pmu.core(0));
+  EXPECT_EQ(pmu.core(0).busy_cycles, 1500u);
 }
 
 // The tentpole's zero-overhead criterion: attaching the observation stack

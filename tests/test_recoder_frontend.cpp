@@ -60,6 +60,13 @@ TEST(Parser, ParsesPointersAndCalls) {
   ASSERT_TRUE(r.ok()) << r.error().to_string();
 }
 
+/// Parse `expr` as the return value of main.
+Result<ExprPtr> parse_expression(const std::string& expr) {
+  auto p = parse_program("int main() { return " + expr + "; }");
+  if (!p.ok()) return p.error();
+  return std::move(p.value().functions[0].body[0]->expr);
+}
+
 TEST(Parser, OperatorPrecedence) {
   auto e = parse_expression("1 + 2 * 3 == 7 && 4 < 5");
   ASSERT_TRUE(e.ok());
@@ -340,6 +347,35 @@ TEST(Interp, RuntimeErrors) {
   EXPECT_FALSE(interpret(empty_recv.value()).ok());
 }
 
+TEST(Interp, BoundsLiveArrayCellsByTheStepBudget) {
+  for (const char* size : {"9223372036854775807", "1000000000"}) {
+    SCOPED_TRACE(size);
+    auto huge = parse_program(std::string("int big[") + size +
+                              "];\nint main() { return 0; }");
+    ASSERT_TRUE(huge.ok()) << huge.error().to_string();
+    const auto r = interpret(huge.value());
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().message.find("array 'big["), std::string::npos)
+        << r.error().message;
+  }
+  auto normal = parse_program(
+      "int main() { int a[16]; a[3] = 5; return a[3]; }");
+  ASSERT_TRUE(normal.ok());
+  const auto ok = interpret(normal.value());
+  ASSERT_TRUE(ok.ok()) << ok.error().to_string();
+  EXPECT_EQ(ok.value().return_value, 5);
+  EXPECT_EQ(ok.value().steps, 3u);  // cells are not steps
+  // Cells of arrays that went out of scope are free again: 100 x 200k
+  // cells in turn fit a budget of 10M, all at once they would not.
+  auto loop = parse_program(
+      "int main() { for (int i = 0; i < 100; i = i + 1) { int t[200000]; }"
+      " return 1; }");
+  ASSERT_TRUE(loop.ok());
+  const auto looped = interpret(loop.value());
+  ASSERT_TRUE(looped.ok()) << looped.error().to_string();
+  EXPECT_EQ(looped.value().return_value, 1);
+}
+
 TEST(Interp, MainArguments) {
   auto p = parse_program("int main(int x, int y) { return x * y; }");
   ASSERT_TRUE(p.ok());
@@ -423,7 +459,7 @@ TEST(LanguageRules, TraversalReachesEveryNodeOnConstAndMutableTrees) {
     });
   });
   EXPECT_EQ(idents, 6u);  // i < 2; i = i + 1; if (i); -i; i = 1
-  EXPECT_EQ(count_nodes(cp), kinds.size() + idents + others);
+  EXPECT_EQ(count_nodes(cp.functions[0].body), kinds.size() + idents + others);
 }
 
 TEST(Analysis, VarUses) {
@@ -502,7 +538,7 @@ TEST(Analysis, NodeCount) {
   auto p = parse_program("int main() { return 1 + 2; }");
   ASSERT_TRUE(p.ok());
   // return stmt + binary + two literals = 4.
-  EXPECT_EQ(count_nodes(p.value()), 4u);
+  EXPECT_EQ(count_nodes(p.value().functions[0].body), 4u);
 }
 
 }  // namespace

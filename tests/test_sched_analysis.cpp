@@ -183,10 +183,5 @@ TEST(Analysis, AmdahlSpeedupShape) {
   EXPECT_GT(app.speedup(64, 4.0), app.speedup(64, 1.0));
 }
 
-TEST(Analysis, CriticalityNames) {
-  EXPECT_STREQ(criticality_name(Criticality::kHard), "hard");
-  EXPECT_STREQ(criticality_name(Criticality::kBestEffort), "best-effort");
-}
-
 }  // namespace
 }  // namespace rw::sched

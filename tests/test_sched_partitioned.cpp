@@ -150,11 +150,5 @@ TEST(Partitioned, MinCoresNeeded) {
   EXPECT_FALSE(impossible.has_value());
 }
 
-TEST(Partitioned, PackingNames) {
-  EXPECT_STREQ(packing_name(PackingHeuristic::kBestFit), "best-fit");
-  EXPECT_STREQ(packing_name(PackingHeuristic::kFirstFitDecreasing),
-               "first-fit-decr");
-}
-
 }  // namespace
 }  // namespace rw::sched

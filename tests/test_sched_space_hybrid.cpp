@@ -112,8 +112,6 @@ TEST(Gang, ThroughputAndResponseMetrics) {
   GangResult r = run_gang_schedule(
       cfg, {{make_app("a", 400'000, 0.0), 0},
             {make_app("b", 400'000, 0.0), microseconds(10)}});
-  EXPECT_GT(r.mean_response_us(), 0.0);
-  EXPECT_GT(r.throughput_apps_per_ms(), 0.0);
   EXPECT_EQ(r.operations, 4u);  // 2 allocs + 2 releases
   EXPECT_GT(r.metrics.mean_core_utilization, 0.0);
   EXPECT_LE(r.metrics.mean_core_utilization, 1.0 + 1e-9);
@@ -132,8 +130,6 @@ TEST(Dvfs, LadderSteps) {
   EXPECT_EQ(l.step_down(mhz(400)), mhz(200));
   EXPECT_EQ(l.step_up(mhz(2000)), mhz(2000));
   EXPECT_EQ(l.step_down(mhz(200)), mhz(200));
-  EXPECT_EQ(l.ceil_level(mhz(450)), mhz(600));
-  EXPECT_EQ(l.ceil_level(mhz(5000)), mhz(2000));
 }
 
 TEST(Dvfs, GovernorPicksLowestFeasible) {
@@ -312,8 +308,6 @@ TEST(Gang, StaticallyInfeasibleRequestIsRejectedNotQueued) {
   EXPECT_GT(r.apps[1].finish, 0u);
   EXPECT_TRUE(r.apps[2].admitted);
   EXPECT_EQ(r.rejected_infeasible, 1u);
-  // Rejected apps do not drag the response-time statistics to zero.
-  EXPECT_GT(r.mean_response_us(), 0.0);
   EXPECT_EQ(r.to_metrics().extra_or("rejected_infeasible", 0.0), 1.0);
 }
 

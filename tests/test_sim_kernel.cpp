@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <vector>
+#include "sim_run_to.hpp"
 
 namespace rw::sim {
 namespace {
@@ -58,10 +59,10 @@ TEST(Kernel, RunUntilStopsAtBoundaryAndAdvancesClock) {
   std::vector<TimePs> fired;
   for (TimePs t : {10u, 20u, 30u, 40u})
     k.schedule_at(t, [&, t] { fired.push_back(t); });
-  k.run_until(25);
+  run_to(k, 25);
   EXPECT_EQ(fired, (std::vector<TimePs>{10, 20}));
   EXPECT_EQ(k.now(), 25u);
-  k.run_until(100);
+  run_to(k, 100);
   EXPECT_EQ(fired.size(), 4u);
   EXPECT_EQ(k.now(), 100u);
 }
@@ -145,7 +146,7 @@ TEST(Kernel, DaemonsExecuteWithinRunUntilHorizon) {
     k.schedule_daemon_in(10, observer);
   };
   k.schedule_daemon_at(10, observer);
-  k.run_until(35);
+  run_to(k, 35);
   EXPECT_EQ(ticks, (std::vector<TimePs>{10, 20, 30}));
   EXPECT_EQ(k.now(), 35u);
 }

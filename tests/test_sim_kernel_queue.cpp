@@ -17,6 +17,7 @@
 #include "sim/kernel.hpp"
 #include "sim/platform.hpp"
 #include "vpdebug/replay.hpp"
+#include "sim_run_to.hpp"
 
 namespace rw::sim {
 namespace {
@@ -88,13 +89,13 @@ TEST_P(KernelQueue, DaemonsAndRunUntilBoundaries) {
   };
   k.schedule_daemon_at(10, observer);
   k.schedule_at(25, [] {});
-  k.run_until(35);
+  run_to(k, 35);
   EXPECT_EQ(ticks, (std::vector<TimePs>{10, 20, 30}));
   EXPECT_EQ(k.now(), 35u);
   // Events landing exactly on a later boundary run; the daemon one past
   // it stays pending.
   k.schedule_at(40, [] {});
-  k.run_until(40);
+  run_to(k, 40);
   EXPECT_EQ(ticks.back(), 40u);
   EXPECT_EQ(k.now(), 40u);
   EXPECT_FALSE(k.empty());
@@ -146,7 +147,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, KernelQueue,
 
 std::vector<std::size_t> run_soup(QueuePolicy policy, std::uint64_t seed) {
   // A randomized schedule script (normal + daemon events, handler-driven
-  // rescheduling, run_until boundaries, a tiny wheel to force spills and
+  // rescheduling, run-to boundaries, a tiny wheel to force spills and
   // rebases) executed on the given queue. Returns the execution order.
   KernelConfig cfg;
   cfg.policy = policy;
@@ -181,7 +182,7 @@ std::vector<std::size_t> run_soup(QueuePolicy policy, std::uint64_t seed) {
     k.schedule_at(rng.next_below(600), [&body, id] { body(id, 4); },
                   static_cast<int>(rng.next_int(-1, 1)));
   }
-  k.run_until(300);
+  run_to(k, 300);
   k.run();
   order.push_back(10'000'000 + k.events_executed());
   order.push_back(static_cast<std::size_t>(k.now()));
@@ -255,7 +256,7 @@ TEST(KernelQueueCross, DmaTimerIrqScenarioFingerprintsAreIdentical) {
         p.dma().start(p.shared_base(), p.shared_base() + 4096, 512, chain);
     };
     p.dma().start(p.shared_base(), p.shared_base() + 4096, 512, chain);
-    p.kernel().run_until(microseconds(40));
+    run_to(p.kernel(), microseconds(40));
     p.timer().stop();
     p.kernel().run();
     return std::pair{rec.fingerprint(), p.kernel().events_executed()};

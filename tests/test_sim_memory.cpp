@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -29,8 +30,6 @@ TEST_F(MemoryTest, ReadWriteRoundTrip) {
   mem.add_region("spm", 0x1000, 4096, 1, CoreId{0});
   mem.write_u64(CoreId{0}, 0x1000, 0x1122334455667788ULL);
   EXPECT_EQ(mem.read_u64(CoreId{0}, 0x1000), 0x1122334455667788ULL);
-  mem.write_u32(CoreId{0}, 0x1100, 0xcafebabe);
-  EXPECT_EQ(mem.read_u32(CoreId{0}, 0x1100), 0xcafebabeu);
 }
 
 TEST_F(MemoryTest, RegionsStartZeroed) {
@@ -75,8 +74,8 @@ TEST_F(MemoryTest, ObserversSeeAllAccesses) {
   AccessLog log;
   observers.attach(log);
   const std::vector<MemAccess>& seen = log.seen;
-  mem.write_u32(CoreId{2}, 16, 99);
-  mem.read_u32(CoreId{3}, 16);
+  mem.write_u64(CoreId{2}, 16, 99);
+  (void)mem.read_u64(CoreId{3}, 16);
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_TRUE(seen[0].is_write);
   EXPECT_EQ(seen[0].core, CoreId{2});
@@ -109,8 +108,8 @@ TEST_F(MemoryTest, PokePeekBypassObservers) {
 TEST_F(MemoryTest, LatencyLookup) {
   mem.add_region("fast", 0, 64, 1);
   mem.add_region("slow", 0x100, 64, 20);
-  EXPECT_EQ(mem.latency_for(0), 1u);
-  EXPECT_EQ(mem.latency_for(0x100), 20u);
+  EXPECT_EQ(mem.find_region(0)->access_latency, 1u);
+  EXPECT_EQ(mem.find_region(0x100)->access_latency, 20u);
 }
 
 TEST_F(MemoryTest, TracesAccessesWhenEnabled) {
@@ -139,8 +138,6 @@ TEST_F(MemoryTest, AccessesNearTopOfAddressSpaceThrow) {
     SCOPED_TRACE(k);
     EXPECT_THROW((void)mem.read_u64(CoreId{0}, a), std::out_of_range);
     EXPECT_THROW(mem.write_u64(CoreId{0}, a, 1), std::out_of_range);
-    EXPECT_THROW((void)mem.read_u32(CoreId{0}, a), std::out_of_range);
-    EXPECT_THROW(mem.write_u32(CoreId{0}, a, 1), std::out_of_range);
     std::vector<std::uint8_t> buf(32);
     EXPECT_THROW(mem.read_block(CoreId{0}, a, buf), std::out_of_range);
     EXPECT_THROW(mem.write_block(CoreId{0}, a, buf), std::out_of_range);
@@ -188,8 +185,7 @@ TEST_F(MemoryTest, RegionsAddedOutOfAddressOrderResolve) {
   EXPECT_EQ(mem.find_region(0x0fff), nullptr);
   EXPECT_EQ(mem.find_region(0x1100), nullptr);
   EXPECT_EQ(mem.find_region(0x3100), nullptr);
-  EXPECT_EQ(mem.latency_for(0x2010), 2u);
-  EXPECT_EQ(mem.latency_for(0x2100), 1u);  // unmapped: one cycle
+  EXPECT_EQ(mem.find_region(0x2010)->access_latency, 2u);
 }
 
 // The region index at model scale: a 64-core platform's 64 scratchpads
@@ -210,9 +206,11 @@ TEST(MemoryIndexTest, EveryRegionEdgeOnA64CorePlatform) {
     EXPECT_EQ(mem.read_u64(who, first), 0x11u);
     mem.write_u64(who, last - 7, 0x22);
     EXPECT_EQ(mem.read_u64(who, last - 7), 0x22u);
-    EXPECT_EQ(mem.read_u32(who, last - 3), 0u);
+    std::array<std::uint8_t, 4> word{1, 1, 1, 1};
+    mem.read_block(who, last - 3, word);
+    EXPECT_EQ(word, (std::array<std::uint8_t, 4>{}));
     EXPECT_THROW((void)mem.read_u64(who, last - 3), std::out_of_range);
-    EXPECT_THROW((void)mem.read_u32(who, last), std::out_of_range);
+    EXPECT_THROW(mem.read_block(who, last, word), std::out_of_range);
     if (first >= 4) {
       EXPECT_THROW((void)mem.read_u64(who, first - 4), std::out_of_range);
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/interconnect.hpp"
+#include "sim_run_to.hpp"
 
 namespace rw::sim {
 namespace {
@@ -76,7 +77,7 @@ TEST_F(PeriphTest, TimerPeriodicFires) {
     irqc.ack(7);
   });
   timer.start_periodic(microseconds(10));
-  kernel.run_until(microseconds(95));
+  run_to(kernel, microseconds(95));
   EXPECT_EQ(ticks, 9);
   EXPECT_EQ(timer.fire_count(), 9u);
 }
@@ -84,7 +85,7 @@ TEST_F(PeriphTest, TimerPeriodicFires) {
 TEST_F(PeriphTest, TimerOneshotFiresOnce) {
   TimerPeripheral timer(kernel, tracer, irqc, 7);
   timer.start_oneshot(microseconds(5));
-  kernel.run_until(microseconds(100));
+  run_to(kernel, microseconds(100));
   EXPECT_EQ(timer.fire_count(), 1u);
   EXPECT_FALSE(timer.running());
 }
@@ -92,10 +93,10 @@ TEST_F(PeriphTest, TimerOneshotFiresOnce) {
 TEST_F(PeriphTest, TimerStopCancelsPendingFire) {
   TimerPeripheral timer(kernel, tracer, irqc, 7);
   timer.start_periodic(microseconds(10));
-  kernel.run_until(microseconds(25));
+  run_to(kernel, microseconds(25));
   EXPECT_EQ(timer.fire_count(), 2u);
   timer.stop();
-  kernel.run_until(microseconds(100));
+  run_to(kernel, microseconds(100));
   EXPECT_EQ(timer.fire_count(), 2u);
 }
 
@@ -103,7 +104,7 @@ TEST_F(PeriphTest, TimerRestartInvalidatesOldSchedule) {
   TimerPeripheral timer(kernel, tracer, irqc, 7);
   timer.start_periodic(microseconds(10));
   timer.start_periodic(microseconds(3));
-  kernel.run_until(microseconds(10));
+  run_to(kernel, microseconds(10));
   EXPECT_EQ(timer.fire_count(), 3u);  // fires at 3, 6, 9 — not also at 10
 }
 
@@ -112,7 +113,7 @@ TEST_F(PeriphTest, TimerRegisterInterface) {
   timer.write_reg(TimerPeripheral::kRegPeriodPs, microseconds(2));
   timer.write_reg(TimerPeripheral::kRegCtrl, 0b11);  // enable periodic
   EXPECT_TRUE(timer.running());
-  kernel.run_until(microseconds(7));
+  run_to(kernel, microseconds(7));
   EXPECT_EQ(timer.read_reg(TimerPeripheral::kRegFireCount), 3u);
   timer.write_reg(TimerPeripheral::kRegCtrl, 0);
   EXPECT_FALSE(timer.running());

@@ -44,8 +44,10 @@ TEST(Platform, MemoryMapHasScratchpadsAndShared) {
 
 TEST(Platform, SharedMemorySlowerThanScratchpad) {
   Platform p(PlatformConfig::homogeneous(2));
-  EXPECT_GT(p.memory().latency_for(p.shared_base()),
-            p.memory().latency_for(p.scratchpad_base(CoreId{0})));
+  EXPECT_GT(p.memory().find_region(p.shared_base())->access_latency,
+            p.memory()
+                .find_region(p.scratchpad_base(CoreId{0}))
+                ->access_latency);
 }
 
 TEST(Platform, InterconnectSelection) {

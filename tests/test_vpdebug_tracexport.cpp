@@ -268,8 +268,8 @@ TEST(TracePairingAgreement, ChromeHistoryAndTraceViewSeeTheSameBlocks) {
     ASSERT_TRUE(doc.ok()) << doc.error().to_string();
     for (const json::Value& ev : doc.value().get("traceEvents")->items()) {
       ASSERT_EQ(ev.get_string("ph"), "X");
-      chrome.emplace_back(ev.get_u64("tid"), ev.get_double("ts"),
-                          ev.get_double("dur"));
+      chrome.emplace_back(ev.get_u64("tid"), ev.get("ts")->number(),
+                          ev.get("dur")->number());
     }
     std::vector<Block> history;
     for (std::size_t core = 0; core < c.cores; ++core)

@@ -8,8 +8,8 @@
 #
 # After the --json runs, rwprof (bus and mesh) and rwert run once more into
 # an empty --out-dir, and every file they write gets its own line, named
-# "<run>/<file>" in file-name order: the Chrome traces, folded stacks, CSV
-# and report JSON that --no-files skips.
+# "<run>/<file>" in file-name order: the Chrome traces, VCD waveforms,
+# folded stacks, CSV and report JSON that --no-files skips.
 #
 # The argument is a CMake build tree that holds the built tools/ binaries
 # (default: build). A nonzero exit status is recorded, not fatal: rwlint

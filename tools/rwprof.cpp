@@ -1,6 +1,7 @@
 // rwprof: run demo workloads on the virtual platform under a PerfSession,
 // print the PMU counter table and sampled profile, and write deterministic
-// exports (PERF_<name>.json, Chrome trace JSON, folded stacks, CSV).
+// exports (PERF_<name>.json, Chrome trace JSON, VCD waveform, folded
+// stacks, CSV).
 #include <iostream>
 #include <string>
 #include <vector>
