@@ -8,10 +8,6 @@
 
 namespace rw::json {
 
-namespace {
-
-// Append `s` with JSON string escaping (quotes, backslash, control
-// characters); each run of bytes that needs none goes in with one append.
 void append_escaped(std::string& out, std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";
   std::size_t run = 0;
@@ -34,8 +30,6 @@ void append_escaped(std::string& out, std::string_view s) {
   }
   out.append(s.data() + run, s.size() - run);
 }
-
-}  // namespace
 
 void Writer::indent() {
   if (!pretty_) return;

@@ -23,6 +23,12 @@
 
 namespace rw::json {
 
+/// Append `s` as the body of a JSON string (no quotes): quote, backslash
+/// and the control characters escaped, every other byte as is. Each run
+/// of bytes that needs no escape goes in with one append. The Writer's
+/// keys and strings and perf::to_chrome_trace's labels go through it.
+void append_escaped(std::string& out, std::string_view s);
+
 /// Streaming writer with structural validation by assertion. Typical use:
 ///
 ///   json::Writer w;

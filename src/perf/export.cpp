@@ -10,33 +10,63 @@
 
 namespace rw::perf {
 
-std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
+void append_ps_as_us(std::string& out, TimePs ps) {
+  constexpr TimePs kPsPerUs = 1'000'000;
+  constexpr TimePs kFifteenDigits = 1'000'000'000'000'000;
+  if (ps == 0 || (ps >= 100 && ps < kFifteenDigits)) {
+    const double d = static_cast<double>(ps);  // exact below 2^53
+    const double us = d * 1e-6;
+    // ps/1e6 has at most 15 significant digits and, from 100 ps, %g
+    // writes it without an exponent. When the product is the correctly
+    // rounded quotient, those digits are %.15g of it and read back, so
+    // they go in straight from the integer.
+    if (d / 1e6 == us) {
+      append_chars(out, ps / kPsPerUs);
+      TimePs frac = ps % kPsPerUs;
+      if (frac == 0) return;
+      char buf[7] = {'.'};
+      for (std::size_t i = 6; i > 0; --i, frac /= 10)
+        buf[i] = static_cast<char>('0' + frac % 10);
+      std::size_t len = 7;
+      while (buf[len - 1] == '0') --len;
+      out.append(buf, len);
+      return;
+    }
+    // Off by an ulp from the quotient: %.15g would read back as the
+    // quotient, so the Writer takes its 17-digit path.
+    append_chars(out, us, std::chars_format::general, 17);
+    return;
+  }
+  // 1-99 ps (exponent form) and 16 digits or more: the Writer's full rule.
   json::Writer w(/*pretty=*/false);
-  w.begin_object();
-  w.key("displayTimeUnit").value("ns");
-  w.key("traceEvents").begin_array();
+  w.value(static_cast<double>(ps) * 1e-6);
+  out += w.str();
+}
+
+std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace) {
+  std::string out = R"({"displayTimeUnit":"ns","traceEvents":[)";
   // One "X" complete event per paired ComputeEnd, in trace order.
   const std::vector<std::size_t> partner = sim::pair_records(trace);
+  bool first = true;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const sim::TraceEvent& ev = trace[i];
     if (ev.kind != sim::TraceKind::kComputeEnd ||
         partner[i] == sim::kNoPartner)
       continue;
     const TimePs start = trace[partner[i]].time;
-    w.begin_object();
-    w.key("name").value(ev.label);
-    w.key("cat").value("compute");
-    w.key("ph").value("X");
-    // Chrome trace timestamps are microseconds; 1 ps = 1e-6 us.
-    w.key("ts").value(static_cast<double>(start) * 1e-6);
-    w.key("dur").value(static_cast<double>(ev.time - start) * 1e-6);
-    w.key("pid").value(std::uint64_t{0});
-    w.key("tid").value(static_cast<std::uint64_t>(ev.core.index()));
-    w.end_object();
+    out += first ? R"({"name":")" : R"(,{"name":")";
+    first = false;
+    json::append_escaped(out, ev.label);
+    out += R"(","cat":"compute","ph":"X","ts":)";
+    append_ps_as_us(out, start);
+    out += R"(,"dur":)";
+    append_ps_as_us(out, ev.time - start);
+    out += R"(,"pid":0,"tid":)";
+    append_chars(out, static_cast<std::uint64_t>(ev.core.index()));
+    out += '}';
   }
-  w.end_array();
-  w.end_object();
-  return w.str() + "\n";
+  out += "]}\n";
+  return out;
 }
 
 std::string to_folded_stacks(const SamplingProfiler::Profile& profile) {

@@ -23,7 +23,18 @@ struct PerfReport;  // session.hpp
 /// Chrome trace-event JSON: one "X" event per compute block that
 /// sim::pair_records pairs, at its end record (pid 0, tid = core index,
 /// timestamps in microseconds). Blocks that never retired are not drawn.
+/// The document is appended in one pass, constant bytes as literals and
+/// only labels escaped; its bytes are those json::Writer writes for the
+/// same fields, with each time as append_ps_as_us writes it.
 std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace);
+
+/// Append `ps` picoseconds as Chrome's microseconds, in the bytes of
+/// json::Writer::value(double(ps) * 1e-6): %.15g of ps * 1e-6 when that
+/// reads back, else %.17g. From 100 ps up to 15 digits, the exact decimal
+/// ps / 1e6 is written from the integer when the product is the
+/// correctly rounded quotient (then it is the %.15g form); otherwise that
+/// range takes %.17g directly, and the rest goes through the Writer.
+void append_ps_as_us(std::string& out, TimePs ps);
 
 /// Folded-stack lines "core<i>;<label> <samples>", (core,label) ordered.
 std::string to_folded_stacks(const SamplingProfiler::Profile& profile);

@@ -10,18 +10,14 @@
 #include "perf/traceview.hpp"
 #include "perf/workload.hpp"
 #include "sim/process.hpp"
+#include "trace_fixtures.hpp"
 #include "vpdebug/tracexport.hpp"
 
 namespace rw::vpdebug {
 namespace {
 
-sim::Process busy_task(sim::Platform& p, std::size_t core, Cycles c,
-                       const char* label, int reps) {
-  for (int i = 0; i < reps; ++i) {
-    co_await p.core(core).compute(c, label);
-    co_await sim::delay(p.kernel(), microseconds(5));
-  }
-}
+using sim::busy_task;
+using sim::crash_and_recover_trace;
 
 class TraceExportTest : public ::testing::Test {
  protected:
@@ -178,19 +174,6 @@ std::vector<std::pair<TimePs, char>> wire_changes(const std::string& vcd,
     }
   }
   return out;
-}
-
-// Core 0 crashes 5 us into a 14 us block and recovers at 8 us, which
-// re-runs the whole block over [8, 22] us.
-std::vector<sim::TraceEvent> crash_and_recover_trace() {
-  auto cfg = sim::PlatformConfig::homogeneous(2, ghz(1));
-  cfg.trace_enabled = true;
-  sim::Platform p(std::move(cfg));
-  sim::spawn(p.kernel(), busy_task(p, 0, 14'000, "blk", 1));
-  p.kernel().schedule_at(microseconds(5), [&] { p.core(0).fail(); });
-  p.kernel().schedule_at(microseconds(8), [&] { p.core(0).recover(); });
-  p.kernel().run();
-  return p.tracer().events();
 }
 
 // Tracing switched on at 5 us while core 0's first block ([0, 10] us) is

@@ -6,10 +6,14 @@
 #
 #   tools/cli_digests.sh build | diff tools/cli_digests.txt -
 #
-# After the --json runs, rwprof (bus and mesh) and rwert run once more into
-# an empty --out-dir, and every file they write gets its own line, named
-# "<run>/<file>" in file-name order: the Chrome traces, VCD waveforms,
-# folded stacks, CSV and report JSON that --no-files skips.
+# After the --json runs, rwprof (bus, mesh and DVFS governor) and rwert run
+# once more into an empty --out-dir, and every file they write gets its own
+# line, named "<run>/<file>" in file-name order: the Chrome traces, VCD
+# waveforms, folded stacks, CSV and report JSON that --no-files skips. The
+# mesh files cover only the two workloads that use the interconnect
+# (forkjoin and pipeline make no transfers, so their mesh files repeat the
+# bus bytes); the governor's DVFS-shifted times give every file distinct
+# bytes.
 #
 # The argument is a CMake build tree that holds the built tools/ binaries
 # (default: build). A nonzero exit status is recorded, not fatal: rwlint
@@ -51,5 +55,6 @@ run rwfault rwfault --no-files
 run rwlint rwlint --no-files
 run rwfuzz rwfuzz --seeds 200 --tiny --no-files
 files rwprof_bus rwprof
-files rwprof_mesh rwprof --mesh
+files rwprof_mesh rwprof --mesh shared_hammer tiled_pipeline
+files rwprof_gov rwprof --governor
 files rwert rwert
