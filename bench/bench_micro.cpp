@@ -299,6 +299,26 @@ BENCHMARK(BM_UntracedRunModelSize)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
+// Platform build and destroy, no spawn and no run, on the bus at 4, 16 and
+// 64 cores: the per-run set-up a fuzz campaign pays for every sub-run.
+// Four threads building at once show the contention of that set-up on a
+// harness pool.
+void BM_PlatformBuild(benchmark::State& state) {
+  const auto cores = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    sim::Platform plat(sim::PlatformConfig::homogeneous(cores, mhz(400)));
+    benchmark::DoNotOptimize(&plat);
+  }
+}
+BENCHMARK(BM_PlatformBuild)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -7,6 +7,46 @@
 #include "common/strings.hpp"
 
 namespace rw::sim {
+namespace {
+
+constexpr std::uint64_t kPageMask = kPageSize - 1;
+
+/// The page holding region offset `off`, allocated zeroed if never written.
+std::uint8_t* page_for_write(Region& r, std::uint64_t off) {
+  std::unique_ptr<std::uint8_t[]>& p = r.pages[off >> kPageBits];
+  if (p == nullptr) p = std::make_unique<std::uint8_t[]>(kPageSize);
+  return p.get();
+}
+
+/// Copy the region's bytes at offsets [off, off + out.size()) into `out`,
+/// page by page; a page never written reads as zeros.
+void copy_out(const Region& r, std::uint64_t off, std::span<std::uint8_t> out) {
+  for (std::size_t done = 0; done < out.size();) {
+    const std::uint64_t at = off + done;
+    const std::uint64_t in_page = at & kPageMask;
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kPageSize - in_page, out.size() - done));
+    if (const std::uint8_t* p = r.pages[at >> kPageBits].get())
+      std::memcpy(out.data() + done, p + in_page, n);
+    else
+      std::memset(out.data() + done, 0, n);
+    done += n;
+  }
+}
+
+/// Copy `in` to the region's offsets [off, off + in.size()), page by page.
+void copy_in(Region& r, std::uint64_t off, std::span<const std::uint8_t> in) {
+  for (std::size_t done = 0; done < in.size();) {
+    const std::uint64_t at = off + done;
+    const std::uint64_t in_page = at & kPageMask;
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kPageSize - in_page, in.size() - done));
+    std::memcpy(page_for_write(r, at) + in_page, in.data() + done, n);
+    done += n;
+  }
+}
+
+}  // namespace
 
 RegionId MemorySystem::add_region(std::string name, Addr base,
                                   std::uint64_t size, Cycles access_latency,
@@ -27,7 +67,8 @@ RegionId MemorySystem::add_region(std::string name, Addr base,
   r.size = size;
   r.access_latency = access_latency;
   r.owner = owner;
-  r.bytes.assign(size, 0);
+  // Counted without size + kPageSize - 1, which wraps for sizes near 2^64.
+  r.pages.resize((size >> kPageBits) + ((size & kPageMask) != 0 ? 1 : 0));
   if (size > 0) {
     const auto at = std::upper_bound(
         by_base_.begin(), by_base_.end(), base,
@@ -117,25 +158,44 @@ void MemorySystem::observe(const Region& r, CoreId core, Addr a,
   for (Observer* o : *observers_) o->on_mem_access(acc);
 }
 
+// The 8-byte accessors take an inline path when the word lies inside one
+// page (offset within the page at most kPageSize - 8): one shift, one null
+// test, one 8-byte copy. A word straddling a page edge goes through the
+// page loop.
 std::uint64_t MemorySystem::read_u64(CoreId core, Addr a) {
-  Region& r = region_for(a, 8, core, /*is_write=*/false);
+  const Region& r = region_for(a, 8, core, /*is_write=*/false);
+  const std::uint64_t off = a - r.base;
   std::uint64_t v = 0;
-  std::memcpy(&v, r.bytes.data() + (a - r.base), 8);
+  if ((off & kPageMask) <= kPageSize - 8) {
+    if (const std::uint8_t* p = r.pages[off >> kPageBits].get())
+      std::memcpy(&v, p + (off & kPageMask), 8);
+  } else {
+    std::uint8_t buf[8];
+    copy_out(r, off, buf);
+    std::memcpy(&v, buf, 8);
+  }
   observe(r, core, a, 8, /*is_write=*/false, v, v);
   return v;
 }
 
 void MemorySystem::write_u64(CoreId core, Addr a, std::uint64_t v) {
   Region& r = region_for(a, 8, core, /*is_write=*/true);
-  std::memcpy(r.bytes.data() + (a - r.base), &v, 8);
+  const std::uint64_t off = a - r.base;
+  if ((off & kPageMask) <= kPageSize - 8) {
+    std::memcpy(page_for_write(r, off) + (off & kPageMask), &v, 8);
+  } else {
+    std::uint8_t buf[8];
+    std::memcpy(buf, &v, 8);
+    copy_in(r, off, buf);
+  }
   observe(r, core, a, 8, /*is_write=*/true, v, v);
 }
 
 // Block accesses trace their length and observe no value.
 void MemorySystem::read_block(CoreId core, Addr a,
                               std::span<std::uint8_t> out) {
-  Region& r = region_for(a, out.size(), core, /*is_write=*/false);
-  std::memcpy(out.data(), r.bytes.data() + (a - r.base), out.size());
+  const Region& r = region_for(a, out.size(), core, /*is_write=*/false);
+  copy_out(r, a - r.base, out);
   observe(r, core, a, static_cast<std::uint32_t>(out.size()),
           /*is_write=*/false, out.size(), 0);
 }
@@ -143,7 +203,7 @@ void MemorySystem::read_block(CoreId core, Addr a,
 void MemorySystem::write_block(CoreId core, Addr a,
                                std::span<const std::uint8_t> in) {
   Region& r = region_for(a, in.size(), core, /*is_write=*/true);
-  std::memcpy(r.bytes.data() + (a - r.base), in.data(), in.size());
+  copy_in(r, a - r.base, in);
   observe(r, core, a, static_cast<std::uint32_t>(in.size()),
           /*is_write=*/true, in.size(), 0);
 }
@@ -152,14 +212,14 @@ void MemorySystem::poke(Addr a, std::span<const std::uint8_t> in) {
   const std::size_t i = lookup(a, in.size());
   if (i == kNoRegion) throw std::out_of_range("poke outside mapped memory");
   Region& r = regions_[i];
-  std::memcpy(r.bytes.data() + (a - r.base), in.data(), in.size());
+  copy_in(r, a - r.base, in);
 }
 
 void MemorySystem::peek(Addr a, std::span<std::uint8_t> out) const {
   const std::size_t i = lookup(a, out.size());
   if (i == kNoRegion) throw std::out_of_range("peek outside mapped memory");
   const Region& r = regions_[i];
-  std::memcpy(out.data(), r.bytes.data() + (a - r.base), out.size());
+  copy_out(r, a - r.base, out);
 }
 
 }  // namespace rw::sim

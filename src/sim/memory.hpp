@@ -7,10 +7,24 @@
 // easily identified") are observable facts, not abstractions. Locality
 // enforcement is optional and, when enabled, faults any access by a core to
 // another core's local memory.
+//
+// Backing store: each region is a table of 4 KiB pages. A page is
+// allocated, zeroed, on its first write; a byte never written reads 0 and
+// reading it allocates nothing. So building a platform costs a page table,
+// not a zero fill of every region (a demo touches a few KiB of the 1 MiB
+// shared region and 64 KiB scratchpads). An 8-byte access that stays inside
+// one page, nearly every access a core makes, takes an inline path in
+// read_u64/write_u64: one shift, one null test, one 8-byte copy. Only
+// page-straddling words, blocks, peek and poke loop over pages; sending
+// every access through that loop cost more in run() than the build saved.
+// Pages are plain heap blocks, not mmap'ed OS zero pages: munmap and page
+// faults contend across threads, which halved a fuzz batch's throughput on
+// a 4-thread harness pool.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -26,6 +40,10 @@ namespace rw::sim {
 struct RegionTag {};
 using RegionId = Id<RegionTag>;
 
+/// Bytes per page of a region's backing store; a power of two.
+inline constexpr unsigned kPageBits = 12;
+inline constexpr std::uint64_t kPageSize = std::uint64_t{1} << kPageBits;
+
 /// One mapped memory region.
 struct Region {
   RegionId id{};
@@ -34,7 +52,12 @@ struct Region {
   std::uint64_t size = 0;
   Cycles access_latency = 1;   // cycles per access at the accessing core
   CoreId owner{};              // valid => core-local scratchpad
-  std::vector<std::uint8_t> bytes;
+  /// Page i holds the bytes at offsets [i * kPageSize, (i + 1) * kPageSize)
+  /// from `base`; null until its first write (it reads as zeros). The last
+  /// page may extend past `size`; those bytes are never reachable. Only
+  /// the region's own tile writes it (the cross-tile guard), so the table
+  /// takes no lock.
+  std::vector<std::unique_ptr<std::uint8_t[]>> pages;
 
   /// Tile partition (parallel.hpp): the region's state belongs to one
   /// tile, and accesses are timestamped/traced on that tile's kernel and
@@ -64,6 +87,7 @@ class MemorySystem {
 
   /// Map a new region. It must not overlap an existing region, and
   /// `base + size` must fit in 64 bits (std::invalid_argument otherwise).
+  /// Every byte reads 0 until written; no page is allocated here.
   RegionId add_region(std::string name, Addr base, std::uint64_t size,
                       Cycles access_latency, CoreId owner = CoreId{});
 
@@ -120,9 +144,13 @@ class MemorySystem {
   [[nodiscard]] std::size_t lookup(Addr a, std::uint64_t len) const;
   Region& region_for(Addr a, std::uint64_t len, CoreId core, bool is_write);
   /// Trace and observe one access to `r`. The trace record's second
-  /// payload is `b`; the observers' MemAccess carries `value`.
-  void observe(const Region& r, CoreId core, Addr a, std::uint32_t size,
-               bool is_write, std::uint64_t b, std::uint64_t value);
+  /// payload is `b`; the observers' MemAccess carries `value`. Inline and
+  /// defined in memory.cpp, its only caller: the accessors keep it in
+  /// their bodies, so an untraced access with no observer costs two tests
+  /// there, not a call.
+  inline void observe(const Region& r, CoreId core, Addr a,
+                      std::uint32_t size, bool is_write, std::uint64_t b,
+                      std::uint64_t value);
   [[nodiscard]] Kernel& clock_of(const Region& r) const {
     return r.clock != nullptr ? *r.clock : kernel_;
   }

@@ -3,7 +3,6 @@
 #include <deque>
 #include <unordered_map>
 
-
 namespace rw::sim {
 
 const char* trace_kind_name(TraceKind k) {
@@ -26,6 +25,12 @@ const char* trace_kind_name(TraceKind k) {
     case TraceKind::kCustom: return "custom";
   }
   return "?";
+}
+
+void Tracer::record_active(TimePs time, TraceKind kind, CoreId core,
+                           std::string_view label, std::uint64_t a,
+                           std::uint64_t b) {
+  record(TraceEvent{time, kind, core, std::string(label), a, b});
 }
 
 std::vector<std::size_t> pair_records(const std::vector<TraceEvent>& events) {

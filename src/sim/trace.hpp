@@ -53,11 +53,13 @@ class Tracer {
     if (enabled_) events_.push_back(std::move(ev));
   }
 
+  /// The active() test stays inline and the event is built out of line
+  /// (record_active), so an inactive tracer costs its callers one branch
+  /// rather than a call with eight arguments.
   void record(TimePs time, TraceKind kind, CoreId core,
               std::string_view label, std::uint64_t a = 0,
               std::uint64_t b = 0) {
-    if (!active()) return;
-    record(TraceEvent{time, kind, core, std::string(label), a, b});
+    if (active()) record_active(time, kind, core, label, a, b);
   }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const {
@@ -74,6 +76,10 @@ class Tracer {
   }
 
  private:
+  void record_active(TimePs time, TraceKind kind, CoreId core,
+                     std::string_view label, std::uint64_t a,
+                     std::uint64_t b);
+
   const ObserverList* observers_;
   std::uint32_t tile_;
   bool enabled_ = false;
