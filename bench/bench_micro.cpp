@@ -8,6 +8,7 @@
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "dataflow/executor.hpp"
+#include "fault/scenario.hpp"
 #include "maps/mapping.hpp"
 #include "maps/partition.hpp"
 #include "maps/workloads.hpp"
@@ -318,6 +319,30 @@ BENCHMARK(BM_PlatformBuild)
     ->Threads(4)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
+
+// Run-length sweep: one fault-free E14 pipeline run (run_fault_plan, the
+// fuzz oracle's fault probe) on the default 4-core bus at 48, 192, 768 and
+// 3072 items, without recovery and under watchdog restart. The host cost
+// per item should stay flat as the run grows; `time_per_item` shows it.
+void BM_FaultScenarioRunLength(benchmark::State& state) {
+  fault::ScenarioConfig cfg;
+  cfg.items = static_cast<std::uint64_t>(state.range(0));
+  cfg.policy = state.range(1) != 0 ? fault::RecoveryPolicy::kWatchdogRestart
+                                   : fault::RecoveryPolicy::kNone;
+  const fault::FaultPlan no_faults;
+  for (auto _ : state) {
+    const fault::ScenarioOutcome out = fault::run_fault_plan(cfg, no_faults);
+    benchmark::DoNotOptimize(out.trace_fingerprint);
+  }
+  state.SetLabel(fault::recovery_policy_name(cfg.policy));
+  state.counters["time_per_item"] = benchmark::Counter(
+      static_cast<double>(cfg.items),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FaultScenarioRunLength)
+    ->ArgsProduct({{48, 192, 768, 3072}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -93,6 +93,8 @@ Result<ArchInfo> parse_arch_file(const std::string& xml_text) {
   if (const auto* mem = root.child("memory")) {
     arch.platform.shared_mem_bytes = mem->attr_u64("bytes", 1 << 20);
     arch.platform.shared_mem_latency = mem->attr_u64("latency", 12);
+    if (const Status st = arch.platform.validate(); !st.ok())
+      return make_error(st.error().message, mem->line);
   }
   if (const auto* icn = root.child("interconnect")) {
     const auto kind = icn->attr("kind");

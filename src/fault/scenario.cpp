@@ -251,11 +251,8 @@ class IntegritySink final : public sim::Observer {
   std::uint64_t violations_ = 0;
 };
 
-/// One full pipeline run under `plan`. `num_links_out`, when non-null,
-/// receives the platform's NoC link count (0 on a bus) so the caller can
-/// size per-link faults in the random plan.
-ScenarioOutcome run_one(const ScenarioConfig& cfg, const FaultPlan& plan,
-                        std::size_t* num_links_out) {
+/// The platform every run of `cfg` builds.
+sim::PlatformConfig platform_config(const ScenarioConfig& cfg) {
   sim::PlatformConfig pc = sim::PlatformConfig::homogeneous(cfg.cores);
   pc.kernel.policy = cfg.queue;
   if (cfg.threads > 1) {
@@ -264,11 +261,20 @@ ScenarioOutcome run_one(const ScenarioConfig& cfg, const FaultPlan& plan,
     pc.kernel.exec = sim::ExecMode::kParallel;
   }
   if (cfg.mesh) pc.use_square_mesh();
-  sim::Platform plat(pc);
-  if (num_links_out != nullptr) {
-    auto* mesh = dynamic_cast<sim::MeshNoc*>(&plat.interconnect());
-    *num_links_out = mesh ? mesh->num_links() : 0;
-  }
+  return pc;
+}
+
+/// When a run of `o` ended: the sink's completion, or the drained
+/// kernel's time when the sink never finished.
+TimePs end_time(const ScenarioOutcome& o) {
+  return o.finish_time != 0 ? o.finish_time : o.makespan;
+}
+
+}  // namespace
+
+ScenarioOutcome run_fault_plan(const ScenarioConfig& cfg,
+                               const FaultPlan& plan) {
+  sim::Platform plat(platform_config(cfg));
 
   FaultInjector injector(plat, plan);
   injector.arm();
@@ -347,8 +353,6 @@ ScenarioOutcome run_one(const ScenarioConfig& cfg, const FaultPlan& plan,
   return out;
 }
 
-}  // namespace
-
 RunMetrics ScenarioOutcome::to_metrics() const {
   RunMetrics m;
   m.makespan = makespan;
@@ -378,21 +382,22 @@ RunMetrics ScenarioOutcome::to_metrics() const {
 }
 
 ScenarioOutcome run_fault_scenario(const ScenarioConfig& cfg) {
-  // Policy-independent reference run: the injection window must be the
-  // same for every policy under test, or the policies would face
-  // different fault counts and the sweep would compare nothing. kNone's
-  // untimed communication makes it the natural anchor.
-  std::size_t num_links = 0;
-  ScenarioConfig ref_cfg = cfg;
-  ref_cfg.policy = RecoveryPolicy::kNone;
-  const ScenarioOutcome ref = run_one(ref_cfg, FaultPlan{}, &num_links);
-  const TimePs t0_ref = ref.finish_time != 0 ? ref.finish_time : ref.makespan;
-
-  // This policy's own fault-free baseline: the degradation denominator.
-  ScenarioOutcome base = cfg.policy == RecoveryPolicy::kNone
-                             ? ref
-                             : run_one(cfg, FaultPlan{}, nullptr);
-  const TimePs t0 = base.finish_time != 0 ? base.finish_time : base.makespan;
+  // Up to three runs, each made only when something reads it:
+  //
+  //  * this policy's own fault-free baseline, the degradation denominator
+  //    (healthy_makespan). It always runs.
+  //  * the policy-independent reference (fault-free, kNone), which sizes a
+  //    random plan's injection window. The window must be the same for
+  //    every policy under test, or the policies would face different
+  //    fault counts and the sweep would compare nothing; kNone's untimed
+  //    communication makes it the natural anchor. It runs only for a
+  //    random plan under a recovery policy: under kNone it is the
+  //    baseline, and an explicit plan needs no window.
+  //  * the faulted run, under the explicit or random plan, when there is
+  //    one. Its outcome is what the call returns.
+  const FaultPlan no_faults;
+  ScenarioOutcome base = run_fault_plan(cfg, no_faults);
+  const TimePs t0 = end_time(base);
 
   const bool has_faults =
       cfg.explicit_plan != nullptr || cfg.fault_rate_per_ms > 0.0;
@@ -401,18 +406,28 @@ ScenarioOutcome run_fault_scenario(const ScenarioConfig& cfg) {
     return base;
   }
 
-  FaultPlan plan;
+  ScenarioOutcome out;
   if (cfg.explicit_plan != nullptr) {
-    plan = *cfg.explicit_plan;
+    out = run_fault_plan(cfg, *cfg.explicit_plan);
   } else {
+    TimePs t0_ref = t0;
+    if (cfg.policy != RecoveryPolicy::kNone) {
+      ScenarioConfig ref_cfg = cfg;
+      ref_cfg.policy = RecoveryPolicy::kNone;
+      t0_ref = end_time(run_fault_plan(ref_cfg, no_faults));
+    }
+    const sim::PlatformConfig pc = platform_config(cfg);
     RandomSpec spec;
     spec.rate_per_ms = cfg.fault_rate_per_ms;
     spec.window_start = 0;
     spec.window_end = 2 * t0_ref;  // faults land while work is in flight
     spec.num_cores = static_cast<std::uint32_t>(cfg.cores);
-    spec.num_links = static_cast<std::uint32_t>(num_links);
+    spec.num_links = static_cast<std::uint32_t>(
+        pc.interconnect == sim::PlatformConfig::Icn::kMesh
+            ? sim::MeshNoc::link_count(pc.mesh)
+            : 0);
     spec.mem_base = sim::kSharedBase;
-    spec.mem_size = sim::PlatformConfig{}.shared_mem_bytes;
+    spec.mem_size = pc.shared_mem_bytes;
     spec.kind_mask = cfg.kind_mask;
     if (cfg.crashes_only) {
       // Legacy spelling of only_kind(kCoreCrash); also flattens the
@@ -420,10 +435,8 @@ ScenarioOutcome run_fault_scenario(const ScenarioConfig& cfg) {
       spec.weight_crash = 1;
       spec.only_kind(FaultKind::kCoreCrash);
     }
-    plan = FaultPlan::random(cfg.seed, spec);
+    out = run_fault_plan(cfg, FaultPlan::random(cfg.seed, spec));
   }
-
-  ScenarioOutcome out = run_one(cfg, plan, nullptr);
   out.healthy_makespan = t0;
   return out;
 }

@@ -1,8 +1,8 @@
 // Fault/recovery experiment scenario (rw::fault, experiment E14).
 //
 // One deterministic streaming pipeline — source -> one stage per core ->
-// sink — run twice: once fault-free to learn the healthy makespan, then
-// under a seed-derived FaultPlan with the chosen recovery policy. Stages
+// sink — run fault-free to learn the healthy makespan, then under an
+// explicit or seed-derived FaultPlan with the chosen recovery policy. Stages
 // guard a shared scratch area with a hardware semaphore (the livelock
 // bait) and, when recovery is enabled, use Channel timeout/retry
 // primitives instead of blocking forever; the sink kicks the watchdog on
@@ -109,7 +109,18 @@ struct ScenarioOutcome {
 };
 
 /// Run the scenario. Deterministic: equal configs produce byte-identical
-/// timelines and equal outcomes, every time.
+/// timelines and equal outcomes, every time. Makes one fault-free run of
+/// `cfg` for healthy_makespan; a random plan under a recovery policy adds
+/// a fault-free kNone reference run that sizes its injection window; with
+/// a plan, the outcome is that of run_fault_plan under it.
 ScenarioOutcome run_fault_scenario(const ScenarioConfig& cfg);
+
+/// One pipeline run of `cfg` under `plan`, and nothing else: ignores
+/// cfg.fault_rate_per_ms and cfg.explicit_plan and leaves
+/// healthy_makespan at 0. Every other field equals what
+/// run_fault_scenario returns for `cfg` with explicit_plan = &plan. The
+/// fuzz oracle's fault probe is this one simulation.
+ScenarioOutcome run_fault_plan(const ScenarioConfig& cfg,
+                               const FaultPlan& plan);
 
 }  // namespace rw::fault

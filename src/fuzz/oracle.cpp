@@ -149,7 +149,6 @@ fault::ScenarioConfig scenario_config(const CampaignCase& c,
   sc.watchdog_timeout = c.watchdog_timeout;
   sc.queue = policy;
   sc.threads = threads;
-  sc.explicit_plan = c.plan.empty() ? nullptr : &c.plan;
   return sc;
 }
 
@@ -190,7 +189,7 @@ void run_fault_family(const CampaignCase& c, const OracleOptions& opts,
                       CaseOutcome& out) {
   const bool par = c.tiles > 1;
   const FaultProbe base{
-      fault::run_fault_scenario(scenario_config(c, c.queue, c.tiles))};
+      fault::run_fault_plan(scenario_config(c, c.queue, c.tiles), c.plan)};
   ++out.sub_runs;
   const fault::ScenarioOutcome& o = base.o;
   out.fingerprint = o.trace_fingerprint;
@@ -225,8 +224,8 @@ void run_fault_family(const CampaignCase& c, const OracleOptions& opts,
   check_twins(
       c, opts, out, base, par,
       [&](sim::QueuePolicy policy, bool parallel) {
-        return FaultProbe{fault::run_fault_scenario(
-            scenario_config(c, policy, parallel ? c.tiles : 1))};
+        return FaultProbe{fault::run_fault_plan(
+            scenario_config(c, policy, parallel ? c.tiles : 1), c.plan)};
       },
       "threads=1");
 }

@@ -130,8 +130,7 @@ MeshNoc::MeshNoc(Kernel& kernel, Config cfg, const ObserverList& observers)
   if (cfg_.width == 0 || cfg_.height == 0)
     throw std::invalid_argument("mesh dimensions must be positive");
   // Four directed links per node is an upper bound; unused slots stay idle.
-  link_busy_until_.assign(
-      static_cast<std::size_t>(cfg_.width) * cfg_.height * 4, 0);
+  link_busy_until_.assign(link_count(cfg_), 0);
 }
 
 std::vector<std::size_t> MeshNoc::route(CoreId src, CoreId dst) const {

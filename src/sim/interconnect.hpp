@@ -147,6 +147,10 @@ class MeshNoc final : public Interconnect {
   [[nodiscard]] std::size_t num_links() const {
     return link_busy_until_.size();
   }
+  /// The directed-link count of a mesh built from `cfg`: four per node.
+  [[nodiscard]] static std::size_t link_count(const Config& cfg) {
+    return static_cast<std::size_t>(cfg.width) * cfg.height * 4;
+  }
 
  private:
   [[nodiscard]] std::vector<std::size_t> route(CoreId src, CoreId dst) const;

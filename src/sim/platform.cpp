@@ -22,7 +22,15 @@ PlatformConfig PlatformConfig::heterogeneous(std::size_t riscs,
   return cfg;
 }
 
-Status PlatformConfig::validate() const { return validate_tiling(*this); }
+Status PlatformConfig::validate() const {
+  if (shared_mem_bytes > kMaxSharedMemBytes)
+    return make_error(strformat(
+        "shared memory of %llu bytes exceeds the %llu-byte limit (the region "
+        "at 0x80000000 must end at or below 2^32)",
+        static_cast<unsigned long long>(shared_mem_bytes),
+        static_cast<unsigned long long>(kMaxSharedMemBytes)));
+  return validate_tiling(*this);
+}
 
 void PlatformConfig::use_square_mesh() {
   interconnect = Icn::kMesh;

@@ -32,6 +32,8 @@ struct PlatformConfig {
 
   std::vector<CoreCfg> cores;
 
+  /// Size of the shared region at kSharedBase; at most kMaxSharedMemBytes
+  /// (validate()).
   std::uint64_t shared_mem_bytes = 1 << 20;
   Cycles shared_mem_latency = 12;  // cycles per access (uncontended)
   Cycles scratchpad_latency = 1;
@@ -48,8 +50,9 @@ struct PlatformConfig {
   bool enforce_locality = false;
   bool trace_enabled = false;
 
-  /// Typed validation of the tiling parameters (kernel.num_tiles vs the
-  /// core list, per-core tile indices, fabric lookahead). The Platform
+  /// Typed validation of the shared-region size (at most
+  /// kMaxSharedMemBytes) and of the tiling parameters (kernel.num_tiles vs
+  /// the core list, per-core tile indices, fabric lookahead). The Platform
   /// constructor enforces this; callers that want an error value instead
   /// of a throw check it first.
   [[nodiscard]] Status validate() const;
@@ -71,6 +74,11 @@ struct PlatformConfig {
 inline constexpr Addr kScratchpadBase = 0x1000'0000;
 inline constexpr Addr kScratchpadStride = 0x0010'0000;
 inline constexpr Addr kSharedBase = 0x8000'0000;
+/// The shared region must end at or below 2^32, so it holds at most 2 GiB
+/// and its page table (one pointer per 4 KiB page, memory.hpp) is at most
+/// 4 MiB, however few pages are ever written.
+inline constexpr std::uint64_t kMaxSharedMemBytes =
+    (std::uint64_t{1} << 32) - kSharedBase;
 
 /// IRQ line assignments.
 inline constexpr std::size_t kIrqTimer = 0;

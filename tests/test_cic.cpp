@@ -115,6 +115,31 @@ TEST(ArchFile, RejectsGarbage) {
                    .ok());
 }
 
+TEST(ArchFile, RejectsASharedMemoryPastTheAddressSpace) {
+  const auto r = parse_arch_file(R"(
+    <architecture name="huge">
+      <processor class="RISC"/>
+      <memory kind="shared" bytes="1125899906842624"/>
+    </architecture>)");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("shared memory"), std::string::npos)
+      << r.error().to_string();
+  EXPECT_EQ(r.error().line, 4);  // the <memory> element
+}
+
+TEST(ArchFile, AcceptsTheLargestSharedMemory) {
+  const auto r = parse_arch_file(strformat(R"(
+    <architecture name="big">
+      <processor class="RISC"/>
+      <memory kind="shared" bytes="%llu"/>
+    </architecture>)",
+      static_cast<unsigned long long>(sim::kMaxSharedMemBytes)));
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_EQ(r.value().platform.shared_mem_bytes, sim::kMaxSharedMemBytes);
+  const sim::Platform plat(r.value().platform);
+  EXPECT_EQ(plat.shared_base(), sim::kSharedBase);
+}
+
 TEST(ArchFile, RoundTripsThroughXml) {
   const auto orig = ArchInfo::cell_like(4);
   const auto r = parse_arch_file(arch_to_xml(orig));

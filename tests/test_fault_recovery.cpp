@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/strings.hpp"
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
@@ -191,6 +192,150 @@ TEST(Scenario, MetricsCarryTheFaultExtras) {
   EXPECT_GE(m.extra_or("fault.goodput", -1.0), 0.0);
   EXPECT_GE(m.extra_or("fault.injected", -1.0), 1.0);
   EXPECT_GE(m.extra_or("fault.healthy_makespan_ps", -1.0), 1.0);
+}
+
+/// A plan mixing every kind the pipeline feels: a stall, a fabric
+/// degrade, packet drops, a bit flip in the shared region and a crash.
+FaultPlan mixed_plan() {
+  FaultPlan plan;
+  plan.degrade_fabric(microseconds(5), 1.5);
+  plan.drop_packets(microseconds(8), 2);
+  plan.stall_core(microseconds(12), 2, microseconds(6));
+  plan.flip_bit(microseconds(14), 0x8000'0040, 3);
+  plan.crash_core(microseconds(20), 1);
+  return plan;
+}
+
+/// Every ScenarioOutcome field in one comparable line, the timeline as a
+/// digest of its JSON; healthy_makespan only when `with_healthy`.
+std::string outcome_line(const ScenarioOutcome& o, bool with_healthy) {
+  using ull = unsigned long long;
+  std::string line = strformat(
+      "done=%llu/%llu goodput=%.17g finish=%llu makespan=%llu dead=%d "
+      "faults=%llu crashes=%llu rec=%llu restarts=%llu remaps=%llu "
+      "semrel=%llu wdt=%llu skips=%llu dropped=%llu gave_up=%d "
+      "maxlat=%llu totlat=%llu alien=%llu dup=%llu chan=%llu/%llu/%llu "
+      "integrity=%llu fp=%016llx budget=%d timeline=%016llx",
+      ull{o.items_done}, ull{o.items_target}, o.goodput, ull{o.finish_time},
+      ull{o.makespan}, o.deadlocked ? 1 : 0, ull{o.faults_injected},
+      ull{o.crashes}, ull{o.recoveries}, ull{o.restarts}, ull{o.remaps},
+      ull{o.sem_releases}, ull{o.watchdog_expiries}, ull{o.sem_skips},
+      ull{o.items_dropped}, o.gave_up ? 1 : 0, ull{o.max_recovery_latency},
+      ull{o.total_recovery_latency}, ull{o.alien_items},
+      ull{o.duplicate_items}, ull{o.chan_sent}, ull{o.chan_received},
+      ull{o.chan_buffered}, ull{o.compute_integrity_violations},
+      ull{o.trace_fingerprint}, o.hit_event_budget ? 1 : 0,
+      ull{fnv::fold(fnv::kOffset, timeline_json(o.timeline))});
+  if (with_healthy)
+    line += strformat(" healthy=%llu", ull{o.healthy_makespan});
+  return line;
+}
+
+TEST(ScenarioPlan, OneRunEqualsTheScenarioUnderTheSamePlan) {
+  const FaultPlan empty;
+  const FaultPlan mixed = mixed_plan();
+  for (RecoveryPolicy policy :
+       {RecoveryPolicy::kNone, RecoveryPolicy::kWatchdogRestart,
+        RecoveryPolicy::kWatchdogRemap}) {
+    for (const FaultPlan* plan : {&empty, &mixed}) {
+      for (sim::QueuePolicy queue :
+           {sim::QueuePolicy::kCalendar, sim::QueuePolicy::kBinaryHeap}) {
+        for (std::uint32_t threads : {1u, 2u}) {
+          for (bool mesh : {false, true}) {
+            ScenarioConfig cfg = small_cfg(policy);
+            cfg.queue = queue;
+            cfg.threads = threads;
+            cfg.mesh = mesh;
+            const std::string where = strformat(
+                "%s plan=%zu %s threads=%u %s", recovery_policy_name(policy),
+                plan->size(), sim::queue_policy_name(queue), threads,
+                mesh ? "mesh" : "bus");
+            const ScenarioOutcome one = run_fault_plan(cfg, *plan);
+            cfg.explicit_plan = plan;
+            const ScenarioOutcome full = run_fault_scenario(cfg);
+            EXPECT_EQ(one.healthy_makespan, 0u) << where;
+            EXPECT_GT(full.healthy_makespan, 0u) << where;
+            EXPECT_EQ(outcome_line(one, false), outcome_line(full, false))
+                << where;
+            EXPECT_EQ(timeline_json(one.timeline),
+                      timeline_json(full.timeline))
+                << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ScenarioPlan, IgnoresTheRateAndTheExplicitPlanOfItsConfig) {
+  const FaultPlan crash = FaultPlan().crash_core(microseconds(20), 1);
+  ScenarioConfig plain = small_cfg(RecoveryPolicy::kWatchdogRestart);
+  ScenarioConfig noisy = plain;
+  noisy.fault_rate_per_ms = 80.0;
+  noisy.explicit_plan = &crash;
+  const FaultPlan empty;
+  EXPECT_EQ(outcome_line(run_fault_plan(plain, empty), true),
+            outcome_line(run_fault_plan(noisy, empty), true));
+}
+
+/// Explicit-plan configs under a recovery policy: the runs whose
+/// policy-independent reference is not made. Outcomes pinned from the
+/// version that still made it.
+TEST(ScenarioPlan, ExplicitPlanOutcomesUnderRecoveryArePinned) {
+  const FaultPlan crash = FaultPlan().crash_core(microseconds(20), 1);
+  const FaultPlan mixed = mixed_plan();
+  struct Pin {
+    RecoveryPolicy policy;
+    const FaultPlan* plan;
+    bool mesh;
+    std::uint32_t threads;
+    sim::QueuePolicy queue;
+    const char* line;
+  };
+  const Pin pins[] = {
+      {RecoveryPolicy::kWatchdogRestart, &crash, false, 1,
+       sim::QueuePolicy::kCalendar,
+       "done=16/16 goodput=1 finish=185410000 makespan=235410000 "
+       "dead=0 faults=1 crashes=1 rec=1 restarts=1 remaps=0 semrel=0 "
+       "wdt=1 skips=0 dropped=0 gave_up=0 maxlat=62560000 "
+       "totlat=62560000 alien=0 dup=0 chan=85/85/0 integrity=0 "
+       "fp=4d79550a671d75b2 budget=0 timeline=c7a949b89a16116e "
+       "healthy=125737500"},
+      {RecoveryPolicy::kWatchdogRemap, &crash, false, 1,
+       sim::QueuePolicy::kBinaryHeap,
+       "done=16/16 goodput=1 finish=265500000 makespan=315500000 "
+       "dead=0 faults=1 crashes=1 rec=1 restarts=0 remaps=1 semrel=0 "
+       "wdt=1 skips=15 dropped=0 gave_up=0 maxlat=62560000 "
+       "totlat=62560000 alien=0 dup=0 chan=85/85/0 integrity=0 "
+       "fp=49fa413487136b82 budget=0 timeline=2489ce08490df4d3 "
+       "healthy=125737500"},
+      {RecoveryPolicy::kWatchdogRestart, &mixed, true, 2,
+       sim::QueuePolicy::kCalendar,
+       "done=16/16 goodput=1 finish=190940000 makespan=240940000 "
+       "dead=0 faults=5 crashes=1 rec=1 restarts=1 remaps=0 semrel=0 "
+       "wdt=1 skips=0 dropped=0 gave_up=0 maxlat=68090000 "
+       "totlat=68090000 alien=0 dup=0 chan=85/85/0 integrity=0 "
+       "fp=9597932c6c6f1281 budget=0 timeline=afa9bf4ccea64ca9 "
+       "healthy=125737500"},
+      {RecoveryPolicy::kWatchdogRemap, &mixed, true, 1,
+       sim::QueuePolicy::kCalendar,
+       "done=16/16 goodput=1 finish=271030000 makespan=321030000 "
+       "dead=0 faults=5 crashes=1 rec=1 restarts=0 remaps=1 semrel=0 "
+       "wdt=1 skips=15 dropped=0 gave_up=0 maxlat=68090000 "
+       "totlat=68090000 alien=0 dup=0 chan=85/85/0 integrity=0 "
+       "fp=647087cd71afda48 budget=0 timeline=28b0abceecde6120 "
+       "healthy=125737500"},
+  };
+  for (const Pin& pin : pins) {
+    ScenarioConfig cfg = small_cfg(pin.policy);
+    cfg.explicit_plan = pin.plan;
+    cfg.mesh = pin.mesh;
+    cfg.threads = pin.threads;
+    cfg.queue = pin.queue;
+    EXPECT_EQ(outcome_line(run_fault_scenario(cfg), true), pin.line)
+        << recovery_policy_name(pin.policy) << " plan=" << pin.plan->size()
+        << (pin.mesh ? " mesh" : " bus");
+  }
 }
 
 }  // namespace

@@ -96,6 +96,30 @@ TEST(Platform, ScratchpadTooLargeRejected) {
   EXPECT_THROW(Platform{std::move(cfg)}, std::invalid_argument);
 }
 
+TEST(Platform, SharedRegionPastTwoToThe32IsATypedError) {
+  PlatformConfig cfg = PlatformConfig::homogeneous(1);
+  cfg.shared_mem_bytes = std::uint64_t{1} << 50;  // 1 PiB
+  const Status st = cfg.validate();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.error().message.find("shared memory"), std::string::npos);
+  // The constructor reports the same error instead of running out of
+  // memory on a 2^38-entry page table.
+  EXPECT_THROW(Platform{cfg}, std::invalid_argument);
+  cfg.shared_mem_bytes = kMaxSharedMemBytes + 1;
+  EXPECT_FALSE(cfg.validate().ok());
+}
+
+TEST(Platform, LargestSharedRegionBuildsAndReachesItsLastWord) {
+  PlatformConfig cfg = PlatformConfig::homogeneous(1);
+  cfg.shared_mem_bytes = kMaxSharedMemBytes;
+  ASSERT_TRUE(cfg.validate().ok());
+  Platform p(std::move(cfg));
+  const Addr last = kSharedBase + kMaxSharedMemBytes - 8;
+  EXPECT_EQ(last + 8, std::uint64_t{1} << 32);
+  p.memory().write_u64(CoreId{0}, last, 0x1122334455667788ULL);
+  EXPECT_EQ(p.memory().read_u64(CoreId{0}, last), 0x1122334455667788ULL);
+}
+
 TEST(Platform, LocalityFlagPropagates) {
   PlatformConfig cfg = PlatformConfig::homogeneous(2);
   cfg.enforce_locality = true;
