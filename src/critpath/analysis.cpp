@@ -253,31 +253,30 @@ Retimed retime(const DepGraph& g, std::span<const Edit> edits,
           bus_busy = r.finish[i];
           bus_last = i;
         } else {
-          const auto links = sim::mesh_route(
+          const DurationPs occ =
+              sim::mesh_serialization_time(em.cfg.mesh, s.bytes) +
+              em.cfg.mesh.hop_latency;
+          // A route of zero links (cores wrapped onto one node) leaves the
+          // transfer at [ready, ready].
+          r.start[i] = ready;
+          TimePs t = ready;
+          bool first = true;
+          sim::for_each_mesh_link(
               em.cfg.mesh, sim::CoreId{static_cast<std::uint32_t>(src)},
-              sim::CoreId{static_cast<std::uint32_t>(dst)});
-          if (links.empty()) {
-            r.start[i] = r.finish[i] = ready;
-          } else {
-            const DurationPs occ =
-                sim::mesh_serialization_time(em.cfg.mesh, s.bytes) +
-                em.cfg.mesh.hop_latency;
-            TimePs t = ready;
-            bool first = true;
-            for (const std::size_t link : links) {
-              ++r.ops;
-              const TimePs st = std::max(t, link_busy[link]);
-              if (first) {
-                r.start[i] = st;
-                if (link_busy[link] > ready) bind = link_last[link];
-                first = false;
-              }
-              t = st + occ;
-              link_busy[link] = t;
-              link_last[link] = i;
-            }
-            r.finish[i] = t;
-          }
+              sim::CoreId{static_cast<std::uint32_t>(dst)},
+              [&](std::size_t link) {
+                ++r.ops;
+                const TimePs st = std::max(t, link_busy[link]);
+                if (first) {
+                  r.start[i] = st;
+                  if (link_busy[link] > ready) bind = link_last[link];
+                  first = false;
+                }
+                t = st + occ;
+                link_busy[link] = t;
+                link_last[link] = i;
+              });
+          r.finish[i] = t;
         }
         break;
       }
@@ -402,19 +401,18 @@ Attribution attribute(const DepGraph& g, const Retimed& r) {
         if (r.cfg.interconnect == sim::PlatformConfig::Icn::kSharedBus) {
           bump(links, "bus", s.kind, c);
         } else {
-          const auto route = sim::mesh_route(
-              r.cfg.mesh, sim::CoreId{static_cast<std::uint32_t>(src)},
-              sim::CoreId{static_cast<std::uint32_t>(dst)});
-          if (route.empty()) break;
+          const sim::CoreId from{static_cast<std::uint32_t>(src)};
+          const sim::CoreId to{static_cast<std::uint32_t>(dst)};
+          const std::uint32_t hops = sim::mesh_hops(r.cfg.mesh, from, to);
+          if (hops == 0) break;
           // Split evenly across the route; the first link absorbs the
           // integer remainder so the split stays exact.
-          const DurationPs share = c / route.size();
-          DurationPs rest = c - share * (route.size() - 1);
-          for (const std::size_t link : route) {
-            bump(links, "link" + std::to_string(link), s.kind,
-                 link == route.front() ? rest : share);
-            if (link == route.front()) rest = share;  // only first differs
-          }
+          const DurationPs share = c / hops;
+          DurationPs part = c - share * (hops - 1);
+          sim::for_each_mesh_link(r.cfg.mesh, from, to, [&](std::size_t link) {
+            bump(links, "link" + std::to_string(link), s.kind, part);
+            part = share;  // only the first link differs
+          });
         }
         break;
       }

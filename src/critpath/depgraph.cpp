@@ -133,19 +133,20 @@ DepGraph DepGraph::build(const perf::TraceView& view,
           add_resource(last_on_bus, n.id);
         } else {
           std::size_t prev = kNoNode;  // dedupe shared-route predecessors
-          for (std::size_t link : sim::mesh_route(
-                   cfg.mesh, sim::CoreId{static_cast<std::uint32_t>(n.src_pe)},
-                   sim::CoreId{static_cast<std::uint32_t>(n.dst_pe)})) {
-            if (link >= last_on_link.size())
-              last_on_link.resize(link + 1, kNoNode);
-            if (last_on_link[link] != kNoNode &&
-                last_on_link[link] != prev) {
-              std::size_t last = last_on_link[link];
-              add_resource(last, n.id);
-              prev = last_on_link[link];
-            }
-            last_on_link[link] = n.id;
-          }
+          sim::for_each_mesh_link(
+              cfg.mesh, sim::CoreId{static_cast<std::uint32_t>(n.src_pe)},
+              sim::CoreId{static_cast<std::uint32_t>(n.dst_pe)},
+              [&](std::size_t link) {
+                if (link >= last_on_link.size())
+                  last_on_link.resize(link + 1, kNoNode);
+                if (last_on_link[link] != kNoNode &&
+                    last_on_link[link] != prev) {
+                  std::size_t last = last_on_link[link];
+                  add_resource(last, n.id);
+                  prev = last_on_link[link];
+                }
+                last_on_link[link] = n.id;
+              });
         }
         break;
       }

@@ -66,7 +66,7 @@ sim::Process source_proc(RunCtx& ctx) {
       for (int a = 0; a < ctx.cfg.retry.max_attempts && !sent; ++a) {
         const DurationPs budget =
             ctx.cfg.watchdog_timeout + ctx.cfg.retry.delay_for(a);
-        sent = (co_await out.send_for(item, budget)).ok();
+        sent = co_await out.send_for(item, budget);
       }
       if (!sent && item != kEndOfStream) ++ctx.items_dropped;
     } else {
@@ -92,9 +92,8 @@ sim::Process stage_proc(RunCtx& ctx, std::size_t s) {
       for (int a = 0; a < ctx.cfg.retry.max_attempts && !got; ++a) {
         const DurationPs budget =
             ctx.cfg.watchdog_timeout + ctx.cfg.retry.delay_for(a);
-        auto r = co_await in.recv_for(budget);
-        if (r.ok()) {
-          item = r.value();
+        if (const auto r = co_await in.recv_for(budget)) {
+          item = *r;
           got = true;
         }
       }
@@ -133,7 +132,7 @@ sim::Process stage_proc(RunCtx& ctx, std::size_t s) {
       for (int a = 0; a < ctx.cfg.retry.max_attempts && !sent; ++a) {
         const DurationPs budget =
             ctx.cfg.watchdog_timeout + ctx.cfg.retry.delay_for(a);
-        sent = (co_await out.send_for(item, budget)).ok();
+        sent = co_await out.send_for(item, budget);
       }
       if (!sent && item != kEndOfStream) ++ctx.items_dropped;
     } else {
@@ -156,9 +155,8 @@ sim::Process sink_proc(RunCtx& ctx) {
       for (int a = 0; a < ctx.cfg.retry.max_attempts && !got; ++a) {
         const DurationPs budget =
             ctx.cfg.watchdog_timeout + ctx.cfg.retry.delay_for(a);
-        auto r = co_await in.recv_for(budget);
-        if (r.ok()) {
-          item = r.value();
+        if (const auto r = co_await in.recv_for(budget)) {
+          item = *r;
           got = true;
         }
       }

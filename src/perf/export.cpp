@@ -1,6 +1,9 @@
 #include "perf/export.hpp"
 
+#include <array>
+#include <bit>
 #include <charconv>
+#include <cstring>
 #include <initializer_list>
 #include <vector>
 
@@ -9,6 +12,92 @@
 #include "perf/session.hpp"
 
 namespace rw::perf {
+
+namespace {
+
+__extension__ typedef unsigned __int128 U128;
+
+constexpr std::uint64_t kTenTo16 = 10'000'000'000'000'000;
+
+constexpr char kDigitPairs[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536"
+    "37383940414243444546474849505152535455565758596061626364656667686970717273"
+    "7475767778798081828384858687888990919293949596979899";
+
+// 10^0 .. 10^20.
+constexpr auto kPow10 = [] {
+  std::array<U128, 21> p{};
+  p[0] = 1;
+  for (std::size_t i = 1; i < p.size(); ++i) p[i] = p[i - 1] * 10;
+  return p;
+}();
+
+// %.17g of a double `v` in [1e-5, 1e9), without printf or to_chars: the
+// 17 leading digits are round(m * 10^k / 2^s) for v = m * 2^-s, taken
+// exactly in 128 bits. `x` is v's decimal exponent (v in [10^x, 10^(x+1)))
+// or one more than it. Returns false, writing nothing, when %.17g would
+// use the exponent form (v < 1e-4).
+bool append_17_digits(std::string& out, double v, int x) {
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+  const std::uint64_t m = (bits & ((std::uint64_t{1} << 52) - 1)) |
+                          (std::uint64_t{1} << 52);
+  const int s = 1075 - static_cast<int>(bits >> 52);  // in [22, 70]
+  // m * 10^k < 2^53 * 10^21 < 2^123 for every k used.
+  U128 p = static_cast<U128>(m) * kPow10[static_cast<std::size_t>(16 - x)];
+  if ((p >> s) < kTenTo16) {  // x overstated the exponent
+    --x;
+    p *= 10;
+  }
+  if (x < -4) return false;
+  // Round half to even, as printf does on an exact tie.
+  std::uint64_t q = static_cast<std::uint64_t>(p >> s);
+  const U128 rest = p & ((U128{1} << s) - 1);
+  const U128 half = U128{1} << (s - 1);
+  if (rest > half || (rest == half && (q & 1) != 0)) ++q;
+  if (q == 10 * kTenTo16) {  // rounded up to the next power of ten
+    q = kTenTo16;
+    ++x;
+  }
+  // Two digits per step, the leading nine and the last eight apart.
+  char d[17];
+  std::uint64_t hi = q / 100'000'000;
+  std::uint64_t lo = q % 100'000'000;
+  for (int i = 7; i >= 1; i -= 2, hi /= 100, lo /= 100) {
+    std::memcpy(d + i, kDigitPairs + 2 * (hi % 100), 2);
+    std::memcpy(d + 8 + i, kDigitPairs + 2 * (lo % 100), 2);
+  }
+  d[0] = static_cast<char>('0' + hi);
+  int len = 17;
+  while (d[len - 1] == '0') --len;
+  char buf[24];  // "0.000" and 17 digits at most
+  char* o = buf;
+  const auto put = [&o](const char* from, int n) {
+    std::memcpy(o, from, static_cast<std::size_t>(n));
+    o += n;
+  };
+  if (x >= 0) {
+    const int whole = x + 1;
+    put(d, whole);
+    if (len > whole) {
+      *o++ = '.';
+      put(d + whole, len - whole);
+    }
+  } else {
+    put("0.000", 1 - x);
+    put(d, len);
+  }
+  out.append(buf, o);
+  return true;
+}
+
+// The number of decimal digits of v > 0.
+int decimal_digits(TimePs v) {
+  // 1233 / 4096 ~ log10(2), so t is the digit count or one less.
+  const int t = static_cast<int>(std::bit_width(v)) * 1233 >> 12;
+  return t + 1 - (v < static_cast<TimePs>(kPow10[static_cast<std::size_t>(t)]));
+}
+
+}  // namespace
 
 void append_ps_as_us(std::string& out, TimePs ps) {
   constexpr TimePs kPsPerUs = 1'000'000;
@@ -33,8 +122,11 @@ void append_ps_as_us(std::string& out, TimePs ps) {
       return;
     }
     // Off by an ulp from the quotient: %.15g would read back as the
-    // quotient, so the Writer takes its 17-digit path.
-    append_chars(out, us, std::chars_format::general, 17);
+    // quotient, so the Writer takes its 17-digit path. The decimal
+    // exponent of us is that of ps / 1e6, or one less when the product
+    // rounded below a power of ten.
+    if (!append_17_digits(out, us, decimal_digits(ps) - 7))
+      append_chars(out, us, std::chars_format::general, 17);
     return;
   }
   // 1-99 ps (exponent form) and 16 digits or more: the Writer's full rule.

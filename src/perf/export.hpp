@@ -33,7 +33,9 @@ std::string to_chrome_trace(const std::vector<sim::TraceEvent>& trace);
 /// reads back, else %.17g. From 100 ps up to 15 digits, the exact decimal
 /// ps / 1e6 is written from the integer when the product is the
 /// correctly rounded quotient (then it is the %.15g form); otherwise that
-/// range takes %.17g directly, and the rest goes through the Writer.
+/// range writes %.17g of the product with integer arithmetic (its 53-bit
+/// mantissa times a power of ten in 128 bits, correctly rounded), and the
+/// rest goes through the Writer.
 void append_ps_as_us(std::string& out, TimePs ps);
 
 /// Folded-stack lines "core<i>;<label> <samples>", (core,label) ordered.

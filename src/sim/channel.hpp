@@ -12,16 +12,59 @@
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/result.hpp"
 #include "sim/kernel.hpp"
 
 namespace rw::sim {
+
+/// A FIFO ring that allocates nothing until its first push and then grows
+/// by doubling (a std::deque allocates its map and a node when it is
+/// built). Slots past the live range hold moved-from values.
+template <typename T>
+class Fifo {
+ public:
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+  [[nodiscard]] std::size_t size() const { return count_; }
+  T& front() { return slots_[head_]; }
+
+  void push_back(T v) {
+    if (count_ == slots_.size()) grow();
+    slots_[(head_ + count_) & (slots_.size() - 1)] = std::move(v);
+    ++count_;
+  }
+  void pop_front() {
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --count_;
+  }
+  /// Remove the first element equal to `v`, keeping the order of the rest.
+  void erase(const T& v) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = 0; i < count_; ++i) {
+      if (slots_[(head_ + i) & mask] != v) continue;
+      for (std::size_t j = i; j + 1 < count_; ++j)
+        slots_[(head_ + j) & mask] = std::move(slots_[(head_ + j + 1) & mask]);
+      --count_;
+      return;
+    }
+  }
+
+ private:
+  void grow() {
+    std::vector<T> next(slots_.empty() ? 4 : slots_.size() * 2);
+    for (std::size_t i = 0; i < count_; ++i)
+      next[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    slots_ = std::move(next);
+    head_ = 0;
+  }
+
+  std::vector<T> slots_;  // size 0 or a power of two
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+};
 
 template <typename T>
 class Channel {
@@ -78,8 +121,9 @@ class Channel {
   /// whichever fires first in kernel event order — delivery or deadline —
   /// wins, so a tie at the exact deadline is broken deterministically by
   /// the kernel's (time, priority, seq) total order, not by wall clock.
-  /// On expiry the awaitable un-parks and resolves to an Error, which is
-  /// what lets a process survive a peer that crashed or was destroyed.
+  /// On expiry the awaitable un-parks and resolves to "no value" (an
+  /// empty optional, or false for a send), which is what lets a process
+  /// survive a peer that crashed or was destroyed.
   struct RecvForAwaitable : RecvAwaitable {
     DurationPs timeout;
     bool timed_out = false;
@@ -93,7 +137,7 @@ class Channel {
     /// mid-run) never resumes, so its still-armed deadline event would
     /// otherwise fire against the freed frame. Untracking in the
     /// destructor defuses that event — its (address, gen) lookup fails —
-    /// and removes the dangling waiter from the park deque. `armed_` is
+    /// and removes the dangling waiter from the park queue. `armed_` is
     /// non-null exactly while a live registration exists; every resolution
     /// path (delivery, timeout, ~Channel) clears it through the entry's
     /// armed slot.
@@ -101,7 +145,7 @@ class Channel {
       if (armed_ != nullptr) {
         Channel& c = *armed_;
         c.untrack_timed(this);
-        std::erase(c.recv_waiters_, static_cast<RecvAwaitable*>(this));
+        c.recv_waiters_.erase(static_cast<RecvAwaitable*>(this));
       }
     }
 
@@ -115,11 +159,11 @@ class Channel {
       c.kernel_.schedule_in(
           timeout, [chp, self, gen] { chp->on_recv_timeout(self, gen); });
     }
-    Result<T> await_resume() {
-      if (timed_out)
-        return make_error("recv timeout on channel '" + this->ch.name_ + "'");
+    /// The message, or nothing when the deadline won.
+    std::optional<T> await_resume() {
+      if (timed_out) return std::nullopt;
       assert(this->value.has_value());
-      return std::move(*this->value);
+      return std::move(this->value);
     }
 
    private:
@@ -140,7 +184,7 @@ class Channel {
       if (armed_ != nullptr) {
         Channel& c = *armed_;
         c.untrack_timed(this);
-        std::erase(c.send_waiters_, static_cast<SendAwaitable*>(this));
+        c.send_waiters_.erase(static_cast<SendAwaitable*>(this));
       }
     }
 
@@ -154,11 +198,8 @@ class Channel {
       c.kernel_.schedule_in(
           timeout, [chp, self, gen] { chp->on_send_timeout(self, gen); });
     }
-    Status await_resume() {
-      if (timed_out)
-        return make_error("send timeout on channel '" + this->ch.name_ + "'");
-      return Status::ok_status();
-    }
+    /// True when the message was accepted, false when the deadline won.
+    bool await_resume() const { return !timed_out; }
 
    private:
     Channel* armed_ = nullptr;  // owning channel while registration is live
@@ -172,14 +213,14 @@ class Channel {
   /// co_await ch.recv(): dequeue the oldest message, blocking while empty.
   [[nodiscard]] RecvAwaitable recv() { return RecvAwaitable{*this}; }
 
-  /// co_await ch.recv_for(d): as recv(), but resolves to an Error instead
-  /// of blocking past `d`.
+  /// co_await ch.recv_for(d): as recv(), but resolves to std::nullopt
+  /// instead of blocking past `d`.
   [[nodiscard]] RecvForAwaitable recv_for(DurationPs timeout) {
     return RecvForAwaitable(*this, timeout);
   }
 
   /// co_await ch.send_for(v, d): as send(), but gives up (dropping the
-  /// message) with an Error instead of blocking past `d`.
+  /// message) and resolves to false instead of blocking past `d`.
   [[nodiscard]] SendForAwaitable send_for(T value, DurationPs timeout) {
     return SendForAwaitable(*this, std::move(value), timeout);
   }
@@ -309,14 +350,14 @@ class Channel {
 
   void on_recv_timeout(RecvForAwaitable* self, std::uint64_t gen) {
     if (!untrack_timed(self, gen)) return;  // delivered before the deadline
-    std::erase(recv_waiters_, static_cast<RecvAwaitable*>(self));
+    recv_waiters_.erase(static_cast<RecvAwaitable*>(self));
     self->timed_out = true;
     self->handle.resume();  // already inside a kernel event
   }
 
   void on_send_timeout(SendForAwaitable* self, std::uint64_t gen) {
     if (!untrack_timed(self, gen)) return;
-    std::erase(send_waiters_, static_cast<SendAwaitable*>(self));
+    send_waiters_.erase(static_cast<SendAwaitable*>(self));
     self->timed_out = true;
     self->handle.resume();
   }
@@ -324,15 +365,15 @@ class Channel {
   Kernel& kernel_;
   std::size_t capacity_;
   std::string name_;
-  std::deque<T> buffer_;
+  Fifo<T> buffer_;
   struct TimedEntry {
     const void* waiter;
     std::uint64_t gen;
     Channel** armed_slot;  // the waiter's `armed_` member, see track_timed()
   };
 
-  std::deque<SendAwaitable*> send_waiters_;
-  std::deque<RecvAwaitable*> recv_waiters_;
+  Fifo<SendAwaitable*> send_waiters_;
+  Fifo<RecvAwaitable*> recv_waiters_;
   std::vector<TimedEntry> timed_waiters_;
   std::uint64_t timed_gen_ = 0;
   std::uint64_t total_sent_ = 0;

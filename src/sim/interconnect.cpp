@@ -42,45 +42,7 @@ MeshCoord mesh_coord_of(const MeshNoc::Config& cfg, CoreId c) {
   return MeshCoord{idx % cfg.width, idx / cfg.width};
 }
 
-std::size_t mesh_link_index(const MeshNoc::Config& cfg, MeshCoord from,
-                            MeshCoord to) {
-  // Direction encoding: 0=+x, 1=-x, 2=+y, 3=-y.
-  std::size_t dir = 0;
-  if (to.x == from.x + 1) {
-    dir = 0;
-  } else if (from.x == to.x + 1) {
-    dir = 1;
-  } else if (to.y == from.y + 1) {
-    dir = 2;
-  } else if (from.y == to.y + 1) {
-    dir = 3;
-  } else {
-    throw std::logic_error("link_index: nodes are not neighbours");
-  }
-  const std::size_t node = from.y * cfg.width + from.x;
-  return node * 4 + dir;
-}
-
 }  // namespace
-
-std::vector<std::size_t> mesh_route(const MeshNoc::Config& cfg, CoreId src,
-                                    CoreId dst) {
-  std::vector<std::size_t> links;
-  MeshCoord cur = mesh_coord_of(cfg, src);
-  const MeshCoord end = mesh_coord_of(cfg, dst);
-  // X first, then Y (deterministic, deadlock-free dimension ordering).
-  while (cur.x != end.x) {
-    const MeshCoord next{cur.x < end.x ? cur.x + 1 : cur.x - 1, cur.y};
-    links.push_back(mesh_link_index(cfg, cur, next));
-    cur = next;
-  }
-  while (cur.y != end.y) {
-    const MeshCoord next{cur.x, cur.y < end.y ? cur.y + 1 : cur.y - 1};
-    links.push_back(mesh_link_index(cfg, cur, next));
-    cur = next;
-  }
-  return links;
-}
 
 std::uint32_t mesh_hops(const MeshNoc::Config& cfg, CoreId src, CoreId dst) {
   const MeshCoord a = mesh_coord_of(cfg, src);
@@ -133,10 +95,6 @@ MeshNoc::MeshNoc(Kernel& kernel, Config cfg, const ObserverList& observers)
   link_busy_until_.assign(link_count(cfg_), 0);
 }
 
-std::vector<std::size_t> MeshNoc::route(CoreId src, CoreId dst) const {
-  return mesh_route(cfg_, src, dst);
-}
-
 std::uint32_t MeshNoc::hop_count(CoreId src, CoreId dst) const {
   return mesh_hops(cfg_, src, dst);
 }
@@ -177,7 +135,7 @@ std::pair<TimePs, TimePs> MeshNoc::reserve_transfer(CoreId src, CoreId dst,
   TimePs first_start = 0;
   bool first = true;
   std::uint32_t hops = 0;
-  for (const std::size_t link : route(src, dst)) {
+  for_each_mesh_link(cfg_, src, dst, [&](std::size_t link) {
     const TimePs start = std::max(t, link_busy_until_[link]);
     if (first) {
       first_start = start;
@@ -194,7 +152,7 @@ std::pair<TimePs, TimePs> MeshNoc::reserve_transfer(CoreId src, CoreId dst,
     for (Observer* o : *observers_) o->on_link_busy(link, done - start);
     t = done;
     ++hops;
-  }
+  });
   ++transfers_;
   for (Observer* o : *observers_)
     o->on_transfer(src, dst, bytes, first_start - ready, t - first_start,

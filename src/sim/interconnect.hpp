@@ -134,13 +134,6 @@ class MeshNoc final : public Interconnect {
   /// Number of mesh hops between two cores (XY route length).
   [[nodiscard]] std::uint32_t hop_count(CoreId src, CoreId dst) const;
 
-  /// Directed link indices of the XY route between two cores, in traversal
-  /// order (empty when src and dst map to the same node).
-  [[nodiscard]] std::vector<std::size_t> route_links(CoreId src,
-                                                     CoreId dst) const {
-    return route(src, dst);
-  }
-
   /// Per-link fault: scale the occupancy of one directed link (on top of
   /// the fabric-wide set_degrade factor). factor < 1.0 clamps to 1.0.
   void set_link_degrade(std::size_t link, double factor);
@@ -153,7 +146,6 @@ class MeshNoc final : public Interconnect {
   }
 
  private:
-  [[nodiscard]] std::vector<std::size_t> route(CoreId src, CoreId dst) const;
   [[nodiscard]] DurationPs serialization_time(std::uint64_t bytes) const;
 
   Kernel& kernel_;
@@ -171,10 +163,31 @@ class MeshNoc final : public Interconnect {
                                                std::uint64_t bytes);
 [[nodiscard]] DurationPs mesh_serialization_time(const MeshNoc::Config& cfg,
                                                  std::uint64_t bytes);
-/// XY-route directed link indices between two cores under `cfg`'s
-/// geometry (same encoding as MeshNoc: node*4 + direction).
-[[nodiscard]] std::vector<std::size_t> mesh_route(const MeshNoc::Config& cfg,
-                                                  CoreId src, CoreId dst);
+/// Call `fn(link)` for each directed link of the XY route between two
+/// cores under `cfg`'s geometry, in route order (same encoding as MeshNoc:
+/// node*4 + direction, with directions 0=+x, 1=-x, 2=+y, 3=-y). X first,
+/// then Y: a deterministic, deadlock-free dimension ordering. Cores map
+/// row-major onto the nodes, wrapping when there are more cores than
+/// nodes. Allocates nothing.
+template <typename Fn>
+void for_each_mesh_link(const MeshNoc::Config& cfg, CoreId src, CoreId dst,
+                        Fn&& fn) {
+  const std::uint32_t nodes = cfg.width * cfg.height;
+  const std::uint32_t from = src.value() % nodes;
+  const std::uint32_t to = dst.value() % nodes;
+  std::uint32_t x = from % cfg.width;
+  std::uint32_t y = from / cfg.width;
+  const std::uint32_t ex = to % cfg.width;
+  const std::uint32_t ey = to / cfg.width;
+  const auto link = [&cfg](std::uint32_t nx, std::uint32_t ny,
+                           std::size_t dir) {
+    return (static_cast<std::size_t>(ny) * cfg.width + nx) * 4 + dir;
+  };
+  for (; x < ex; ++x) fn(link(x, y, 0));
+  for (; x > ex; --x) fn(link(x, y, 1));
+  for (; y < ey; ++y) fn(link(x, y, 2));
+  for (; y > ey; --y) fn(link(x, y, 3));
+}
 /// Length of that route (Manhattan distance), without building it. Distinct
 /// cores that wrap onto one node are zero hops apart.
 [[nodiscard]] std::uint32_t mesh_hops(const MeshNoc::Config& cfg, CoreId src,

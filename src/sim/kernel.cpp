@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -29,40 +30,52 @@ Kernel::Kernel(const KernelConfig& cfg) : cfg_(cfg) {
     throw std::invalid_argument("KernelConfig: wheel parameters too large");
   num_buckets_ = 1ULL << cfg_.num_buckets_log2;
   if (cfg_.policy == QueuePolicy::kCalendar) {
-    buckets_.resize(num_buckets_);
+    bucket_head_.assign(num_buckets_, kNone);
     bucket_bits_.resize((num_buckets_ + 63) / 64, 0);
   }
 }
 
 // ------------------------------------------------------------- entry pool
 
-std::uint32_t Kernel::acquire_entry(EventFn fn, bool daemon) {
-  if (free_head_ != kNone) {
-    const std::uint32_t idx = free_head_;
-    Entry& e = pool_[idx];
-    free_head_ = e.next_free;
-    e.fn = std::move(fn);
-    e.daemon = daemon;
-    return idx;
+std::uint32_t Kernel::acquire_entry(EventFn fn, TimePs t, int priority,
+                                    bool daemon) {
+  std::uint32_t idx = free_head_;
+  if (idx != kNone) {
+    free_head_ = entry(idx).next;
+  } else {
+    idx = pool_size_;
+    if (idx == pool_capacity_) {
+      const std::uint32_t n = 1u << (chunks_.size() + kFirstChunkBits);
+      chunks_.reserve(chunks_.size() + 1);  // the push_back cannot throw
+      chunks_.push_back(std::allocator<Entry>{}.allocate(n));
+      pool_capacity_ += n;
+    }
+    std::construct_at(&entry(idx));
+    ++pool_size_;
   }
-  pool_.push_back(Entry{std::move(fn), kNone, daemon});
-  return static_cast<std::uint32_t>(pool_.size() - 1);
-}
-
-void Kernel::release_entry(std::uint32_t idx) {
-  Entry& e = pool_[idx];
-  e.fn.reset();
-  e.next_free = free_head_;
-  free_head_ = idx;
+  Entry& e = entry(idx);
+  e.fn = std::move(fn);
+  e.time = t;
+  e.seq = seq_++;
+  e.priority = priority;
+  e.next = kNone;
+  e.daemon = daemon;
+  return idx;
 }
 
 // ---------------------------------------------------------- two-tier queue
 
-void Kernel::wheel_insert(const Node& n) {
-  const std::uint64_t i = bucket_offset(n.time);
-  auto& b = buckets_[i];
-  b.push_back(n);
-  std::push_heap(b.begin(), b.end(), NodeAfter{});
+void Kernel::wheel_insert(std::uint32_t idx) {
+  Entry& e = entry(idx);
+  const std::uint64_t i = bucket_offset(e.time);
+  assert(i >= cur_bucket_ && i < num_buckets_);
+  if (active_on_ && i == cur_bucket_) {
+    active_.push_back(Node{e.time, e.seq, e.priority, idx});
+    std::push_heap(active_.begin(), active_.end(), NodeAfter{});
+  } else {
+    e.next = bucket_head_[i];
+    bucket_head_[i] = idx;
+  }
   bucket_bits_[i >> 6] |= 1ULL << (i & 63);
   ++wheel_count_;
 }
@@ -74,75 +87,89 @@ std::size_t Kernel::next_occupied_bucket(std::size_t from) const {
   return (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
+void Kernel::activate_bucket(std::size_t b) {
+  assert(active_.empty() && b >= cur_bucket_ && bucket_head_[b] != kNone);
+  cur_bucket_ = b;
+  active_on_ = true;
+  for (std::uint32_t i = bucket_head_[b]; i != kNone; i = entry(i).next)
+    active_.push_back(node_of(i));
+  bucket_head_[b] = kNone;
+  std::make_heap(active_.begin(), active_.end(), NodeAfter{});
+}
+
 void Kernel::rebase_from_spill() {
   // Only reached with an empty wheel, so the spill minimum is the global
-  // minimum; re-anchor the wheel at its bucket and migrate every spill
-  // event that now falls within the horizon. Migration happens strictly
-  // before any same-time event is popped, so events that were once far
-  // future merge back into the exact (time, priority, seq) order.
-  assert(wheel_count_ == 0 && !spill_.empty());
+  // minimum outside the lane; re-anchor the wheel at its bucket and
+  // migrate every spill event that now falls within the horizon.
+  // Migration happens strictly before any same-time event is popped, so
+  // events that were once far future merge back into the exact
+  // (time, priority, seq) order.
+  assert(wheel_count_ == 0 && active_.empty() && !spill_.empty());
   wheel_base_ = spill_.front().time &
                 ~((static_cast<TimePs>(1) << cfg_.bucket_width_log2) - 1);
   cur_bucket_ = 0;
-  while (!spill_.empty() && bucket_offset(spill_.front().time) < num_buckets_) {
-    std::pop_heap(spill_.begin(), spill_.end(), NodeAfter{});
-    wheel_insert(spill_.back());
-    spill_.pop_back();
-  }
+  active_on_ = false;
+  while (!spill_.empty() && bucket_offset(spill_.front().time) < num_buckets_)
+    wheel_insert(pop_spill());
 }
 
 void Kernel::settle_min_bucket() {
-  assert(size_ > 0);
-  for (;;) {
-    if (wheel_count_ > 0) {
-      // Insertions never land before cur_bucket_ (they are >= now), so the
-      // cursor is monotone within one wheel epoch.
-      cur_bucket_ = next_occupied_bucket(cur_bucket_);
-      return;
-    }
+  // A non-empty active bucket is the first occupied one: buckets before
+  // the cursor are empty (insertions are >= now, and now lies in the
+  // cursor's bucket or later) and spill events lie beyond the horizon.
+  // An emptied active bucket has its bit clear, so the scan moves on.
+  if (!active_.empty()) return;
+  if (wheel_count_ == 0) rebase_from_spill();
+  activate_bucket(next_occupied_bucket(cur_bucket_));
+}
+
+bool Kernel::wheel_runs_before_lane() {
+  // While the lane holds events the clock stays at now, so only an event
+  // at now can run first, and it sits in the bucket holding now.
+  // Activating a later bucket here would be wrong: a later push into an
+  // earlier bucket (between now and that bucket) would land behind the
+  // cursor and be overtaken.
+  if (wheel_count_ == 0) {
+    // A spill event sits at now only after advance_to(); the rebase then
+    // anchors the wheel at now's bucket.
+    if (spill_.empty() || spill_.front().time != now_) return false;
     rebase_from_spill();
   }
+  const std::uint64_t b = bucket_offset(now_);
+  if (b >= num_buckets_ || (bucket_bits_[b >> 6] >> (b & 63) & 1) == 0)
+    return false;
+  if (active_.empty()) activate_bucket(b);
+  assert(active_on_ && cur_bucket_ == b);
+  const Node& top = active_.front();
+  return top.time == now_ &&
+         (top.priority < 0 ||
+          (top.priority == 0 && top.seq < entry(lane_head_).seq));
 }
 
-bool Kernel::step_calendar() {
-  if (size_ == 0) return false;
-  settle_min_bucket();
-  auto& b = buckets_[cur_bucket_];
-  std::pop_heap(b.begin(), b.end(), NodeAfter{});
-  const Node n = b.back();
-  b.pop_back();
-  if (b.empty())
-    bucket_bits_[cur_bucket_ >> 6] &= ~(1ULL << (cur_bucket_ & 63));
+std::uint32_t Kernel::pop_active() {
+  std::pop_heap(active_.begin(), active_.end(), NodeAfter{});
+  const std::uint32_t idx = active_.back().idx;
+  active_.pop_back();
   --wheel_count_;
-  --size_;
-  Entry& e = pool_[n.idx];
-  if (!e.daemon) --live_;
-  assert(n.time >= now_);
-  now_ = n.time;
-  ++executed_;
-  // Move the callable out before running it: the handler may schedule new
-  // events, which can reuse (or grow past) this pool slot.
-  EventFn fn = std::move(e.fn);
-  release_entry(n.idx);
-  fn();
-  return true;
+  // The bucket stays active while the cursor is on it, so the next insert
+  // into it goes straight to the heap.
+  if (active_.empty())
+    bucket_bits_[cur_bucket_ >> 6] &= ~(1ULL << (cur_bucket_ & 63));
+  return idx;
 }
 
-// ------------------------------------------------------ legacy binary heap
+std::uint32_t Kernel::pop_lane() {
+  const std::uint32_t idx = lane_head_;
+  lane_head_ = entry(idx).next;
+  if (lane_head_ == kNone) lane_tail_ = kNone;
+  return idx;
+}
 
-bool Kernel::step_legacy() {
-  if (legacy_.empty()) return false;
-  // Move out before pop: the handler may schedule new events. (top() is
-  // const; the move is safe because pop() destroys the moved-from entry.)
-  LegacyEntry e = std::move(const_cast<LegacyEntry&>(legacy_.top()));
-  legacy_.pop();
-  --size_;
-  if (!e.daemon) --live_;
-  assert(e.time >= now_);
-  now_ = e.time;
-  ++executed_;
-  e.fn();
-  return true;
+std::uint32_t Kernel::pop_spill() {
+  std::pop_heap(spill_.begin(), spill_.end(), NodeAfter{});
+  const std::uint32_t idx = spill_.back().idx;
+  spill_.pop_back();
+  return idx;
 }
 
 // ------------------------------------------------------------- public API
@@ -150,19 +177,25 @@ bool Kernel::step_legacy() {
 void Kernel::push(TimePs t, EventFn fn, int priority, bool daemon) {
   if (t < now_)
     throw std::logic_error("Kernel::schedule_at: time travels backwards");
-  if (cfg_.policy == QueuePolicy::kBinaryHeap) {
-    legacy_.push(LegacyEntry{t, priority, seq_++, std::move(fn), daemon});
-  } else {
-    const Node n{t, seq_++, priority,
-                 acquire_entry(std::move(fn), daemon)};
-    // wheel_base_ <= now_ <= t always holds here (the wheel is only ever
-    // re-anchored at the next event to pop), so bucket_offset is exact.
-    if (bucket_offset(t) < num_buckets_) {
-      wheel_insert(n);
+  const std::uint32_t idx = acquire_entry(std::move(fn), t, priority, daemon);
+  if (cfg_.policy == QueuePolicy::kCalendar && t == now_ && priority == 0) {
+    // The newest event at (now, 0) runs after every pending one with the
+    // same key, so the lane is a FIFO.
+    if (lane_tail_ == kNone) {
+      lane_head_ = idx;
     } else {
-      spill_.push_back(n);
-      std::push_heap(spill_.begin(), spill_.end(), NodeAfter{});
+      entry(lane_tail_).next = idx;
     }
+    lane_tail_ = idx;
+  } else if (cfg_.policy == QueuePolicy::kCalendar &&
+             bucket_offset(t) < num_buckets_) {
+    // wheel_base_ <= now_ <= t always holds here (the wheel is only ever
+    // re-anchored at the next event to pop, or at now), so bucket_offset
+    // is exact.
+    wheel_insert(idx);
+  } else {
+    spill_.push_back(node_of(idx));
+    std::push_heap(spill_.begin(), spill_.end(), NodeAfter{});
   }
   ++size_;
   if (!daemon) ++live_;
@@ -186,17 +219,45 @@ void Kernel::schedule_daemon_in(DurationPs d, EventFn fn, int priority) {
 
 TimePs Kernel::next_event_time() const {
   if (size_ == 0) return UINT64_MAX;
-  if (cfg_.policy == QueuePolicy::kBinaryHeap) return legacy_.top().time;
+  if (lane_head_ != kNone) return now_;
   if (wheel_count_ == 0) return spill_.front().time;
-  // All buckets before cur_bucket_ are empty and spill events lie beyond
-  // the horizon, so the first non-empty bucket's heap front is the global
-  // minimum. step() re-finds (and commits) the same bucket.
-  return buckets_[next_occupied_bucket(cur_bucket_)].front().time;
+  if (!active_.empty()) return active_.front().time;
+  // The first occupied bucket holds the global minimum in an unsorted
+  // list. Activating it here could let a later push land behind the
+  // cursor, so walk the list; step() activates the bucket.
+  TimePs t = UINT64_MAX;
+  for (std::uint32_t i = bucket_head_[next_occupied_bucket(cur_bucket_)];
+       i != kNone; i = entry(i).next)
+    t = std::min(t, entry(i).time);
+  return t;
 }
 
 bool Kernel::step() {
-  return cfg_.policy == QueuePolicy::kBinaryHeap ? step_legacy()
-                                                 : step_calendar();
+  if (size_ == 0) return false;
+  std::uint32_t idx = kNone;
+  if (cfg_.policy == QueuePolicy::kBinaryHeap) {
+    idx = pop_spill();
+  } else if (lane_head_ != kNone) {
+    idx = wheel_runs_before_lane() ? pop_active() : pop_lane();
+  } else {
+    settle_min_bucket();
+    idx = pop_active();
+  }
+  --size_;
+  Entry& e = entry(idx);
+  if (!e.daemon) --live_;
+  assert(e.time >= now_);
+  now_ = e.time;
+  ++executed_;
+  // The handler runs from its slot (chunks never move, so `e` stays
+  // valid while it schedules), and the slot goes back to the free list
+  // only afterwards. A handler that throws leaves its slot out of the free
+  // list; ~Kernel still destroys it.
+  e.fn();
+  e.fn.reset();
+  e.next = free_head_;
+  free_head_ = idx;
+  return true;
 }
 
 void Kernel::run(std::uint64_t max_events) {
@@ -229,6 +290,10 @@ Kernel::~Kernel() {
   for (auto h : adopted_) {
     if (h) h.destroy();
   }
+  for (std::uint32_t i = 0; i < pool_size_; ++i) std::destroy_at(&entry(i));
+  for (std::size_t c = 0; c < chunks_.size(); ++c)
+    std::allocator<Entry>{}.deallocate(
+        chunks_[c], std::size_t{1} << (c + kFirstChunkBits));
 }
 
 }  // namespace rw::sim

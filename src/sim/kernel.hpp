@@ -13,20 +13,22 @@
 //   * EventFn is an SBO callable (InplaceFunction<void(), 48>): every
 //     capture the simulator creates fits inline, so scheduling an event
 //     allocates nothing.
-//   * Callables live in a pooled, free-listed Entry array; the queues
-//     order 24-byte trivially-copyable Node records (time, seq, priority,
-//     pool index), so sifts never move a closure.
-//   * QueuePolicy::kCalendar (the default) is a two-tier queue: a bucketed
-//     near-term calendar wheel covering a configurable horizon plus a
-//     spill heap for far-future events, giving O(1) amortized scheduling
-//     on dense workloads. QueuePolicy::kBinaryHeap keeps the original
-//     single binary heap (callable stored inside the heap entry) as the
-//     baseline; both produce bit-identical execution orders.
+//   * Every pending event lives in one pooled, free-listed Entry that
+//     carries its callable, its (time, priority, seq) key and one `next`
+//     link; the heaps order 24-byte trivially-copyable Node records, so
+//     sifts never move a closure.
+//   * QueuePolicy::kCalendar (the default) keeps a FIFO delta lane for
+//     events at (now, priority 0), a near-term calendar wheel of unsorted
+//     intrusive bucket lists (the bucket under the cursor is heapified
+//     into one reused heap) and a spill heap for far-future events.
+//     QueuePolicy::kBinaryHeap keeps every event in the spill heap alone,
+//     a structurally independent twin; both produce bit-identical
+//     execution orders.
 #pragma once
 
+#include <bit>
 #include <coroutine>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/inplace_function.hpp"
@@ -37,8 +39,9 @@ namespace rw::sim {
 using EventFn = common::InplaceFunction<void(), 48>;
 
 /// Event-queue implementation selector. kCalendar is the production fast
-/// path; kBinaryHeap is the original implementation, kept selectable so
-/// tests and benches can prove the two orders and fingerprints identical.
+/// path; kBinaryHeap is one binary heap over the same entry pool, kept
+/// selectable so tests and benches can prove the two orders and
+/// fingerprints identical.
 enum class QueuePolicy { kCalendar, kBinaryHeap };
 
 [[nodiscard]] const char* queue_policy_name(QueuePolicy p);
@@ -147,16 +150,20 @@ class Kernel {
   ~Kernel();
 
  private:
-  // Pooled storage for the callable + daemon flag; the pool index is the
-  // only thing the queues carry. Free entries form an intrusive list.
+  // Pooled storage for one pending event. The queues carry only the pool
+  // index; `next` links an entry into the free list, a wheel bucket's
+  // list or the delta lane (it is in at most one of them at a time).
   static constexpr std::uint32_t kNone = UINT32_MAX;
   struct Entry {
     EventFn fn;
-    std::uint32_t next_free = kNone;
+    TimePs time = 0;
+    std::uint64_t seq = 0;
+    std::int32_t priority = 0;
+    std::uint32_t next = kNone;
     bool daemon = false;
   };
 
-  // Trivially-copyable queue record; the full deterministic order is
+  // Trivially-copyable heap record; the full deterministic order is
   // (time asc, priority asc, seq asc) — `seq` is a strict total-order
   // tie-break, so every queue implementation pops an identical sequence.
   struct Node {
@@ -173,63 +180,79 @@ class Kernel {
     }
   };
 
-  // Original implementation, kept as the selectable baseline: one binary
-  // heap whose entries carry the callable (so sifts move closures, as the
-  // pre-calendar kernel did).
-  struct LegacyEntry {
-    TimePs time;
-    int priority;
-    std::uint64_t seq;
-    EventFn fn;
-    bool daemon = false;
-  };
-  struct LegacyAfter {
-    bool operator()(const LegacyEntry& a, const LegacyEntry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
-  };
-
   void push(TimePs t, EventFn fn, int priority, bool daemon);
-  std::uint32_t acquire_entry(EventFn fn, bool daemon);
-  void release_entry(std::uint32_t idx);
+  std::uint32_t acquire_entry(EventFn fn, TimePs t, int priority,
+                              bool daemon);
+  // Chunk c holds the 2^(c + kFirstChunkBits) entries from index
+  // 2^kFirstChunkBits * (2^c - 1) on.
+  [[nodiscard]] Entry& entry(std::uint32_t idx) const {
+    const auto c = static_cast<std::uint32_t>(
+        std::bit_width((idx >> kFirstChunkBits) + 1u) - 1);
+    return chunks_[c][idx - ((1u << (c + kFirstChunkBits)) -
+                             (1u << kFirstChunkBits))];
+  }
+  [[nodiscard]] Node node_of(std::uint32_t idx) const {
+    const Entry& e = entry(idx);
+    return Node{e.time, e.seq, e.priority, idx};
+  }
 
-  void wheel_insert(const Node& n);
+  void wheel_insert(std::uint32_t idx);
   void rebase_from_spill();
   /// First non-empty bucket index >= from. Pre: wheel_count_ > 0.
   [[nodiscard]] std::size_t next_occupied_bucket(std::size_t from) const;
-  /// Position cur_bucket_ on the bucket holding the global minimum
-  /// (rebasing the wheel from the spill heap if needed). Pre: size_ > 0.
+  /// Make bucket `b` the active bucket: its list moves into active_.
+  /// Pre: active_ is empty and b is occupied.
+  void activate_bucket(std::size_t b);
+  /// Activate the bucket holding the global minimum of the wheel and the
+  /// spill heap (rebasing the wheel first if it is empty). Pre: the lane
+  /// is empty and wheel_count_ + spill_.size() > 0.
   void settle_min_bucket();
+  /// True when the wheel or spill minimum runs before the lane head: it is
+  /// at now and has priority < 0, or priority 0 and a smaller seq. Only
+  /// the bucket holding now may be activated here (see kernel.cpp).
+  [[nodiscard]] bool wheel_runs_before_lane();
+  std::uint32_t pop_active();
+  std::uint32_t pop_lane();
+  std::uint32_t pop_spill();
   /// Bucket index of `t` relative to wheel_base_, or >= num_buckets_ when
   /// `t` lies beyond the horizon. Pre: t >= wheel_base_.
   [[nodiscard]] std::uint64_t bucket_offset(TimePs t) const {
     return (t - wheel_base_) >> cfg_.bucket_width_log2;
   }
 
-  bool step_calendar();
-  bool step_legacy();
-
   KernelConfig cfg_;
   std::uint64_t num_buckets_ = 0;  // 2^num_buckets_log2, cached
 
-  // Calendar-policy state.
-  std::vector<Entry> pool_;
+  // The pool is a list of chunks that double in size (32, 64, ...
+  // entries), so growing it never moves an entry: a deep backlog costs no
+  // relocation of pending callables, and a handler runs from its own slot.
+  // An entry is constructed when it is first handed out.
+  static constexpr std::uint32_t kFirstChunkBits = 5;
+  std::vector<Entry*> chunks_;
+  std::uint32_t pool_size_ = 0;      // entries constructed so far
+  std::uint32_t pool_capacity_ = 0;  // entries the chunks hold
   std::uint32_t free_head_ = kNone;
-  std::vector<std::vector<Node>> buckets_;  // each kept as a min-heap
-  // One occupancy bit per bucket: settle_min_bucket() finds the next
+  // Calendar wheel: one unsorted intrusive list per bucket. When the
+  // cursor reaches a bucket its list moves into active_, a heap reused by
+  // every bucket; inserts into the active bucket push onto that heap.
+  std::vector<std::uint32_t> bucket_head_;
+  // One bit per bucket, set while it holds events (in its list or, for
+  // the active bucket, in active_): settle_min_bucket() finds the next
   // non-empty bucket with a word scan + countr_zero instead of walking
-  // empty buckets one by one (sparse workloads hop many buckets per event).
+  // empty buckets one by one.
   std::vector<std::uint64_t> bucket_bits_;
-  std::vector<Node> spill_;                 // min-heap beyond the horizon
+  std::vector<Node> active_;
+  // cur_bucket_ is the active bucket: inserts into it go to active_. It
+  // stays active once emptied, until the cursor moves on or a rebase.
+  bool active_on_ = false;
+  // Min-heap beyond the horizon; under kBinaryHeap, every pending event.
+  std::vector<Node> spill_;
   TimePs wheel_base_ = 0;
   std::size_t cur_bucket_ = 0;
   std::size_t wheel_count_ = 0;
-
-  // Binary-heap-policy state.
-  std::priority_queue<LegacyEntry, std::vector<LegacyEntry>, LegacyAfter>
-      legacy_;
+  // Delta lane: events pushed at (now, priority 0), in seq order.
+  std::uint32_t lane_head_ = kNone;
+  std::uint32_t lane_tail_ = kNone;
 
   TimePs now_ = 0;
   std::size_t size_ = 0;

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -67,6 +68,18 @@ struct TraceEvent {
   std::string label;    // task/function/peripheral name
   std::uint64_t a = 0;  // kind-specific (address, irq line, value, ...)
   std::uint64_t b = 0;  // kind-specific (size, old value, ...)
+};
+
+/// One trace record as observers see it: a TraceEvent whose label is
+/// borrowed, valid only for the duration of the on_trace call. The tracer
+/// builds the owning TraceEvent only when it retains records.
+struct TraceRecord {
+  TimePs time = 0;
+  TraceKind kind = TraceKind::kCustom;
+  CoreId core{};
+  std::string_view label;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
 };
 
 /// One memory access: what the PMU counts and what watchpoints and the
@@ -139,10 +152,11 @@ class Observer {
 
   // --- trace and signals ---
   /// One trace record of tile `tile`'s tracer, whether or not the tracer
-  /// retains it. Only observers that consume trace receive it. Each tile's
-  /// records are ordered by that tile's kernel; records of different tiles
-  /// may arrive concurrently under parallel tiled execution.
-  virtual void on_trace(std::uint32_t /*tile*/, const TraceEvent& /*ev*/) {}
+  /// retains it. Only observers that consume trace receive it; an observer
+  /// that keeps the label copies it. Each tile's records are ordered by
+  /// that tile's kernel; records of different tiles may arrive
+  /// concurrently under parallel tiled execution.
+  virtual void on_trace(std::uint32_t /*tile*/, const TraceRecord& /*rec*/) {}
   /// A signal changed level (Signal::set fires only on actual changes).
   virtual void on_signal(const Signal& /*sig*/, bool /*old_level*/) {}
 

@@ -9,12 +9,25 @@ namespace rw::sim {
 
 // ----------------------------------------------------- InterruptController
 
+namespace {
+
+// Line names, short enough for the string's inline buffer: naming a line
+// allocates nothing.
+constexpr const char* kLineNames[InterruptController::kNumLines] = {
+    "irq0",  "irq1",  "irq2",  "irq3",  "irq4",  "irq5",  "irq6",  "irq7",
+    "irq8",  "irq9",  "irq10", "irq11", "irq12", "irq13", "irq14", "irq15",
+    "irq16", "irq17", "irq18", "irq19", "irq20", "irq21", "irq22", "irq23",
+    "irq24", "irq25", "irq26", "irq27", "irq28", "irq29", "irq30", "irq31"};
+
+}  // namespace
+
 InterruptController::InterruptController(Kernel& kernel, Tracer& tracer)
     : Peripheral("irqc"), kernel_(kernel), tracer_(tracer) {
+  // Reserved once and never grown, so every Signal keeps its address
+  // (debugger watches hold Signal*).
   lines_.reserve(kNumLines);
-  for (std::size_t i = 0; i < kNumLines; ++i)
-    lines_.push_back(std::make_unique<Signal>(strformat("irq%zu", i),
-                                              tracer.observers()));
+  for (const char* name : kLineNames)
+    lines_.emplace_back(name, tracer.observers());
   handlers_.resize(kNumLines);
   drop_pending_.assign(kNumLines, 0);
 }
@@ -35,7 +48,7 @@ void InterruptController::raise(std::size_t line) {
   }
   ++raised_count_;
   pending_ |= (1ULL << line);
-  lines_[line]->raise();
+  lines_[line].raise();
   tracer_.record(kernel_.now(), TraceKind::kIrqRaise, CoreId{}, name(), line,
                  is_masked(line));
   if (!is_masked(line)) dispatch(line);
@@ -54,7 +67,7 @@ void InterruptController::dispatch(std::size_t line) {
 void InterruptController::ack(std::size_t line) {
   if (line >= kNumLines) throw std::out_of_range("irq line out of range");
   pending_ &= ~(1ULL << line);
-  lines_[line]->lower();
+  lines_[line].lower();
   tracer_.record(kernel_.now(), TraceKind::kIrqAck, CoreId{}, name(), line,
                  0);
 }
@@ -120,7 +133,7 @@ std::vector<RegInfo> InterruptController::registers() const {
 std::vector<Signal*> InterruptController::signals() {
   std::vector<Signal*> out;
   out.reserve(lines_.size());
-  for (auto& l : lines_) out.push_back(l.get());
+  for (Signal& l : lines_) out.push_back(&l);
   return out;
 }
 

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -91,7 +90,7 @@ class InterruptController final : public Peripheral {
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped_count_; }
 
   /// Signal for a line (watchpoint target).
-  Signal& line_signal(std::size_t line) { return *lines_.at(line); }
+  Signal& line_signal(std::size_t line) { return lines_.at(line); }
 
   std::uint64_t read_reg(std::size_t index) const override;
   void write_reg(std::size_t index, std::uint64_t value) override;
@@ -108,7 +107,7 @@ class InterruptController final : public Peripheral {
   std::uint64_t raised_count_ = 0;
   std::uint64_t dropped_count_ = 0;
   std::vector<std::uint64_t> drop_pending_;  // armed drops per line
-  std::vector<std::unique_ptr<Signal>> lines_;
+  std::vector<Signal> lines_;  // kNumLines, reserved up front
   std::vector<Handler> handlers_;
 };
 

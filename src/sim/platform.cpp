@@ -1,5 +1,6 @@
 #include "sim/platform.hpp"
 
+#include <charconv>
 #include <stdexcept>
 
 #include "common/strings.hpp"
@@ -61,6 +62,7 @@ Platform::Platform(PlatformConfig cfg)
     extra_tracers_.back()->set_enabled(cfg_.trace_enabled);
   }
 
+  cores_.reserve(cfg_.cores.size());
   for (std::size_t i = 0; i < cfg_.cores.size(); ++i) {
     const auto& cc = cfg_.cores[i];
     const CoreId id{static_cast<std::uint32_t>(i)};
@@ -70,9 +72,12 @@ Platform::Platform(PlatformConfig cfg)
     if (cc.scratchpad_bytes > 0) {
       if (cc.scratchpad_bytes > kScratchpadStride)
         throw std::invalid_argument("scratchpad exceeds memory-map stride");
-      const RegionId rid =
-          memory_.add_region(strformat("spm%zu", i), scratchpad_base(id),
-                             cc.scratchpad_bytes, cfg_.scratchpad_latency, id);
+      // "spm<i>" fits the string's inline buffer; built without printf.
+      char name[24] = "spm";
+      char* end = std::to_chars(name + 3, name + sizeof name, i).ptr;
+      const RegionId rid = memory_.add_region(
+          std::string(name, static_cast<std::size_t>(end - name)), scratchpad_base(id), cc.scratchpad_bytes,
+          cfg_.scratchpad_latency, id);
       if (cc.tile != 0)
         memory_.set_region_context(rid, cc.tile, &tile_kernel(cc.tile),
                                    &tile_tracer(cc.tile));

@@ -30,7 +30,12 @@ const char* trace_kind_name(TraceKind k) {
 void Tracer::record_active(TimePs time, TraceKind kind, CoreId core,
                            std::string_view label, std::uint64_t a,
                            std::uint64_t b) {
-  record(TraceEvent{time, kind, core, std::string(label), a, b});
+  const TraceRecord rec{time, kind, core, label, a, b};
+  if (observers_->tracing())
+    for (Observer* o : *observers_)
+      if (o->consumes_trace()) o->on_trace(tile_, rec);
+  if (enabled_)
+    events_.push_back(TraceEvent{time, kind, core, std::string(label), a, b});
 }
 
 std::vector<std::size_t> pair_records(const std::vector<TraceEvent>& events) {

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "sim/observer.hpp"
@@ -20,10 +19,12 @@
 namespace rw::sim {
 
 /// Append-only trace buffer of one tile. Every record also goes to the
-/// attached observers that consume trace, with this tracer's tile index.
+/// attached observers that consume trace, with this tracer's tile index,
+/// as a TraceRecord that borrows the caller's label; the owning
+/// TraceEvent is built only when the tracer retains records.
 ///
 /// Off path: a tracer that is disabled and has no trace-consuming
-/// observer is inactive, and record() returns before it builds the event,
+/// observer is inactive, and record() returns before it builds anything,
 /// so an unobserved run pays one branch per trace point. Callers whose
 /// only work is tracing test active() themselves (Core skips its
 /// ComputeStart event).
@@ -46,16 +47,9 @@ class Tracer {
   [[nodiscard]] const ObserverList& observers() const { return *observers_; }
 
   /// Observers see every record, even when buffer retention is disabled.
-  void record(TraceEvent ev) {
-    if (observers_->tracing())
-      for (Observer* o : *observers_)
-        if (o->consumes_trace()) o->on_trace(tile_, ev);
-    if (enabled_) events_.push_back(std::move(ev));
-  }
-
-  /// The active() test stays inline and the event is built out of line
-  /// (record_active), so an inactive tracer costs its callers one branch
-  /// rather than a call with eight arguments.
+  /// The active() test stays inline and the record is dispatched out of
+  /// line (record_active), so an inactive tracer costs its callers one
+  /// branch rather than a call with eight arguments.
   void record(TimePs time, TraceKind kind, CoreId core,
               std::string_view label, std::uint64_t a = 0,
               std::uint64_t b = 0) {

@@ -29,12 +29,12 @@ Debugger::Debugger(sim::Platform& platform)
 // Leave the platform functional: only our own hooks go.
 Debugger::~Debugger() { platform_.detach(*this); }
 
-void Debugger::on_trace(std::uint32_t /*tile*/, const sim::TraceEvent& ev) {
+void Debugger::on_trace(std::uint32_t /*tile*/, const sim::TraceRecord& ev) {
   if (ev.kind != sim::TraceKind::kComputeStart) return;
   for (const auto& label : task_breaks_) {
-    if (ev.label.find(label) != std::string::npos) {
+    if (ev.label.find(label) != std::string_view::npos) {
       request_stop(StopKind::kBreakpointTask,
-                   "task '" + ev.label + "' started on core" +
+                   "task '" + std::string(ev.label) + "' started on core" +
                        std::to_string(ev.core.value()));
     }
   }

@@ -89,7 +89,7 @@ class Debugger final : public sim::Observer {
 
  private:
   // sim::Observer
-  void on_trace(std::uint32_t tile, const sim::TraceEvent& ev) override;
+  void on_trace(std::uint32_t tile, const sim::TraceRecord& ev) override;
   void on_mem_access(const sim::MemAccess& acc) override;
   void on_signal(const sim::Signal& sig, bool old_level) override;
 

@@ -30,7 +30,7 @@ std::uint64_t ExecutionRecorder::events() const {
 }
 
 void ExecutionRecorder::on_trace(std::uint32_t tile,
-                                 const sim::TraceEvent& ev) {
+                                 const sim::TraceRecord& ev) {
   Slot& s = slots_[tile];
   ++s.count;
   s.hash = fnv::fold_u64(s.hash, ev.time);

@@ -51,7 +51,7 @@ class ExecutionRecorder final : public sim::Observer {
   };
 
   /// Fold one record into its tile's slot.
-  void on_trace(std::uint32_t tile, const sim::TraceEvent& ev) override;
+  void on_trace(std::uint32_t tile, const sim::TraceRecord& ev) override;
 
   sim::Platform& platform_;
   std::vector<Slot> slots_;  // one per tile; each written by one tile only

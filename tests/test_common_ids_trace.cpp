@@ -17,8 +17,9 @@ using DemoId = Id<DemoTag>;
 // Keeps every trace record it is handed.
 struct TraceSink final : sim::Observer {
   TraceSink() : Observer(kConsumesTrace) {}
-  void on_trace(std::uint32_t, const sim::TraceEvent& e) override {
-    seen.push_back(e);
+  void on_trace(std::uint32_t, const sim::TraceRecord& e) override {
+    seen.push_back(sim::TraceEvent{e.time, e.kind, e.core,
+                                   std::string(e.label), e.a, e.b});
   }
   std::vector<sim::TraceEvent> seen;
 };
@@ -84,8 +85,7 @@ TEST(Tracer, InactiveTracerStoresNothing) {
   sim::Tracer tracer;
   EXPECT_FALSE(tracer.active());
   tracer.record(0, sim::TraceKind::kMemRead, sim::CoreId{0}, "m", 1, 2);
-  tracer.record(sim::TraceEvent{1, sim::TraceKind::kCustom, sim::CoreId{},
-                                "e", 0, 0});
+  tracer.record(1, sim::TraceKind::kCustom, sim::CoreId{}, "e", 0, 0);
   EXPECT_TRUE(tracer.events().empty());
   tracer.set_enabled(true);
   EXPECT_TRUE(tracer.active());
@@ -101,8 +101,7 @@ TEST(Tracer, ListenerSeesEveryRecordWhileDisabled) {
   const std::string label = "region";
   tracer.record(5, sim::TraceKind::kMemWrite, sim::CoreId{2}, label, 7, 8);
   tracer.record(6, sim::TraceKind::kComputeEnd, sim::CoreId{1}, "blk");
-  tracer.record(sim::TraceEvent{7, sim::TraceKind::kCustom, sim::CoreId{},
-                                "ev", 1, 0});
+  tracer.record(7, sim::TraceKind::kCustom, sim::CoreId{}, "ev", 1, 0);
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_EQ(seen[0].time, 5u);
   EXPECT_EQ(seen[0].kind, sim::TraceKind::kMemWrite);
@@ -121,7 +120,7 @@ TEST(Tracer, ListenerSeesEveryRecordWhileDisabled) {
 // observer (the PMU, the race detector) leaves it off and sees no record.
 TEST(Tracer, CountingObserverLeavesTracerInactive) {
   struct Counter final : sim::Observer {
-    void on_trace(std::uint32_t, const sim::TraceEvent&) override { ++n; }
+    void on_trace(std::uint32_t, const sim::TraceRecord&) override { ++n; }
     int n = 0;
   };
   sim::ObserverList observers;
@@ -140,7 +139,7 @@ TEST(Tracer, CountingObserverLeavesTracerInactive) {
 TEST(Tracer, ObserversSeeTheTracerTile) {
   struct TileSink final : sim::Observer {
     TileSink() : Observer(kConsumesTrace) {}
-    void on_trace(std::uint32_t tile, const sim::TraceEvent&) override {
+    void on_trace(std::uint32_t tile, const sim::TraceRecord&) override {
       tiles.push_back(tile);
     }
     std::vector<std::uint32_t> tiles;

@@ -127,5 +127,19 @@ TEST(Channel, MoveOnlyPayload) {
   EXPECT_EQ(**v, 5);
 }
 
+TEST(Fifo, GrowsAcrossTheWrapAndErasesInOrder) {
+  Fifo<int> f;
+  EXPECT_TRUE(f.empty());
+  for (int v = 0; v < 3; ++v) f.push_back(v);
+  f.pop_front();
+  f.pop_front();  // head now sits mid-ring
+  for (int v = 3; v < 9; ++v) f.push_back(v);  // wraps, then doubles
+  f.erase(5);
+  f.erase(42);  // absent: no change
+  std::vector<int> out;
+  for (; !f.empty(); f.pop_front()) out.push_back(f.front());
+  EXPECT_EQ(out, (std::vector<int>{2, 3, 4, 6, 7, 8}));
+}
+
 }  // namespace
 }  // namespace rw::sim

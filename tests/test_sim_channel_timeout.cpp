@@ -21,7 +21,7 @@ using Chan = Channel<int>;
 Process recv_once(Kernel& k, Chan& ch, DurationPs timeout,
                   std::vector<std::string>& log) {
   auto r = co_await ch.recv_for(timeout);
-  if (r.ok())
+  if (r.has_value())
     log.push_back("recv:" + std::to_string(r.value()) + "@" +
                   std::to_string(k.now()));
   else
@@ -95,8 +95,8 @@ Process recv_at(Kernel& k, Chan& ch, TimePs at, std::vector<int>& got) {
 
 Process send_for_once(Kernel& k, Chan& ch, int v, DurationPs timeout,
                       std::vector<std::string>& log) {
-  auto st = co_await ch.send_for(v, timeout);
-  log.push_back((st.ok() ? std::string("sent@") : std::string("drop@")) +
+  const bool sent = co_await ch.send_for(v, timeout);
+  log.push_back((sent ? std::string("sent@") : std::string("drop@")) +
                 std::to_string(k.now()));
 }
 
@@ -126,7 +126,7 @@ Process recv_twice_with_reuse(Kernel& k, Chan& ch,
                               std::vector<std::string>& log) {
   for (int i = 0; i < 2; ++i) {
     auto r = co_await ch.recv_for(microseconds(10));
-    if (r.ok())
+    if (r.has_value())
       log.push_back("recv:" + std::to_string(r.value()) + "@" +
                     std::to_string(k.now()));
     else
@@ -191,7 +191,7 @@ TEST(ChannelTimeout, StaleDeadlineAfterWaiterFinishedIsNoOp) {
 // (exercised under ASan in CI).
 Process recv_never_resumed(Chan& ch, std::vector<std::string>& log) {
   auto r = co_await ch.recv_for(microseconds(10));
-  log.push_back(r.ok() ? "recv" : "timeout");  // must never run
+  log.push_back(r.has_value() ? "recv" : "timeout");  // must never run
 }
 
 TEST(ChannelTimeout, DeadlineOfWaiterDestroyedMidRunIsDefused) {
@@ -224,10 +224,10 @@ TEST(ChannelTimeout, ChannelDestroyedBeforeParkedWaiterFrameIsSafe) {
 }
 
 // Same for the send side: a sender parked on a full channel and then
-// destroyed must defuse its deadline and leave the waiter deque.
+// destroyed must defuse its deadline and leave the waiter queue.
 Process send_never_resumed(Chan& ch, std::vector<std::string>& log) {
-  auto st = co_await ch.send_for(7, microseconds(10));
-  log.push_back(st.ok() ? "sent" : "drop");  // must never run
+  const bool sent = co_await ch.send_for(7, microseconds(10));
+  log.push_back(sent ? "sent" : "drop");  // must never run
 }
 
 TEST(ChannelTimeout, SendDeadlineOfDestroyedWaiterIsDefused) {

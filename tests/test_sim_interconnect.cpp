@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace rw::sim {
 namespace {
 
@@ -49,11 +51,30 @@ TEST(MeshNoc, HopCountIsManhattanDistance) {
   // It is also the length of the XY route transfers reserve, including
   // cores that wrap onto shared nodes (3x2 mesh, 8 cores: 6->0, 7->1).
   const MeshNoc::Config wrap{3, 2, nanoseconds(5), mhz(500), 4};
-  for (std::uint32_t s = 0; s < 8; ++s)
-    for (std::uint32_t d = 0; d < 8; ++d)
-      EXPECT_EQ(mesh_hops(wrap, CoreId{s}, CoreId{d}),
-                mesh_route(wrap, CoreId{s}, CoreId{d}).size())
+  for (std::uint32_t s = 0; s < 8; ++s) {
+    for (std::uint32_t d = 0; d < 8; ++d) {
+      std::uint32_t links = 0;
+      for_each_mesh_link(wrap, CoreId{s}, CoreId{d},
+                         [&links](std::size_t) { ++links; });
+      EXPECT_EQ(mesh_hops(wrap, CoreId{s}, CoreId{d}), links)
           << s << "->" << d;
+    }
+  }
+}
+
+TEST(MeshNoc, RouteWalksXThenYInLinkEncoding) {
+  // Link = node*4 + direction (0=+x, 1=-x, 2=+y, 3=-y), node row-major.
+  const MeshNoc::Config cfg{4, 4, nanoseconds(5), mhz(500), 4};
+  const auto route = [&cfg](std::uint32_t s, std::uint32_t d) {
+    std::vector<std::size_t> links;
+    for_each_mesh_link(cfg, CoreId{s}, CoreId{d},
+                       [&links](std::size_t l) { links.push_back(l); });
+    return links;
+  };
+  EXPECT_EQ(route(0, 5), (std::vector<std::size_t>{0, 6}));
+  EXPECT_EQ(route(5, 0), (std::vector<std::size_t>{21, 19}));
+  EXPECT_EQ(route(3, 3), (std::vector<std::size_t>{}));
+  EXPECT_EQ(route(12, 3), (std::vector<std::size_t>{48, 52, 56, 63, 47, 31}));
 }
 
 TEST(MeshNoc, LocalTransferIsFree) {

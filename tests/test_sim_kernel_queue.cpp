@@ -1,12 +1,16 @@
-// Queue-implementation equivalence: the calendar/two-tier queue and the
-// legacy binary heap must be observably identical — same execution order,
-// same events_executed, same ExecutionRecorder fingerprints — on every
-// workload. This is the determinism contract the non-intrusive-debugging
-// claims (Sec. VII) rest on; the queue swap is a pure performance change.
+// Queue-implementation equivalence: the calendar queue (delta lane, wheel
+// and spill heap) and the binary-heap policy must be observably identical
+// — same execution order, same events_executed, same ExecutionRecorder
+// fingerprints — on every workload, and both must match an independent
+// reference queue on adversarial event streams. This is the determinism
+// contract the non-intrusive-debugging claims (Sec. VII) rest on; the
+// queue structure is a pure performance choice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <tuple>
 #include <vector>
 
@@ -195,6 +199,290 @@ TEST(KernelQueueCross, RandomSoupOrderIsBitIdenticalAcrossQueues) {
               run_soup(QueuePolicy::kBinaryHeap, seed))
         << "seed " << seed;
   }
+}
+
+// ------------------------------------------------ independent reference
+
+// A deliberately naive kernel: one std::priority_queue over
+// (time, priority, seq) with the callables in a side table. It shares no
+// code with Kernel, so both queue policies are checked against it and not
+// only against each other.
+class RefKernel {
+ public:
+  [[nodiscard]] TimePs now() const { return now_; }
+  void schedule_at(TimePs t, std::function<void()> fn, int pri = 0) {
+    push(t, std::move(fn), pri, false);
+  }
+  void schedule_daemon_at(TimePs t, std::function<void()> fn, int pri = 0) {
+    push(t, std::move(fn), pri, true);
+  }
+  bool step() {
+    if (q_.empty()) return false;
+    const Ev ev = q_.top();
+    q_.pop();
+    if (!ev.daemon) --live_;
+    now_ = ev.time;
+    ++executed_;
+    const std::function<void()> fn = std::move(fns_[ev.fn]);
+    fn();
+    return true;
+  }
+  void run() {
+    while (live_ > 0 && step()) {
+    }
+  }
+  std::uint64_t run_window(TimePs limit, bool live_only) {
+    std::uint64_t n = 0;
+    while (!q_.empty() && (!live_only || live_ > 0) &&
+           q_.top().time <= limit) {
+      step();
+      ++n;
+    }
+    return n;
+  }
+  [[nodiscard]] TimePs next_event_time() const {
+    return q_.empty() ? UINT64_MAX : q_.top().time;
+  }
+  void advance_to(TimePs t) { now_ = std::max(now_, t); }
+  [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  [[nodiscard]] std::size_t pending_events() const { return q_.size(); }
+  [[nodiscard]] std::size_t live_events() const { return live_; }
+
+ private:
+  struct Ev {
+    TimePs time;
+    int priority;
+    std::uint64_t seq;
+    std::size_t fn;
+    bool daemon;
+  };
+  struct After {
+    bool operator()(const Ev& a, const Ev& b) const {
+      return std::tie(a.time, a.priority, a.seq) >
+             std::tie(b.time, b.priority, b.seq);
+    }
+  };
+  void push(TimePs t, std::function<void()> fn, int pri, bool daemon) {
+    ASSERT_GE(t, now_);
+    fns_.push_back(std::move(fn));
+    q_.push(Ev{t, pri, seq_++, fns_.size() - 1, daemon});
+    if (!daemon) ++live_;
+  }
+
+  std::priority_queue<Ev, std::vector<Ev>, After> q_;
+  std::vector<std::function<void()>> fns_;
+  TimePs now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::size_t live_ = 0;
+};
+
+KernelConfig calendar(std::uint32_t width_log2, std::uint32_t buckets_log2) {
+  KernelConfig cfg;
+  cfg.bucket_width_log2 = width_log2;
+  cfg.num_buckets_log2 = buckets_log2;
+  return cfg;
+}
+
+// The queues under test: the default calendar, a tiny wheel (16 ps
+// buckets x 8 = 128 ps horizon) that rebases constantly, and the heap.
+const KernelConfig kUnderTest[] = {
+    calendar(12, 10), calendar(4, 3), KernelConfig{QueuePolicy::kBinaryHeap}};
+
+// An adversarial event stream. Each executed event logs (id, now) and may
+// push children, drawn from a seeded Rng in execution order, so two
+// queues that ever disagree produce different logs. The draw favours
+// what the calendar's structures must get right:
+//   * pushes at (now, 0) — the delta lane — next to (now, 0) wheel entries
+//     pushed earlier (hence with smaller seq) at shared "hot" times;
+//   * negative and positive priorities pushed at now after lane entries;
+//   * bursts into one bucket in reverse time order;
+//   * far pushes that spill, and daemons.
+// Between run_window calls the driver logs next_event_time(), parks the
+// clock with advance_to() when nothing is due, and pushes external events
+// at now.
+template <typename K>
+std::vector<std::uint64_t> run_stream(K& k, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> log;
+  std::uint64_t next_id = 0;
+  std::function<void(std::uint64_t, int)> body;
+  const auto push = [&](TimePs t, int pri, bool daemon, int depth) {
+    const std::uint64_t id = next_id++;
+    auto fn = [&body, id, depth] { body(id, depth); };
+    if (daemon) {
+      k.schedule_daemon_at(t, fn, pri);
+    } else {
+      k.schedule_at(t, fn, pri);
+    }
+  };
+  const auto draw_priority = [&rng] {
+    return rng.next_below(10) < 6 ? 0 : static_cast<int>(rng.next_int(-2, 2));
+  };
+  body = [&](std::uint64_t id, int depth) {
+    log.push_back(id);
+    log.push_back(k.now());
+    if (depth <= 0) return;
+    const std::uint64_t fanout = rng.next_below(4);
+    for (std::uint64_t c = 0; c < fanout; ++c) {
+      const std::uint64_t r = rng.next_below(100);
+      const bool daemon = rng.next_below(100) < 15;
+      if (r < 35) {  // at now: the lane for priority 0
+        push(k.now(), draw_priority(), daemon, depth - 1);
+      } else if (r < 55) {  // a hot time shared with other pushes
+        const TimePs hot = (k.now() / 64 + 1 + rng.next_below(3)) * 64;
+        push(hot, draw_priority(), daemon, depth - 1);
+      } else if (r < 70) {  // one bucket, latest time first
+        const TimePs base = (k.now() / 16 + 1 + rng.next_below(2)) * 16;
+        for (TimePs off = 16; off-- > 0;)
+          if (rng.next_below(4) == 0)
+            push(base + off, draw_priority(), daemon, depth - 2);
+      } else if (r < 90) {
+        push(k.now() + rng.next_below(400), draw_priority(), daemon,
+             depth - 1);
+      } else {  // far: beyond both horizons
+        push(k.now() + 5000 + rng.next_below(20000), draw_priority(), daemon,
+             depth - 1);
+      }
+    }
+  };
+  for (int root = 0; root < 30; ++root)
+    push(rng.next_below(600), draw_priority(), rng.next_below(100) < 15, 5);
+  for (int w = 0; w < 24; ++w) {
+    const TimePs limit = k.now() + rng.next_below(300);
+    log.push_back(k.next_event_time());
+    log.push_back(k.run_window(limit, /*live_only=*/w % 3 == 0));
+    log.push_back(k.next_event_time());
+    if (k.next_event_time() >= limit) k.advance_to(limit);
+    for (std::uint64_t e = rng.next_below(4); e > 0; --e)
+      push(k.now(), draw_priority(), rng.next_below(100) < 15, 3);
+    log.push_back(k.next_event_time());
+  }
+  k.run();
+  log.push_back(k.events_executed());
+  log.push_back(k.now());
+  log.push_back(k.pending_events());
+  log.push_back(k.live_events());
+  return log;
+}
+
+TEST(KernelQueueReference, AdversarialStreamsMatchTheReferenceQueue) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    RefKernel ref;
+    const std::vector<std::uint64_t> want = run_stream(ref, seed);
+    ASSERT_GT(ref.events_executed(), 100u) << "seed " << seed;
+    for (const KernelConfig& cfg : kUnderTest) {
+      Kernel k(cfg);
+      EXPECT_EQ(run_stream(k, seed), want)
+          << "seed " << seed << " policy " << queue_policy_name(cfg.policy)
+          << " buckets 2^" << cfg.num_buckets_log2;
+    }
+  }
+}
+
+// Runs `script` on every queue under test and on the reference, and
+// returns the reference's execution order after checking the others.
+template <typename Script>
+std::vector<std::uint64_t> order_on_all_queues(const Script& script) {
+  RefKernel ref;
+  const std::vector<std::uint64_t> want = script(ref);
+  for (const KernelConfig& cfg : kUnderTest) {
+    Kernel k(cfg);
+    EXPECT_EQ(script(k), want)
+        << queue_policy_name(cfg.policy) << " buckets 2^"
+        << cfg.num_buckets_log2;
+  }
+  return want;
+}
+
+TEST(KernelQueueReference, LaneEntriesRunAfterOlderWheelEntriesAtNow) {
+  // A and B are pushed at (100, 0) before the clock gets there, so they
+  // hold smaller seqs than anything pushed at 100; the priority -1 and +1
+  // pushes at 100 bracket the lane.
+  const auto script = [](auto& k) {
+    std::vector<std::uint64_t> order;
+    const auto log = [&order](std::uint64_t id) {
+      return [&order, id] { order.push_back(id); };
+    };
+    k.schedule_at(100, log(1));  // A
+    k.schedule_at(100, [&k, &order, log] {
+      order.push_back(2);  // B: pushes at now
+      k.schedule_at(k.now(), log(10));       // lane
+      k.schedule_at(k.now(), log(11), 1);    // after the lane
+      k.schedule_at(k.now(), log(12));       // lane
+      k.schedule_at(k.now(), log(13), -1);   // before everything left
+    });
+    k.schedule_at(100, log(3));  // C: wheel, older than the lane
+    k.schedule_at(100, log(4), 1);
+    k.run();
+    return order;
+  };
+  EXPECT_EQ(order_on_all_queues(script),
+            (std::vector<std::uint64_t>{1, 2, 13, 3, 10, 12, 4, 11}));
+}
+
+TEST(KernelQueueReference, SameBucketInsertsInReverseTimeOrder) {
+  const auto script = [](auto& k) {
+    std::vector<std::uint64_t> order;
+    k.schedule_at(1, [&k, &order] {
+      // All within one default 4 ns bucket, latest first, while that
+      // bucket is active.
+      for (TimePs i = 0; i < 12; ++i) {
+        const TimePs t = 4000 - 333 * i;
+        k.schedule_at(t, [&order, t] { order.push_back(t); });
+      }
+    });
+    for (TimePs i = 0; i < 5; ++i) {
+      const TimePs t = 4095 - 512 * i;
+      k.schedule_at(t, [&order, t] { order.push_back(t); });
+    }
+    k.run();
+    return order;
+  };
+  const std::vector<std::uint64_t> order = order_on_all_queues(script);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  EXPECT_EQ(order.size(), 17u);
+}
+
+TEST(KernelQueueReference, LaneDoesNotActivateALaterBucket) {
+  // Regression: with the lane non-empty at now, the wheel minimum X sits
+  // in a later bucket. If the lane check activated X's bucket, Y — pushed
+  // by a lane event into a bucket between now and X — would land behind
+  // the cursor and run after X.
+  const auto script = [](auto& k) {
+    std::vector<std::uint64_t> order;
+    k.schedule_at(40, [&order] { order.push_back(40); });  // X, bucket 2
+    k.schedule_at(0, [&k, &order] {
+      order.push_back(0);
+      k.schedule_at(0, [&k, &order] {  // lane
+        order.push_back(1);
+        k.schedule_at(20, [&order] { order.push_back(20); });  // Y, bucket 1
+      });
+    });
+    k.run();
+    return order;
+  };
+  EXPECT_EQ(order_on_all_queues(script),
+            (std::vector<std::uint64_t>{0, 1, 20, 40}));
+}
+
+TEST(KernelQueueReference, SpillEventAtNowAfterAdvanceRunsBeforeTheLane) {
+  // E waits in the tiny wheel's spill heap; advance_to() parks the clock
+  // on its time, and a lane push at that time must still run after it.
+  const auto script = [](auto& k) {
+    std::vector<std::uint64_t> order;
+    k.schedule_at(1000, [&order] { order.push_back(1); });  // E
+    k.run_window(999, /*live_only=*/false);
+    k.advance_to(1000);
+    k.schedule_at(1000, [&order] { order.push_back(2); });  // lane
+    k.schedule_at(1000, [&order] { order.push_back(3); }, -1);
+    std::vector<std::uint64_t> probe{k.next_event_time()};
+    k.run();
+    probe.insert(probe.end(), order.begin(), order.end());
+    return probe;
+  };
+  EXPECT_EQ(order_on_all_queues(script),
+            (std::vector<std::uint64_t>{1000, 3, 1, 2}));
 }
 
 struct CorpusRun {
