@@ -32,6 +32,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -110,7 +111,8 @@ struct Storm {
 static_assert(sim::EventFn::stores_inline<Storm::StormEvent>);
 
 RunMetrics run_storm(sim::QueuePolicy policy, const BenchConfig& cfg,
-                     std::int64_t pending, std::uint64_t fanout) {
+                     std::int64_t pending, std::uint64_t fanout,
+                     sim::Kernel::QueueCounters* work) {
   sim::Kernel k(policy);
   // Parked backlog: daemons beyond the storm window set the steady queue
   // depth without ever executing.
@@ -128,6 +130,7 @@ RunMetrics run_storm(sim::QueuePolicy policy, const BenchConfig& cfg,
   const auto t1 = std::chrono::steady_clock::now();
   const double wall_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+  *work = k.queue_counters();
 
   RunMetrics m;
   m.makespan = k.now();
@@ -147,7 +150,8 @@ RunMetrics run_storm(sim::QueuePolicy policy, const BenchConfig& cfg,
 
 // End-to-end: a full virtual platform (cores, channels, DMA, interconnect)
 // running the communication-heavy pipeline workload under each queue.
-RunMetrics run_e2e(sim::QueuePolicy policy, const BenchConfig& cfg) {
+RunMetrics run_e2e(sim::QueuePolicy policy, const BenchConfig& cfg,
+                   sim::Kernel::QueueCounters* work) {
   sim::PlatformConfig pcfg = sim::PlatformConfig::homogeneous(4);
   pcfg.kernel.policy = policy;
   sim::Platform plat(std::move(pcfg));
@@ -157,6 +161,7 @@ RunMetrics run_e2e(sim::QueuePolicy policy, const BenchConfig& cfg) {
   const auto t1 = std::chrono::steady_clock::now();
   const double wall_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+  *work = plat.kernel().queue_counters();
 
   RunMetrics m;
   m.makespan = plat.kernel().now();
@@ -386,19 +391,28 @@ int main(int argc, char** argv) {
   }
 
   harness::Scenario scenario("e13_kernel_throughput");
+  // Queue work counters per run label, filled by the runs and printed on
+  // stdout only, so BENCH_kernel.json keeps its fields. Every slot exists
+  // before the runner starts.
+  std::map<std::string, sim::Kernel::QueueCounters> queue_work;
   for (const std::int64_t pending : cfg.pendings)
     for (const std::uint64_t fanout : cfg.fanouts)
-      for (const sim::QueuePolicy policy : kPolicies)
-        scenario.add_run(storm_label(policy, pending, fanout),
-                         [&cfg, policy, pending, fanout](
-                             const harness::RunContext&) {
-                           return run_storm(policy, cfg, pending, fanout);
-                         });
-  for (const sim::QueuePolicy policy : kPolicies)
-    scenario.add_run(strformat("e2e_%s", sim::queue_policy_name(policy)),
-                     [&cfg, policy](const harness::RunContext&) {
-                       return run_e2e(policy, cfg);
-                     });
+      for (const sim::QueuePolicy policy : kPolicies) {
+        const std::string label = storm_label(policy, pending, fanout);
+        scenario.add_run(label, [&cfg, policy, pending, fanout,
+                                 work = &queue_work[label]](
+                                    const harness::RunContext&) {
+          return run_storm(policy, cfg, pending, fanout, work);
+        });
+      }
+  for (const sim::QueuePolicy policy : kPolicies) {
+    const std::string label =
+        strformat("e2e_%s", sim::queue_policy_name(policy));
+    scenario.add_run(label, [&cfg, policy, work = &queue_work[label]](
+                                const harness::RunContext&) {
+      return run_e2e(policy, cfg, work);
+    });
+  }
   for (const std::uint32_t tiles : cfg.tiles_axis)
     for (const sim::QueuePolicy policy : kPolicies)
       for (const std::int64_t pending : cfg.pendings) {
@@ -468,6 +482,25 @@ int main(int argc, char** argv) {
   }
   t.print("two-tier queue vs heap; 'identical' = same makespan, event "
           "count and order hash");
+
+  // Where the calendar's work went: events served by the delta lane, by
+  // the spill heap directly (shallow backlog) and by the wheel, and the
+  // spill traffic behind them.
+  Table qt({"run", "events", "lane", "spill direct", "wheel",
+            "spill pushes", "rebases", "migrated"});
+  const auto work_row = [&qt, &queue_work](const std::string& label) {
+    const sim::Kernel::QueueCounters& c = queue_work.at(label);
+    qt.add_row({label,
+                Table::num(c.lane_pops + c.spill_pops + c.wheel_pops),
+                Table::num(c.lane_pops), Table::num(c.spill_pops),
+                Table::num(c.wheel_pops), Table::num(c.spill_pushes),
+                Table::num(c.rebases), Table::num(c.migrated)});
+  };
+  for (const std::int64_t pending : cfg.pendings)
+    for (const std::uint64_t fanout : cfg.fanouts)
+      work_row(storm_label(sim::QueuePolicy::kCalendar, pending, fanout));
+  work_row("e2e_calendar");
+  qt.print("calendar queue work counters (the same in every rerun)");
 
   const auto* eh = result.find("e2e_heap");
   const auto* ec = result.find("e2e_calendar");

@@ -268,7 +268,9 @@ BENCHMARK(BM_JsonWriterDouble)->Unit(benchmark::kMicrosecond);
 // Model-size sweep: the untraced run() of a perf demo (seed 1, scale 64)
 // on a 4-, 16- and 64-core platform, on the bus and on a square mesh. The
 // host cost per simulated event should stay flat as the model grows;
-// `ns_per_event` shows it. Only run() is timed, not build or spawn.
+// `ns_per_event` shows it. Only run() is timed, not build or spawn. The
+// queue counters give the events each path served: the delta lane, the
+// spill heap directly (a shallow backlog) and the wheel (a deep one).
 void BM_UntracedRunModelSize(benchmark::State& state) {
   static const char* const kDemos[] = {"pipeline", "forkjoin",
                                        "shared_hammer"};
@@ -276,6 +278,7 @@ void BM_UntracedRunModelSize(benchmark::State& state) {
   const auto cores = static_cast<std::size_t>(state.range(1));
   const bool mesh = state.range(2) != 0;
   std::uint64_t events = 0;
+  sim::Kernel::QueueCounters queue;
   for (auto _ : state) {
     auto cfg = sim::PlatformConfig::homogeneous(cores, mhz(400));
     if (mesh) cfg.use_square_mesh();
@@ -287,9 +290,14 @@ void BM_UntracedRunModelSize(benchmark::State& state) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count());
     events = plat.kernel().events_executed();
+    queue = plat.kernel().queue_counters();
   }
   state.SetLabel(strformat("%s/%s", demo, mesh ? "mesh" : "bus"));
   state.counters["events"] = static_cast<double>(events);
+  state.counters["lane_pops"] = static_cast<double>(queue.lane_pops);
+  state.counters["spill_pops"] = static_cast<double>(queue.spill_pops);
+  state.counters["wheel_pops"] = static_cast<double>(queue.wheel_pops);
+  state.counters["rebases"] = static_cast<double>(queue.rebases);
   state.counters["ns_per_event"] = benchmark::Counter(
       static_cast<double>(events),
       benchmark::Counter::kIsIterationInvariantRate |

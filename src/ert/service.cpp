@@ -120,6 +120,7 @@ RunMetrics job_execution_metrics(const JobSpec& spec, std::size_t cores,
   m.deadline_misses =
       (spec.deadline > 0 && mr.makespan > spec.deadline) ? 1 : 0;
   const TimePs seq = maps::best_sequential_time(spec.graph, pes);
+  m.extra.reserve(3);
   m.set_extra("ert.cores", static_cast<double>(cores));
   m.set_extra("ert.sequential_ps", static_cast<double>(seq));
   m.set_extra("ert.speedup", mr.speedup_vs(seq));
@@ -218,6 +219,17 @@ struct Service::Impl {
   std::vector<PendingJob> ready;
   std::map<std::pair<std::size_t, std::uint64_t>, RunningJob> running;
   std::vector<sim::TraceEvent> trace;
+
+  // Scratch of grant_pass_locked(), kept across passes so a pass
+  // allocates only what it grants.
+  struct GrantScratch {
+    std::vector<double> deficit;          // per tenant
+    std::vector<std::size_t> order;       // ready indices, grant order
+    std::vector<bool> seen;               // per tenant
+    std::vector<std::size_t> pool_grants; // per pool: shared, then tenants
+    std::vector<bool> granted;            // per ready job
+    std::vector<PendingJob> remaining;    // ready jobs left ungranted
+  } scratch;
 
   explicit Impl(const ServiceConfig& cfg) : shared_pool(cfg.total_cores) {}
 };
@@ -466,12 +478,15 @@ void Service::grant_pass_locked() {
 
   // Deficit-weighted order: QoS class first, then the tenant with the
   // least committed work relative to its share, then FIFO.
-  std::vector<double> deficit(im.tenants.size(), 0.0);
+  Impl::GrantScratch& sc = im.scratch;
+  std::vector<double>& deficit = sc.deficit;
+  deficit.resize(im.tenants.size());
   for (std::size_t i = 0; i < im.tenants.size(); ++i) {
     const Tenant& t = im.tenants[i];
     deficit[i] = t.stats.core_ps / t.cfg.share;
   }
-  std::vector<std::size_t> order(im.ready.size());
+  std::vector<std::size_t>& order = sc.order;
+  order.resize(im.ready.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     const PendingJob& x = im.ready[a];
@@ -491,7 +506,8 @@ void Service::grant_pass_locked() {
   // work-conserving.
   std::size_t shared_tenants_waiting = 0;
   {
-    std::vector<bool> seen(im.tenants.size(), false);
+    std::vector<bool>& seen = sc.seen;
+    seen.assign(im.tenants.size(), false);
     for (const PendingJob& j : im.ready) {
       if (!im.tenants[j.tenant].pool && !seen[j.tenant]) {
         seen[j.tenant] = true;
@@ -505,14 +521,16 @@ void Service::grant_pass_locked() {
   // Batcher: grants are packed into arbitration batches per pool; batch
   // k of a pool is granted at now + (k+1)*arbitration_latency (one
   // arbitration operation covers up to batch_max gangs).
-  std::vector<std::size_t> pool_grants(im.tenants.size() + 1, 0);
+  std::vector<std::size_t>& pool_grants = sc.pool_grants;
+  pool_grants.assign(im.tenants.size() + 1, 0);
   const std::size_t batch_max = std::max<std::size_t>(1, cfg_.batch_max);
   // A realtime job the shared pool cannot serve yet blocks lower classes
   // from backfilling in front of it (head-of-line only across classes —
   // within a class, moldable jobs keep backfilling).
   bool shared_blocked_below_realtime = false;
 
-  std::vector<bool> granted(im.ready.size(), false);
+  std::vector<bool>& granted = sc.granted;
+  granted.assign(im.ready.size(), false);
   auto try_grant = [&](std::size_t idx, bool enforce_cap) -> bool {
     PendingJob& job = im.ready[idx];
     Tenant& t = im.tenants[job.tenant];
@@ -610,11 +628,13 @@ void Service::grant_pass_locked() {
     }
   }
 
-  std::vector<PendingJob> remaining;
-  remaining.reserve(im.ready.size());
+  // The ungranted jobs go back to ready; the old ready vector keeps its
+  // capacity as the next pass's scratch.
+  std::vector<PendingJob>& remaining = sc.remaining;
   for (std::size_t i = 0; i < im.ready.size(); ++i)
     if (!granted[i]) remaining.push_back(std::move(im.ready[i]));
   im.ready.swap(remaining);
+  remaining.clear();
 }
 
 }  // namespace rw::ert

@@ -69,6 +69,12 @@ std::vector<double> upward_ranks(const TaskGraph& g,
 }
 
 struct ScheduleState {
+  ScheduleState(std::size_t num_pes, std::size_t num_tasks)
+      : pe_free(num_pes, 0),
+        task_finish(num_tasks, 0),
+        task_pe(num_tasks, 0) {
+    slots.reserve(num_tasks);
+  }
   std::vector<TimePs> pe_free;
   std::vector<TimePs> task_finish;
   std::vector<std::size_t> task_pe;
@@ -97,9 +103,12 @@ void place(const TaskGraph& g, const std::vector<PeDesc>& pes,
   st.makespan = std::max(st.makespan, finish);
 }
 
-std::vector<std::size_t> allowed_pes(const TaskNode& t,
-                                     const std::vector<PeDesc>& pes) {
-  std::vector<std::size_t> out;
+/// The PEs `t` may run on, written into `out` (a buffer the caller reuses
+/// across tasks) and returned.
+const std::vector<std::size_t>& allowed_pes(const TaskNode& t,
+                                            const std::vector<PeDesc>& pes,
+                                            std::vector<std::size_t>& out) {
+  out.clear();
   for (std::size_t p = 0; p < pes.size(); ++p)
     if (!t.preferred_pe || pes[p].cls == *t.preferred_pe) out.push_back(p);
   if (out.empty())  // unsatisfiable preference: any PE may run it
@@ -140,16 +149,14 @@ MappingResult heft_map(const TaskGraph& g, const std::vector<PeDesc>& pes,
                        const CommCost& comm) {
   if (pes.empty()) throw std::invalid_argument("no PEs to map onto");
   const auto rank = upward_ranks(g, pes, comm);
-  ScheduleState st;
-  st.pe_free.assign(pes.size(), 0);
-  st.task_finish.assign(g.tasks().size(), 0);
-  st.task_pe.assign(g.tasks().size(), 0);
+  ScheduleState st(pes.size(), g.tasks().size());
 
+  std::vector<std::size_t> allowed;
   for (const TaskNodeId t : rank_order(g, rank)) {
     // Earliest-finish-time PE among allowed ones.
     std::size_t best_pe = 0;
     TimePs best_finish = std::numeric_limits<TimePs>::max();
-    for (const std::size_t pe : allowed_pes(g.task(t), pes)) {
+    for (const std::size_t pe : allowed_pes(g.task(t), pes, allowed)) {
       // Tentative finish on this PE.
       TimePs ready = 0;
       for (const auto& e : g.edges()) {
@@ -174,10 +181,7 @@ TimePs evaluate_mapping(const TaskGraph& g, const std::vector<PeDesc>& pes,
                         const CommCost& comm,
                         const std::vector<std::size_t>& task_to_pe) {
   const auto rank = upward_ranks(g, pes, comm);
-  ScheduleState st;
-  st.pe_free.assign(pes.size(), 0);
-  st.task_finish.assign(g.tasks().size(), 0);
-  st.task_pe.assign(g.tasks().size(), 0);
+  ScheduleState st(pes.size(), g.tasks().size());
   for (const TaskNodeId t : rank_order(g, rank))
     place(g, pes, comm, st, t, task_to_pe[t.index()]);
   return st.makespan;
@@ -196,11 +200,11 @@ MappingResult anneal_map(const TaskGraph& g, const std::vector<PeDesc>& pes,
   double temp = static_cast<double>(best_cost) * 0.1 + 1.0;
   const double cooling = 0.995;
 
+  std::vector<std::size_t> allowed;
   for (int i = 0; i < iterations; ++i) {
     // Move: reassign one random task to a random allowed PE.
     const std::size_t t = rng.next_below(g.tasks().size());
-    const auto allowed =
-        allowed_pes(g.tasks()[t], pes);
+    allowed_pes(g.tasks()[t], pes, allowed);
     const std::size_t pe = allowed[rng.next_below(allowed.size())];
     if (assign[t] == pe) continue;
     const std::size_t old = assign[t];
@@ -222,10 +226,7 @@ MappingResult anneal_map(const TaskGraph& g, const std::vector<PeDesc>& pes,
 
   // Rebuild the full schedule for the best assignment found.
   const auto rank = upward_ranks(g, pes, comm);
-  ScheduleState st;
-  st.pe_free.assign(pes.size(), 0);
-  st.task_finish.assign(g.tasks().size(), 0);
-  st.task_pe.assign(g.tasks().size(), 0);
+  ScheduleState st(pes.size(), g.tasks().size());
   for (const TaskNodeId t : rank_order(g, rank))
     place(g, pes, comm, st, t, best_assign[t.index()]);
   return finish_result(std::move(st));
@@ -238,13 +239,11 @@ MappingResult dynamic_schedule(const TaskGraph& g,
   // (all preds finished) and the PE where it can start earliest.
   if (pes.empty()) throw std::invalid_argument("no PEs");
   const auto rank = upward_ranks(g, pes, comm);
-  ScheduleState st;
-  st.pe_free.assign(pes.size(), 0);
-  st.task_finish.assign(g.tasks().size(), 0);
-  st.task_pe.assign(g.tasks().size(), 0);
+  ScheduleState st(pes.size(), g.tasks().size());
 
   const std::size_t n = g.tasks().size();
   std::vector<bool> done(n, false), scheduled(n, false);
+  std::vector<std::size_t> allowed;
   for (std::size_t step = 0; step < n; ++step) {
     // Ready set under current completion state.
     TaskNodeId pick{};
@@ -263,7 +262,7 @@ MappingResult dynamic_schedule(const TaskGraph& g,
     // Earliest-start PE (greedy run-time decision, no lookahead).
     std::size_t best_pe = 0;
     TimePs best_start = std::numeric_limits<TimePs>::max();
-    for (const std::size_t pe : allowed_pes(g.task(pick), pes)) {
+    for (const std::size_t pe : allowed_pes(g.task(pick), pes, allowed)) {
       TimePs ready = 0;
       for (const auto& e : g.edges()) {
         if (e.dst != pick) continue;
@@ -407,10 +406,11 @@ DegradationReport remap_on_failure(const TaskGraph& g,
   // given everything decided so far. Surviving assignments never move.
   auto assign = task_to_pe;
   const auto rank = upward_ranks(g, pes, comm);
+  std::vector<std::size_t> allowed;
   for (const TaskNodeId t : rank_order(g, rank)) {
     if (assign[t.index()] != dead_pe) continue;
     ++rep.moved_tasks;
-    auto allowed = allowed_pes(g.task(t), pes);
+    allowed_pes(g.task(t), pes, allowed);
     std::erase(allowed, dead_pe);
     if (allowed.empty())  // preference only satisfiable on the dead PE
       for (std::size_t p = 0; p < pes.size(); ++p)

@@ -1,7 +1,6 @@
 #include "maps/taskgraph.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace rw::maps {
 
@@ -29,17 +28,17 @@ std::vector<TaskNodeId> TaskGraph::predecessors(TaskNodeId t) const {
 std::vector<TaskNodeId> TaskGraph::topological_order() const {
   std::vector<std::size_t> indeg(tasks_.size(), 0);
   for (const auto& e : edges_) ++indeg[e.dst.index()];
-  std::deque<TaskNodeId> ready;
-  for (const auto& t : tasks_)
-    if (indeg[t.id.index()] == 0) ready.push_back(t.id);
+  // Kahn's algorithm with `order` as its FIFO: tasks are appended when
+  // they become ready and visited in append order from `head`.
   std::vector<TaskNodeId> order;
-  while (!ready.empty()) {
-    const TaskNodeId t = ready.front();
-    ready.pop_front();
-    order.push_back(t);
+  order.reserve(tasks_.size());
+  for (const auto& t : tasks_)
+    if (indeg[t.id.index()] == 0) order.push_back(t.id);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const TaskNodeId t = order[head];
     for (const auto& e : edges_) {
       if (e.src != t) continue;
-      if (--indeg[e.dst.index()] == 0) ready.push_back(e.dst);
+      if (--indeg[e.dst.index()] == 0) order.push_back(e.dst);
     }
   }
   if (order.size() != tasks_.size()) return {};

@@ -109,8 +109,12 @@ void Kernel::rebase_from_spill() {
                 ~((static_cast<TimePs>(1) << cfg_.bucket_width_log2) - 1);
   cur_bucket_ = 0;
   active_on_ = false;
-  while (!spill_.empty() && bucket_offset(spill_.front().time) < num_buckets_)
+  ++counters_.rebases;
+  while (!spill_.empty() &&
+         bucket_offset(spill_.front().time) < num_buckets_) {
     wheel_insert(pop_spill());
+    ++counters_.migrated;
+  }
 }
 
 void Kernel::settle_min_bucket() {
@@ -129,10 +133,18 @@ bool Kernel::wheel_runs_before_lane() {
   // Activating a later bucket here would be wrong: a later push into an
   // earlier bucket (between now and that bucket) would land behind the
   // cursor and be overtaken.
+  const auto runs_first = [this](const Node& top) {
+    return top.time == now_ &&
+           (top.priority < 0 ||
+            (top.priority == 0 && top.seq < entry(lane_head_).seq));
+  };
   if (wheel_count_ == 0) {
-    // A spill event sits at now only after advance_to(); the rebase then
-    // anchors the wheel at now's bucket.
+    // A spill event sits at now only after advance_to() or a direct spill
+    // pop. A shallow spill heap is compared as it stands (its top is the
+    // minimum outside the lane); a deep one is rebased, which anchors the
+    // wheel at now's bucket.
     if (spill_.empty() || spill_.front().time != now_) return false;
+    if (spill_is_shallow()) return runs_first(spill_.front());
     rebase_from_spill();
   }
   const std::uint64_t b = bucket_offset(now_);
@@ -140,10 +152,7 @@ bool Kernel::wheel_runs_before_lane() {
     return false;
   if (active_.empty()) activate_bucket(b);
   assert(active_on_ && cur_bucket_ == b);
-  const Node& top = active_.front();
-  return top.time == now_ &&
-         (top.priority < 0 ||
-          (top.priority == 0 && top.seq < entry(lane_head_).seq));
+  return runs_first(active_.front());
 }
 
 std::uint32_t Kernel::pop_active() {
@@ -194,8 +203,13 @@ void Kernel::push(TimePs t, EventFn fn, int priority, bool daemon) {
     // is exact.
     wheel_insert(idx);
   } else {
+    // A shallow spill heap serves events directly, so it reaches
+    // kShallowSpill entries before a rebase drains it: the first spill
+    // reserves them in one allocation instead of growing step by step.
+    if (spill_.capacity() == 0) spill_.reserve(kShallowSpill);
     spill_.push_back(node_of(idx));
     std::push_heap(spill_.begin(), spill_.end(), NodeAfter{});
+    ++counters_.spill_pushes;
   }
   ++size_;
   if (!daemon) ++live_;
@@ -235,13 +249,20 @@ TimePs Kernel::next_event_time() const {
 bool Kernel::step() {
   if (size_ == 0) return false;
   std::uint32_t idx = kNone;
-  if (cfg_.policy == QueuePolicy::kBinaryHeap) {
+  if (lane_head_ != kNone && !wheel_runs_before_lane()) {
+    idx = pop_lane();
+    ++counters_.lane_pops;
+  } else if (cfg_.policy == QueuePolicy::kBinaryHeap || spill_is_shallow()) {
+    // Spill events lie beyond the horizon and the wheel base moves only in
+    // a rebase, so with the wheel empty the spill top is the minimum
+    // outside the lane. Popping it moves now past the stale horizon: every
+    // later push beyond the lane spills too, until the next rebase.
     idx = pop_spill();
-  } else if (lane_head_ != kNone) {
-    idx = wheel_runs_before_lane() ? pop_active() : pop_lane();
+    ++counters_.spill_pops;
   } else {
     settle_min_bucket();
     idx = pop_active();
+    ++counters_.wheel_pops;
   }
   --size_;
   Entry& e = entry(idx);

@@ -21,6 +21,9 @@
 //     events at (now, priority 0), a near-term calendar wheel of unsorted
 //     intrusive bucket lists (the bucket under the cursor is heapified
 //     into one reused heap) and a spill heap for far-future events.
+//     While the wheel is empty and the spill heap is shallow, step() pops
+//     the spill heap directly and re-anchors the wheel only for a deep
+//     backlog.
 //     QueuePolicy::kBinaryHeap keeps every event in the spill heap alone,
 //     a structurally independent twin; both produce bit-identical
 //     execution orders.
@@ -28,6 +31,7 @@
 
 #include <bit>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -63,7 +67,8 @@ struct KernelConfig {
   /// `now + width * buckets` (the horizon) wait in the spill heap. The
   /// defaults (4 ns buckets, 1024 of them ≈ 4.2 us horizon) fit the
   /// platform model's event mix: same-delta resumes and ns-scale delays
-  /// hit the wheel, multi-us compute blocks spill and migrate on rebase.
+  /// hit the wheel; multi-us compute blocks spill, and migrate on rebase
+  /// only in a deep backlog (see Kernel::kShallowSpill).
   std::uint32_t bucket_width_log2 = 12;
   std::uint32_t num_buckets_log2 = 10;
   /// Tile partitioning (see parallel.hpp). num_tiles == 1 keeps the single
@@ -78,6 +83,26 @@ struct KernelConfig {
 /// Central event queue and simulated clock.
 class Kernel {
  public:
+  /// While the wheel is empty and the spill heap holds fewer events than
+  /// this, step() pops the spill heap directly instead of re-anchoring
+  /// the wheel and migrating the spill heap into it (DESIGN.md "Kernel
+  /// internals"). Chosen by the sweep in EXPERIMENTS.md E13.
+  static constexpr std::size_t kShallowSpill = 64;
+
+  /// Work counters of the event queue: which structure served each
+  /// executed event, and how often events moved between structures. They
+  /// are a function of the event stream and the queue configuration
+  /// alone. Under kBinaryHeap every push is a spill push and every pop a
+  /// spill pop.
+  struct QueueCounters {
+    std::uint64_t lane_pops = 0;     // served from the delta lane
+    std::uint64_t spill_pops = 0;    // served straight from the spill heap
+    std::uint64_t wheel_pops = 0;    // served from the active bucket
+    std::uint64_t spill_pushes = 0;  // pushed into the spill heap
+    std::uint64_t rebases = 0;       // wheel re-anchors
+    std::uint64_t migrated = 0;      // spill events moved into the wheel
+  };
+
   Kernel() : Kernel(KernelConfig{}) {}
   explicit Kernel(QueuePolicy policy) : Kernel(KernelConfig{policy}) {}
   explicit Kernel(const KernelConfig& cfg);
@@ -133,6 +158,9 @@ class Kernel {
 
   /// Number of events executed so far (a cheap progress/determinism probe).
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  [[nodiscard]] const QueueCounters& queue_counters() const {
+    return counters_;
+  }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
   /// Pending events (daemons included) and non-daemon events (run()'s
@@ -207,9 +235,15 @@ class Kernel {
   /// spill heap (rebasing the wheel first if it is empty). Pre: the lane
   /// is empty and wheel_count_ + spill_.size() > 0.
   void settle_min_bucket();
+  /// True while step() serves the spill heap directly: the wheel is empty
+  /// and the spill heap holds fewer than kShallowSpill events.
+  [[nodiscard]] bool spill_is_shallow() const {
+    return wheel_count_ == 0 && spill_.size() < kShallowSpill;
+  }
   /// True when the wheel or spill minimum runs before the lane head: it is
   /// at now and has priority < 0, or priority 0 and a smaller seq. Only
-  /// the bucket holding now may be activated here (see kernel.cpp).
+  /// the bucket holding now may be activated here (see kernel.cpp); while
+  /// the spill heap is shallow its top is compared directly.
   [[nodiscard]] bool wheel_runs_before_lane();
   std::uint32_t pop_active();
   std::uint32_t pop_lane();
@@ -259,6 +293,7 @@ class Kernel {
   std::size_t live_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;
+  QueueCounters counters_;
   bool stop_requested_ = false;
   std::vector<std::coroutine_handle<>> adopted_;
 };

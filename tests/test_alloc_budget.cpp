@@ -104,14 +104,14 @@ struct DemoBudget {
 };
 
 constexpr DemoBudget kDemoBudgets[] = {
-    {"pipeline", false, 75},
-    {"pipeline", true, 76},
-    {"forkjoin", false, 64},
-    {"forkjoin", true, 65},
-    {"shared_hammer", false, 68},
-    {"shared_hammer", true, 68},
-    {"tiled_pipeline", false, 82},
-    {"tiled_pipeline", true, 82},
+    {"pipeline", false, 71},
+    {"pipeline", true, 72},
+    {"forkjoin", false, 61},
+    {"forkjoin", true, 62},
+    {"shared_hammer", false, 64},
+    {"shared_hammer", true, 65},
+    {"tiled_pipeline", false, 77},
+    {"tiled_pipeline", true, 78},
 };
 
 TEST(AllocBudget, PerfDemosStayWithinTheirPins) {
@@ -139,13 +139,13 @@ struct CaseBudget {
 };
 
 constexpr CaseBudget kCaseBudgets[] = {
-    {fuzz::Family::kPipeline, 221},
-    {fuzz::Family::kForkjoin, 200},
-    {fuzz::Family::kSharedHammer, 188},
-    {fuzz::Family::kTiledPipeline, 240},
-    {fuzz::Family::kFaultPipeline, 275},
-    {fuzz::Family::kMaps, 236},
-    {fuzz::Family::kErt, 1747},
+    {fuzz::Family::kPipeline, 214},
+    {fuzz::Family::kForkjoin, 191},
+    {fuzz::Family::kSharedHammer, 178},
+    {fuzz::Family::kTiledPipeline, 229},
+    {fuzz::Family::kFaultPipeline, 257},
+    {fuzz::Family::kMaps, 163},
+    {fuzz::Family::kErt, 957},
 };
 
 TEST(AllocBudget, OneFuzzCasePerFamilyStaysWithinItsPin) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "perf/profiler.hpp"
 #include "perf/session.hpp"
 #include "perf/workload.hpp"
@@ -483,6 +484,265 @@ TEST(KernelQueueReference, SpillEventAtNowAfterAdvanceRunsBeforeTheLane) {
   };
   EXPECT_EQ(order_on_all_queues(script),
             (std::vector<std::uint64_t>{1000, 3, 1, 2}));
+}
+
+// ------------------------------------------------ shallow spill path
+
+// The shallow path serves the spill heap directly while the wheel is
+// empty and the spill heap holds fewer than Kernel::kShallowSpill events.
+// These scripts drive it on every queue under test, against the reference.
+
+TEST(KernelQueueReference, BacklogCrossingTheShallowBoundBothWays) {
+  // A far backlog (beyond both horizons) grows by one event per step to
+  // half again the bound, then drains to nothing, with lane events and
+  // near events in between: the calendar goes from direct spill pops to
+  // rebases and back.
+  const auto script = [](auto& k) {
+    std::vector<std::uint64_t> order;
+    const std::uint64_t peak = 3 * Kernel::kShallowSpill;
+    std::uint64_t pushed = 0;
+    std::function<void(std::uint64_t)> body = [&](std::uint64_t id) {
+      order.push_back(id);
+      order.push_back(k.now());
+      // Two far children while the backlog grows, none while it drains.
+      for (int c = 0; c < 2 && pushed < peak; ++c, ++pushed) {
+        const std::uint64_t child = 100 + pushed;
+        k.schedule_at(k.now() + 5'000'000 + 97'000 * (pushed % 13),
+                      [&body, child] { body(child); },
+                      static_cast<int>(pushed % 3) - 1);
+      }
+      if (id % 4 == 0)
+        k.schedule_at(k.now(), [&order] { order.push_back(1); });  // lane
+      if (id % 5 == 0)
+        k.schedule_at(k.now() + 7, [&order] { order.push_back(2); });
+    };
+    k.schedule_at(0, [&body] { body(0); });
+    k.run();
+    order.push_back(k.events_executed());
+    return order;
+  };
+  order_on_all_queues(script);
+  for (const KernelConfig& cfg : kUnderTest) {
+    if (cfg.policy != QueuePolicy::kCalendar) continue;
+    Kernel k(cfg);
+    script(k);
+    const Kernel::QueueCounters& c = k.queue_counters();
+    EXPECT_GT(c.spill_pops, Kernel::kShallowSpill)
+        << "buckets 2^" << cfg.num_buckets_log2;
+    EXPECT_GT(c.rebases, 0u) << "buckets 2^" << cfg.num_buckets_log2;
+    EXPECT_GT(c.migrated, 0u) << "buckets 2^" << cfg.num_buckets_log2;
+  }
+}
+
+TEST(KernelQueueReference, ShallowSpillTopAtNowAgainstTheLane) {
+  // Four events at one far time and one just after wait in the spill
+  // heap with the wheel empty. The first to run (priority -1) pushes lane
+  // events and one more priority -1 event at now (which spills: the wheel
+  // base is stale).
+  // The spill top at now must still beat the lane when its priority is
+  // below 0, or 0 with a lower seq; priority 1 runs after the lane.
+  const auto script = [](auto& k) {
+    std::vector<std::uint64_t> order;
+    const auto log = [&order](std::uint64_t id) {
+      return [&order, id] { order.push_back(id); };
+    };
+    constexpr TimePs kFar = 10'000'000;
+    k.schedule_at(kFar, log(1));      // A: (far, 0), older than the lane
+    k.schedule_at(kFar, [&k, &order, log] {
+      order.push_back(2);             // B: runs first
+      k.schedule_at(k.now(), log(10));      // lane
+      k.schedule_at(k.now(), log(11), -1);  // before A
+      k.schedule_at(k.now(), [&k, log] {    // lane, pushes more lane
+        k.schedule_at(k.now(), log(13));
+        k.schedule_at(k.now(), log(14), -1);
+      });
+      k.schedule_at(k.now(), log(12), 1);   // after the lane
+    }, -1);
+    k.schedule_at(kFar, log(3), 1);   // C: after the lane
+    k.schedule_at(kFar, log(4));      // D: older than the lane
+    k.schedule_at(kFar + 1, log(5), -2);
+    k.run();
+    order.push_back(k.now());
+    return order;
+  };
+  EXPECT_EQ(order_on_all_queues(script),
+            (std::vector<std::uint64_t>{2, 11, 1, 4, 10, 14, 13, 3, 12, 5,
+                                        10'000'001}));
+}
+
+TEST(KernelQueueReference, PushesAfterAdvanceWhileTheWheelBaseIsStale) {
+  // A direct spill pop moves now past the wheel horizon. advance_to()
+  // then parks the clock further on, and pushes at and near the parked
+  // time (lane, spill, and at the same time as an older spill event) must
+  // keep the exact order.
+  const auto script = [](auto& k) {
+    std::vector<std::uint64_t> order;
+    const auto log = [&order, &k](std::uint64_t id) {
+      return [&order, &k, id] {
+        order.push_back(id);
+        order.push_back(k.now());
+      };
+    };
+    k.schedule_at(5'000'000, log(1));
+    k.schedule_at(9'000'000, log(2));
+    k.schedule_at(9'000'000, log(3), -1);
+    k.run_window(6'000'000, /*live_only=*/false);
+    k.advance_to(8'999'990);
+    order.push_back(k.next_event_time());
+    k.schedule_at(k.now(), log(4));            // lane
+    k.schedule_at(k.now() + 3, log(5), 1);
+    k.schedule_at(9'000'000, log(6), -1);      // beside 3, younger
+    k.schedule_at(9'000'000, log(7));          // beside 2, younger
+    order.push_back(k.next_event_time());
+    k.run_window(8'999'995, /*live_only=*/false);
+    k.advance_to(9'000'000);
+    order.push_back(k.next_event_time());
+    k.schedule_at(9'000'000, log(8));          // lane, after 2 and 7
+    k.schedule_at(9'000'000, log(9), -2);      // first at 9 us
+    k.run();
+    order.push_back(k.events_executed());
+    return order;
+  };
+  EXPECT_EQ(order_on_all_queues(script),
+            (std::vector<std::uint64_t>{1, 5'000'000, 9'000'000,
+                                        8'999'990, 4, 8'999'990,
+                                        5, 8'999'993, 9'000'000,
+                                        9, 9'000'000, 3, 9'000'000,
+                                        6, 9'000'000, 2, 9'000'000,
+                                        7, 9'000'000, 8, 9'000'000, 9}));
+}
+
+TEST(KernelQueueReference, WindowsAndNextEventTimeInShallowMode) {
+  // Four sparse chains, mostly far apart, keep the calendar on the
+  // shallow path; windows of varied length, next_event_time() probes and
+  // pushes at now between them must match the reference.
+  const auto script = [](auto& k) {
+    std::vector<std::uint64_t> log;
+    Rng rng(0x5A11);
+    std::function<void(std::uint64_t, int)> body = [&](std::uint64_t id,
+                                                       int depth) {
+      log.push_back(id);
+      log.push_back(k.now());
+      if (depth == 0) return;
+      const std::uint64_t r = rng.next_below(8);
+      const TimePs dt = r == 0   ? 0
+                        : r == 1 ? rng.next_below(3000)
+                                 : 4'500'000 + rng.next_below(40'000'000);
+      const int pri = static_cast<int>(rng.next_int(-1, 1));
+      k.schedule_at(k.now() + dt, [&body, id, depth] {
+        body(id + 1, depth - 1);
+      }, pri);
+      if (r == 2)
+        k.schedule_daemon_at(k.now() + dt, [&log] { log.push_back(7); });
+    };
+    for (std::uint64_t root = 0; root < 4; ++root)
+      k.schedule_at(root * 3000, [&body, root] { body(root * 1000, 100); });
+    for (int w = 0; w < 60; ++w) {
+      const TimePs limit = k.now() + rng.next_below(30'000'000);
+      log.push_back(k.next_event_time());
+      log.push_back(k.run_window(limit, /*live_only=*/w % 2 == 0));
+      log.push_back(k.next_event_time());
+      if (k.next_event_time() >= limit) k.advance_to(limit);
+      if (rng.next_below(3) == 0)
+        k.schedule_at(k.now(), [&log] { log.push_back(8); },
+                      static_cast<int>(rng.next_int(-1, 1)));
+      log.push_back(k.next_event_time());
+    }
+    k.run();
+    log.push_back(k.events_executed());
+    log.push_back(k.pending_events());
+    return log;
+  };
+  order_on_all_queues(script);
+  Kernel k;
+  script(k);
+  EXPECT_GT(k.queue_counters().spill_pops, 100u);
+}
+
+// ------------------------------------------------------ work counters
+
+struct CounterPin {
+  const char* name;
+  bool mesh;
+  Kernel::QueueCounters want;
+};
+
+// Queue work of each perf demo at seed 7, scale 8 on a 4-core bus and a
+// 2x2 mesh, untraced (the sim_untraced demo op). Exact: the counters are
+// a function of the event stream and the queue configuration, so a
+// change to either shows here.
+constexpr CounterPin kCounterPins[] = {
+    {"pipeline", false, {342, 636, 4, 636, 0, 0}},
+    {"pipeline", true, {342, 636, 4, 636, 0, 0}},
+    {"forkjoin", false, {261, 160, 0, 160, 0, 0}},
+    {"forkjoin", true, {261, 160, 0, 160, 0, 0}},
+    {"shared_hammer", false, {5, 330, 6, 330, 0, 0}},
+    {"shared_hammer", true, {13, 322, 6, 322, 0, 0}},
+    {"tiled_pipeline", false, {4, 1407, 1, 1407, 0, 0}},
+    {"tiled_pipeline", true, {4, 1407, 1, 1407, 0, 0}},
+};
+
+std::pair<Kernel::QueueCounters, std::uint64_t> demo_counters(
+    const std::string& name, bool mesh, QueuePolicy policy) {
+  PlatformConfig cfg = PlatformConfig::homogeneous(4);
+  if (mesh) {
+    cfg.interconnect = PlatformConfig::Icn::kMesh;
+    cfg.mesh.width = 2;
+    cfg.mesh.height = 2;
+  }
+  cfg.kernel.policy = policy;
+  Platform plat(std::move(cfg));
+  EXPECT_TRUE(perf::spawn_workload(name, plat, /*seed=*/7, /*scale=*/8));
+  plat.run();
+  return {plat.kernel().queue_counters(), plat.kernel().events_executed()};
+}
+
+std::string counters_str(const Kernel::QueueCounters& c) {
+  return strformat("{%llu, %llu, %llu, %llu, %llu, %llu}",
+                   static_cast<unsigned long long>(c.lane_pops),
+                   static_cast<unsigned long long>(c.spill_pops),
+                   static_cast<unsigned long long>(c.wheel_pops),
+                   static_cast<unsigned long long>(c.spill_pushes),
+                   static_cast<unsigned long long>(c.rebases),
+                   static_cast<unsigned long long>(c.migrated));
+}
+
+TEST(KernelQueueCounters, PerfDemosMatchTheirPins) {
+  for (const CounterPin& pin : kCounterPins) {
+    const auto [c, events] =
+        demo_counters(pin.name, pin.mesh, QueuePolicy::kCalendar);
+    EXPECT_EQ(counters_str(c), counters_str(pin.want))
+        << pin.name << (pin.mesh ? "/mesh" : "/bus");
+    EXPECT_EQ(c.lane_pops + c.spill_pops + c.wheel_pops, events);
+  }
+}
+
+TEST(KernelQueueCounters, OnlyABacklogOfTheShallowBoundReanchorsTheWheel) {
+  // n far events with an empty wheel: one short of the bound, the first
+  // step pops the spill heap directly; at the bound, it rebases and
+  // migrates all n (they share one bucket) before serving from the wheel.
+  for (const std::size_t n :
+       {Kernel::kShallowSpill - 1, Kernel::kShallowSpill}) {
+    Kernel k;
+    for (std::size_t i = 0; i < n; ++i)
+      k.schedule_at(10'000'000 + i, [] {});
+    ASSERT_TRUE(k.step());
+    const Kernel::QueueCounters& c = k.queue_counters();
+    const bool deep = n == Kernel::kShallowSpill;
+    EXPECT_EQ(c.spill_pops, deep ? 0u : 1u) << n;
+    EXPECT_EQ(c.wheel_pops, deep ? 1u : 0u) << n;
+    EXPECT_EQ(c.rebases, deep ? 1u : 0u) << n;
+    EXPECT_EQ(c.migrated, deep ? n : 0u) << n;
+    EXPECT_EQ(c.spill_pushes, n);
+  }
+}
+
+TEST(KernelQueueCounters, TheHeapServesEveryEventFromTheSpillHeap) {
+  const auto [c, events] =
+      demo_counters("pipeline", /*mesh=*/false, QueuePolicy::kBinaryHeap);
+  EXPECT_EQ(c.spill_pops, events);
+  EXPECT_EQ(c.spill_pushes, events);
+  EXPECT_EQ(c.lane_pops + c.wheel_pops + c.rebases + c.migrated, 0u);
 }
 
 struct CorpusRun {
