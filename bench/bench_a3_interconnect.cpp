@@ -18,8 +18,7 @@ using namespace rw::sim;
 
 /// Every core sends 1 KiB to its +1 neighbour, all at t=0; the metrics
 /// carry the completion time and total contention.
-template <typename Icn>
-RunMetrics neighbour_traffic(Icn& icn, std::uint32_t n) {
+RunMetrics neighbour_traffic(Interconnect& icn, std::uint32_t n) {
   TimePs done = 0;
   for (std::uint32_t c = 0; c < n; ++c)
     done = std::max(done, icn.reserve_transfer(CoreId{c}, CoreId{(c + 1) % n},
@@ -31,6 +30,18 @@ RunMetrics neighbour_traffic(Icn& icn, std::uint32_t n) {
   return m;
 }
 
+FabricConfig bus_fabric() {
+  return {FabricConfig::Icn::kSharedBus, {mhz(200), 8, 4}, {}};
+}
+
+/// The square mesh of `cores` nodes (4, 16 or 64).
+FabricConfig mesh_fabric(std::uint32_t cores) {
+  const std::uint32_t side = cores == 4 ? 2 : (cores == 16 ? 4 : 8);
+  return {FabricConfig::Icn::kMesh,
+          {},
+          {side, side, nanoseconds(5), mhz(500), 4}};
+}
+
 }  // namespace
 
 int main() {
@@ -38,20 +49,18 @@ int main() {
 
   harness::Scenario scenario("a3_interconnect");
   for (const std::uint32_t n : core_counts) {
-    const std::uint32_t side = n == 4 ? 2 : (n == 16 ? 4 : 8);
     scenario.add_run("bus" + std::to_string(n),
                      [n](const harness::RunContext&) {
                        Kernel k;
-                       SharedBus bus(k, SharedBus::Config{mhz(200), 8, 4});
+                       Interconnect bus(k, bus_fabric());
                        return neighbour_traffic(bus, n);
                      });
-    scenario.add_run(
-        "mesh" + std::to_string(n), [n, side](const harness::RunContext&) {
-          Kernel k;
-          MeshNoc mesh(k, MeshNoc::Config{side, side, nanoseconds(5),
-                                          mhz(500), 4});
-          return neighbour_traffic(mesh, n);
-        });
+    scenario.add_run("mesh" + std::to_string(n),
+                     [n](const harness::RunContext&) {
+                       Kernel k;
+                       Interconnect mesh(k, mesh_fabric(n));
+                       return neighbour_traffic(mesh, n);
+                     });
   }
   const auto result = harness::Runner().run(scenario);
 
@@ -69,6 +78,10 @@ int main() {
                    static_cast<TimePs>(mesh.extra_or("contention_ps")))});
   }
   t.print("1 KiB per core to its neighbour, all simultaneously");
+  for (const std::uint32_t n : core_counts)
+    std::printf("%2u cores: %s vs %s\n", n,
+                describe_fabric(bus_fabric()).c_str(),
+                describe_fabric(mesh_fabric(n)).c_str());
   std::printf("harness: %zu runs on %zu threads in %.0fms\n",
               result.runs.size(), result.threads_used,
               static_cast<double>(result.wall_ns) / 1e6);

@@ -181,22 +181,39 @@ Retimed retime(const DepGraph& g, std::span<const Edit> edits,
   }
 
   // Pass 2: forward replay with resource-availability state — the same
-  // state the transactional executor carried, reconstructed.
-  const bool mesh = em.cfg.interconnect == sim::PlatformConfig::Icn::kMesh;
+  // state the transactional executor carried, reconstructed. The fabric
+  // is replayed with the live fabric's own rule: the route's links
+  // reserved in turn on one sim::LinkCalendar.
   std::vector<TimePs> core_avail(npes, 0);
   std::vector<std::size_t> core_last(npes, kNoNode);
-  TimePs bus_busy = 0;
-  std::size_t bus_last = kNoNode;
-  std::vector<TimePs> link_busy;
-  std::vector<std::size_t> link_last;
-  if (mesh) {
-    const std::size_t links =
-        static_cast<std::size_t>(em.cfg.mesh.width) * em.cfg.mesh.height * 4;
-    link_busy.assign(links, 0);
-    link_last.assign(links, kNoNode);
-  }
+  sim::LinkCalendar links(sim::link_count(em.cfg));
+  std::vector<std::size_t> link_last(links.size(), kNoNode);
   TimePs dma_avail = 0;
   std::size_t dma_last = kNoNode;
+
+  // Reserve node i's route from `ready` at `occ` per link. Its start is
+  // the first link's start (`ready` on an empty route), and a wait for
+  // that link binds it to the link's previous occupant. Returns the last
+  // link's finish.
+  auto reserve_route = [&](std::size_t i, std::size_t src, std::size_t dst,
+                           TimePs ready, DurationPs occ, std::size_t& bind) {
+    r.start[i] = ready;
+    TimePs t = ready;
+    std::uint32_t n = 0;
+    sim::for_each_route_link(
+        em.cfg, sim::CoreId{static_cast<std::uint32_t>(src)},
+        sim::CoreId{static_cast<std::uint32_t>(dst)}, [&](std::size_t link) {
+          const auto [st, fin] = links.reserve(link, t, occ);
+          if (n++ == 0) {
+            r.start[i] = st;
+            if (st > ready) bind = link_last[link];
+          }
+          t = fin;
+          link_last[link] = i;
+        });
+    r.ops += sim::route_hops(em.cfg, n);
+    return t;
+  };
 
   for (const Segment& s : g.nodes()) {
     ++r.ops;
@@ -242,65 +259,27 @@ Retimed retime(const DepGraph& g, std::span<const Edit> edits,
         const std::size_t dst = r.seg_dst[i];
         if (src == dst) {  // effective-local: no fabric occupancy
           r.start[i] = r.finish[i] = ready;
-        } else if (!mesh) {
-          TimePs st = ready;
-          if (bus_busy > st) {
-            st = bus_busy;
-            bind = bus_last;
-          }
-          r.start[i] = st;
-          r.finish[i] = st + sim::bus_transfer_duration(em.cfg.bus, s.bytes);
-          bus_busy = r.finish[i];
-          bus_last = i;
         } else {
-          const DurationPs occ =
-              sim::mesh_serialization_time(em.cfg.mesh, s.bytes) +
-              em.cfg.mesh.hop_latency;
-          // A route of zero links (cores wrapped onto one node) leaves the
-          // transfer at [ready, ready].
-          r.start[i] = ready;
-          TimePs t = ready;
-          bool first = true;
-          sim::for_each_mesh_link(
-              em.cfg.mesh, sim::CoreId{static_cast<std::uint32_t>(src)},
-              sim::CoreId{static_cast<std::uint32_t>(dst)},
-              [&](std::size_t link) {
-                ++r.ops;
-                const TimePs st = std::max(t, link_busy[link]);
-                if (first) {
-                  r.start[i] = st;
-                  if (link_busy[link] > ready) bind = link_last[link];
-                  first = false;
-                }
-                t = st + occ;
-                link_busy[link] = t;
-                link_last[link] = i;
-              });
-          r.finish[i] = t;
+          r.finish[i] = reserve_route(i, src, dst, ready,
+                                      sim::link_occupancy(em.cfg, s.bytes),
+                                      bind);
         }
         break;
       }
       case SegKind::kDma: {
-        // Replayed at observed duration (no byte-level model to rescale);
-        // the engine serializes, and on a shared bus it is one more bus
-        // master (see DepGraph::build).
+        // Replayed at observed duration (no byte-level model to rescale).
+        // The engine serializes, and it is an anonymous master on the
+        // core 0 -> core 0 route (peripherals.cpp): link 0 on a bus, no
+        // link on a mesh.
         TimePs st = ready;
         if (dma_avail > st) {
           st = dma_avail;
           bind = dma_last;
         }
-        if (!mesh && bus_busy > st) {
-          st = bus_busy;
-          bind = bus_last;
-        }
-        r.start[i] = st;
-        r.finish[i] = st + s.obs_duration();
+        reserve_route(i, 0, 0, st, s.obs_duration(), bind);
+        r.finish[i] = r.start[i] + s.obs_duration();
         dma_avail = r.finish[i];
         dma_last = i;
-        if (!mesh) {
-          bus_busy = r.finish[i];
-          bus_last = i;
-        }
         break;
       }
     }
@@ -398,22 +377,18 @@ Attribution attribute(const DepGraph& g, const Retimed& r) {
         const std::size_t src = r.seg_src[step.node];
         const std::size_t dst = r.seg_dst[step.node];
         if (src == dst) break;  // effective-local: no fabric to charge
-        if (r.cfg.interconnect == sim::PlatformConfig::Icn::kSharedBus) {
-          bump(links, "bus", s.kind, c);
-        } else {
-          const sim::CoreId from{static_cast<std::uint32_t>(src)};
-          const sim::CoreId to{static_cast<std::uint32_t>(dst)};
-          const std::uint32_t hops = sim::mesh_hops(r.cfg.mesh, from, to);
-          if (hops == 0) break;
-          // Split evenly across the route; the first link absorbs the
-          // integer remainder so the split stays exact.
-          const DurationPs share = c / hops;
-          DurationPs part = c - share * (hops - 1);
-          sim::for_each_mesh_link(r.cfg.mesh, from, to, [&](std::size_t link) {
-            bump(links, "link" + std::to_string(link), s.kind, part);
-            part = share;  // only the first link differs
-          });
-        }
+        const sim::CoreId from{static_cast<std::uint32_t>(src)};
+        const sim::CoreId to{static_cast<std::uint32_t>(dst)};
+        const std::uint32_t n = sim::route_length(r.cfg, from, to);
+        if (n == 0) break;
+        // Split evenly across the route; the first link absorbs the
+        // integer remainder so the split stays exact.
+        const DurationPs share = c / n;
+        DurationPs part = c - share * (n - 1);
+        sim::for_each_route_link(r.cfg, from, to, [&](std::size_t link) {
+          bump(links, sim::link_name(r.cfg, link), s.kind, part);
+          part = share;  // only the first link differs
+        });
         break;
       }
       case SegKind::kDma: {

@@ -5,9 +5,9 @@
 // state the transactional executor carried when it produced the trace. For
 // an unedited graph the sweep reproduces every observed start/finish
 // bit-for-bit (the tests hold it to that), because node order IS the order
-// resources serialized requests in and segment durations are recomputed
-// from the same config-pure timing functions the live platform delegates
-// to (sim::bus_transfer_duration et al.). An *edited* sweep — faster core,
+// resources serialized requests in and the fabric is replayed with the
+// live fabric's own config-pure rule (route, per-link occupancy and
+// sim::LinkCalendar, sim/interconnect.hpp). An *edited* sweep — faster core,
 // wider link, removed dependence, moved task — is therefore a prediction
 // of what the simulator would measure, at O(nodes + edges + hops) cost
 // instead of a re-simulation.
@@ -84,7 +84,7 @@ struct Retimed {
   std::vector<std::size_t> seg_src;
   std::vector<std::size_t> seg_dst;
   /// The post-edit platform model the sweep used (attribution re-derives
-  /// mesh routes from it).
+  /// fabric routes from it).
   sim::PlatformConfig cfg;
   /// Deterministic work counter: one tick per node, dependence edge and
   /// mesh hop processed. The O(trace events) contract is stated — and

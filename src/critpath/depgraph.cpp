@@ -104,18 +104,28 @@ DepGraph DepGraph::build(const perf::TraceView& view,
   // (dep_preds() carries dependence edges only).
   std::vector<std::size_t> last_on_pe(cfg.cores.empty() ? 1 : cfg.cores.size(),
                                       kNoNode);
-  std::size_t last_on_bus = kNoNode;
-  std::vector<std::size_t> last_on_link;
-  if (cfg.interconnect == sim::PlatformConfig::Icn::kMesh)
-    last_on_link.assign(
-        static_cast<std::size_t>(cfg.mesh.width) * cfg.mesh.height * 4,
-        kNoNode);
+  std::vector<std::size_t> last_on_link(sim::link_count(cfg), kNoNode);
   std::size_t last_dma = kNoNode;
 
   auto add_resource = [&](std::size_t& last, std::size_t n) {
     if (last != kNoNode && last < n)
       g.edges_.push_back({last, n, EdgeKind::kResource});
     last = n;
+  };
+  // Chain node `n` behind the previous occupant of each link of the
+  // src -> dst route (sim::for_each_route_link), once per occupant.
+  auto occupy_route = [&](std::size_t src, std::size_t dst, std::size_t n) {
+    std::size_t prev = kNoNode;  // dedupe shared-route predecessors
+    sim::for_each_route_link(
+        cfg, sim::CoreId{static_cast<std::uint32_t>(src)},
+        sim::CoreId{static_cast<std::uint32_t>(dst)}, [&](std::size_t link) {
+          if (last_on_link[link] != kNoNode && last_on_link[link] != prev) {
+            std::size_t last = last_on_link[link];
+            add_resource(last, n);
+            prev = last_on_link[link];
+          }
+          last_on_link[link] = n;
+        });
   };
 
   for (const Segment& n : g.nodes_) {
@@ -129,34 +139,15 @@ DepGraph DepGraph::build(const perf::TraceView& view,
         add_dep(g.node_of_task(n.src_task), n.id);
         add_dep(n.id, g.node_of_task(n.dst_task));
         if (n.local) break;  // same-PE record: no fabric occupancy
-        if (cfg.interconnect == sim::PlatformConfig::Icn::kSharedBus) {
-          add_resource(last_on_bus, n.id);
-        } else {
-          std::size_t prev = kNoNode;  // dedupe shared-route predecessors
-          sim::for_each_mesh_link(
-              cfg.mesh, sim::CoreId{static_cast<std::uint32_t>(n.src_pe)},
-              sim::CoreId{static_cast<std::uint32_t>(n.dst_pe)},
-              [&](std::size_t link) {
-                if (link >= last_on_link.size())
-                  last_on_link.resize(link + 1, kNoNode);
-                if (last_on_link[link] != kNoNode &&
-                    last_on_link[link] != prev) {
-                  std::size_t last = last_on_link[link];
-                  add_resource(last, n.id);
-                  prev = last_on_link[link];
-                }
-                last_on_link[link] = n.id;
-              });
-        }
+        occupy_route(n.src_pe, n.dst_pe, n.id);
         break;
       }
       case SegKind::kDma: {
         add_resource(last_dma, n.id);
-        // The engine is an anonymous bus master: on a shared bus its
-        // transfer occupies the same arbiter every core-to-core message
-        // uses (peripherals.cpp reserves core 0 -> core 0).
-        if (cfg.interconnect == sim::PlatformConfig::Icn::kSharedBus)
-          add_resource(last_on_bus, n.id);
+        // The engine is an anonymous master on the core 0 -> core 0 route
+        // (peripherals.cpp): on a shared bus it occupies the arbiter every
+        // core-to-core message uses.
+        occupy_route(0, 0, n.id);
         break;
       }
     }

@@ -29,6 +29,12 @@ void FaultTimeline::write_json(json::Writer& w) const {
   w.end_array();
 }
 
+std::size_t degradable_links(const sim::PlatformConfig& cfg) {
+  return cfg.interconnect == sim::PlatformConfig::Icn::kMesh
+             ? sim::link_count(cfg)
+             : 0;
+}
+
 FaultInjector::FaultInjector(sim::Platform& platform, FaultPlan plan)
     : platform_(platform), events_(plan.events()) {
   if (platform_.tile_count() > 1)
@@ -99,9 +105,9 @@ void FaultInjector::apply(std::size_t i, std::uint32_t tile) {
       break;
     case FaultKind::kLinkDegrade: {
       const double factor = static_cast<double>(e.a) / 1000.0;
-      auto* mesh = dynamic_cast<sim::MeshNoc*>(&plat.interconnect());
-      if (e.target != kFabricWide && mesh != nullptr) {
-        mesh->set_link_degrade(e.target % mesh->num_links(), factor);
+      const std::size_t links = degradable_links(plat.config());
+      if (e.target != kFabricWide && links > 0) {
+        plat.interconnect().set_link_degrade(e.target % links, factor);
       } else {
         plat.interconnect().set_degrade(factor);
         if (e.target != kFabricWide) note = "fabric_wide_fallback";

@@ -51,6 +51,12 @@ class FaultTimeline {
   std::vector<FaultRecord> records_;
 };
 
+/// Links a kLinkDegrade event can single out on `cfg`'s fabric: every
+/// mesh link, and none on the bus, whose one link is the whole fabric —
+/// there a per-link degrade applies fabric-wide. RandomSpec::num_links
+/// is drawn from here.
+[[nodiscard]] std::size_t degradable_links(const sim::PlatformConfig& cfg);
+
 /// Arms a plan against a platform. Lifetime: must outlive kernel.run().
 class FaultInjector {
  public:

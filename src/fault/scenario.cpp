@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "fault/watchdog.hpp"
 #include "sim/channel.hpp"
-#include "sim/interconnect.hpp"
 #include "sim/platform.hpp"
 #include "sim/process.hpp"
 #include "vpdebug/replay.hpp"
@@ -420,10 +419,7 @@ ScenarioOutcome run_fault_scenario(const ScenarioConfig& cfg) {
     spec.window_start = 0;
     spec.window_end = 2 * t0_ref;  // faults land while work is in flight
     spec.num_cores = static_cast<std::uint32_t>(cfg.cores);
-    spec.num_links = static_cast<std::uint32_t>(
-        pc.interconnect == sim::PlatformConfig::Icn::kMesh
-            ? sim::MeshNoc::link_count(pc.mesh)
-            : 0);
+    spec.num_links = static_cast<std::uint32_t>(degradable_links(pc));
     spec.mem_base = sim::kSharedBase;
     spec.mem_size = pc.shared_mem_bytes;
     spec.kind_mask = cfg.kind_mask;

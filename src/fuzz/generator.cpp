@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
-#include "sim/interconnect.hpp"
+#include "fault/injector.hpp"
 
 namespace rw::fuzz {
 namespace {
@@ -26,16 +26,6 @@ Family pick_family(Rng& rng, std::uint32_t mask) {
     pick -= kFamilyWeights[i];
   }
   return Family::kFaultPipeline;
-}
-
-/// Mesh link count of the case's fabric (0 on a bus), so the plan can
-/// target individual links. Built from the real platform, not a formula,
-/// so it can never drift from MeshNoc's layout.
-std::size_t case_num_links(const CampaignCase& c) {
-  if (!c.mesh) return 0;
-  sim::Platform plat(c.platform_config(sim::QueuePolicy::kCalendar, false));
-  auto* mesh = dynamic_cast<sim::MeshNoc*>(&plat.interconnect());
-  return mesh ? mesh->num_links() : 0;
 }
 
 }  // namespace
@@ -132,7 +122,8 @@ CampaignCase generate_case(std::uint64_t seed, const GeneratorConfig& cfg) {
     spec.window_start = 0;
     spec.window_end = window;
     spec.num_cores = c.cores;
-    spec.num_links = static_cast<std::uint32_t>(case_num_links(c));
+    spec.num_links = static_cast<std::uint32_t>(fault::degradable_links(
+        c.platform_config(sim::QueuePolicy::kCalendar, false)));
     spec.mem_base = sim::kSharedBase;
     spec.mem_size = sim::PlatformConfig{}.shared_mem_bytes;
     if (t != nullptr && t->kind >= 0) {

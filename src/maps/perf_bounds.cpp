@@ -89,20 +89,14 @@ std::vector<PeDesc> pes_from_platform(const sim::PlatformConfig& cfg) {
 }
 
 CommCost comm_cost_from_platform(const sim::PlatformConfig& cfg) {
-  if (cfg.interconnect == sim::PlatformConfig::Icn::kSharedBus) {
-    return [bus = cfg.bus](std::size_t src, std::size_t dst,
-                           std::uint64_t bytes) -> DurationPs {
-      return src == dst ? 0 : sim::bus_transfer_duration(bus, bytes);
-    };
-  }
-  return [mesh = cfg.mesh](std::size_t src, std::size_t dst,
-                           std::uint64_t bytes) -> DurationPs {
-    const std::uint32_t hops =
-        sim::mesh_hops(mesh, sim::CoreId{static_cast<std::uint32_t>(src)},
-                       sim::CoreId{static_cast<std::uint32_t>(dst)});
-    if (hops == 0) return 0;
-    return hops *
-           (sim::mesh_serialization_time(mesh, bytes) + mesh.hop_latency);
+  return [fabric = sim::FabricConfig(cfg)](
+             std::size_t src, std::size_t dst,
+             std::uint64_t bytes) -> DurationPs {
+    if (src == dst) return 0;
+    return sim::nominal_latency(fabric,
+                                sim::CoreId{static_cast<std::uint32_t>(src)},
+                                sim::CoreId{static_cast<std::uint32_t>(dst)},
+                                bytes);
   };
 }
 

@@ -63,14 +63,13 @@ struct MakespanBound {
     const sim::PlatformConfig& cfg);
 
 /// Uncontended per-transfer fabric occupancy of `cfg`'s interconnect,
-/// as a CommCost. Calls the simulator's own timing functions
-/// (sim::bus_transfer_duration, sim::mesh_hops, sim::mesh_serialization_time):
-/// shared bus = arbitration + ceil(bytes/width) bus cycles; mesh NoC =
-/// XY hops x (per-link serialization + hop latency), store-and-forward.
-/// Same-PE transfers are free (the replay never issues them). This is
-/// the un-faulted fabric: set_degrade / packet drops are run-time
-/// faults, outside the static contract (same stance as
-/// Interconnect::nominal_latency).
+/// as a CommCost: the simulator's own sim::nominal_latency, i.e. the
+/// route's link count x sim::link_occupancy. Shared bus = arbitration +
+/// ceil(bytes/width) bus cycles on its one link; mesh NoC = XY hops x
+/// (per-link serialization + hop latency), store-and-forward. Same-PE
+/// transfers are free (the replay never issues them). This is the
+/// un-faulted fabric: set_degrade / packet drops are run-time faults,
+/// outside the static contract.
 [[nodiscard]] CommCost comm_cost_from_platform(const sim::PlatformConfig& cfg);
 
 /// Outcome of the static deadline precheck for one mapped graph.

@@ -1,13 +1,23 @@
-// On-chip interconnect models: shared bus and 2-D mesh NoC.
+// On-chip interconnect: one fabric model for the shared bus and the 2-D
+// mesh NoC.
 //
 // Sec. II-A asks for a "scalable, fast and low-latency chip interconnect"
 // and warns that centralized constructs inhibit scalability. Both claims
-// need a contention model to be testable: the shared bus serializes all
-// traffic (the centralized construct), the mesh distributes it. Transfers
-// are modelled transactionally: a reservation returns start/finish times
-// honouring prior traffic on each resource.
+// need a contention model to be testable. Transfers are modelled
+// transactionally as a route over directed links: each link on the route
+// is reserved in turn (store-and-forward) for the transfer's per-link
+// occupancy, honouring prior traffic on it. The shared bus is the one-link
+// case: every route is link 0, so all traffic serializes through one
+// arbiter (the centralized construct). The mesh routes XY over its links,
+// so disjoint routes never meet (the distributed fabric).
+//
+// The route, the per-link occupancy and the link count are functions of
+// the config alone, and LinkCalendar is the reservation rule. Planners
+// (maps::comm_cost_from_platform), trace replay (rw::critpath) and fault
+// plans call them, so they use exactly the rule the live fabric uses.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -19,187 +29,170 @@
 
 namespace rw::sim {
 
-/// Abstract transfer fabric between cores.
-class Interconnect {
- public:
-  virtual ~Interconnect() = default;
-
-  /// Reserve fabric resources for a `bytes`-sized transfer from core
-  /// `src` to core `dst` starting no earlier than `earliest`.
-  /// Returns {start, finish}.
-  virtual std::pair<TimePs, TimePs> reserve_transfer(CoreId src, CoreId dst,
-                                                     std::uint64_t bytes,
-                                                     TimePs earliest) = 0;
-
-  /// Pure latency (no contention) of such a transfer, for planners.
-  [[nodiscard]] virtual DurationPs nominal_latency(
-      CoreId src, CoreId dst, std::uint64_t bytes) const = 0;
-
-  [[nodiscard]] virtual std::string describe() const = 0;
-
-  /// Aggregate time transfers spent waiting for busy fabric resources.
-  [[nodiscard]] DurationPs total_contention() const { return contention_; }
-  [[nodiscard]] std::uint64_t transfer_count() const { return transfers_; }
-
-  /// Fault model (rw::fault). set_degrade() scales every subsequent
-  /// transfer's occupancy by `factor` (>= 1.0; 1.0 restores nominal) —
-  /// a degraded link that still delivers, just slower. inject_drops()
-  /// arms the next `n` transfers to each lose one packet: the transfer
-  /// occupies the fabric twice as long (drop + retransmit) and counts in
-  /// packets_dropped(). nominal_latency() stays un-faulted on purpose:
-  /// it is the *planner's* view, and the gap between plan and faulted
-  /// reality is exactly what E14 measures.
-  void set_degrade(double factor) { degrade_ = factor < 1.0 ? 1.0 : factor; }
-  void inject_drops(std::uint64_t n) { pending_drops_ += n; }
-  [[nodiscard]] double degrade_factor() const { return degrade_; }
-  [[nodiscard]] std::uint64_t packets_dropped() const { return dropped_; }
-
- protected:
-  /// `observers` is the list of the platform the fabric belongs to.
-  explicit Interconnect(const ObserverList& observers)
-      : observers_(&observers) {}
-
-  /// Apply the fault model to a nominal occupancy. Consumes one pending
-  /// drop if armed (retransmit doubles the time on the wire).
-  [[nodiscard]] DurationPs faulted(DurationPs nominal) {
-    if (degrade_ == 1.0 && pending_drops_ == 0) return nominal;  // exact
-    auto d = static_cast<DurationPs>(static_cast<double>(nominal) * degrade_);
-    if (pending_drops_ > 0) {
-      --pending_drops_;
-      ++dropped_;
-      d *= 2;
-    }
-    return d;
-  }
-
-  DurationPs contention_ = 0;
-  std::uint64_t transfers_ = 0;
-  double degrade_ = 1.0;
-  std::uint64_t pending_drops_ = 0;
-  std::uint64_t dropped_ = 0;
-  const ObserverList* observers_;
+/// Single shared bus.
+struct BusConfig {
+  HertzT frequency = mhz(200);
+  std::uint32_t width_bytes = 8;     // bytes moved per bus cycle
+  Cycles arbitration_cycles = 4;     // per-transfer arbitration overhead
 };
 
-/// Single shared bus: every transfer serializes through one arbiter —
-/// the archetypal "centralized construct".
-class SharedBus final : public Interconnect {
- public:
-  struct Config {
-    HertzT frequency = mhz(200);
-    std::uint32_t width_bytes = 8;     // bytes moved per bus cycle
-    Cycles arbitration_cycles = 4;     // per-transfer arbitration overhead
-  };
-
-  SharedBus(Kernel& kernel, Config cfg,
-            const ObserverList& observers = kNoObservers)
-      : Interconnect(observers), kernel_(kernel), cfg_(cfg) {}
-
-  std::pair<TimePs, TimePs> reserve_transfer(CoreId src, CoreId dst,
-                                             std::uint64_t bytes,
-                                             TimePs earliest) override;
-  [[nodiscard]] DurationPs nominal_latency(
-      CoreId src, CoreId dst, std::uint64_t bytes) const override;
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  [[nodiscard]] DurationPs transfer_duration(std::uint64_t bytes) const;
-
-  Kernel& kernel_;
-  Config cfg_;
-  TimePs busy_until_ = 0;
+/// 2-D mesh NoC with dimension-ordered (XY) routing.
+struct MeshConfig {
+  std::uint32_t width = 4;         // mesh columns
+  std::uint32_t height = 4;        // mesh rows
+  DurationPs hop_latency = nanoseconds(5);
+  HertzT link_frequency = mhz(500);
+  std::uint32_t link_width_bytes = 4;
 };
 
-/// 2-D mesh NoC with dimension-ordered (XY) routing and per-link
-/// serialization; distributed by construction.
-class MeshNoc final : public Interconnect {
- public:
-  struct Config {
-    std::uint32_t width = 4;         // mesh columns
-    std::uint32_t height = 4;        // mesh rows
-    DurationPs hop_latency = nanoseconds(5);
-    HertzT link_frequency = mhz(500);
-    std::uint32_t link_width_bytes = 4;
-  };
-
-  MeshNoc(Kernel& kernel, Config cfg,
-          const ObserverList& observers = kNoObservers);
-
-  std::pair<TimePs, TimePs> reserve_transfer(CoreId src, CoreId dst,
-                                             std::uint64_t bytes,
-                                             TimePs earliest) override;
-  [[nodiscard]] DurationPs nominal_latency(
-      CoreId src, CoreId dst, std::uint64_t bytes) const override;
-  [[nodiscard]] std::string describe() const override;
-
-  /// Number of mesh hops between two cores (XY route length).
-  [[nodiscard]] std::uint32_t hop_count(CoreId src, CoreId dst) const;
-
-  /// Per-link fault: scale the occupancy of one directed link (on top of
-  /// the fabric-wide set_degrade factor). factor < 1.0 clamps to 1.0.
-  void set_link_degrade(std::size_t link, double factor);
-  [[nodiscard]] std::size_t num_links() const {
-    return link_busy_until_.size();
-  }
-  /// The directed-link count of a mesh built from `cfg`: four per node.
-  [[nodiscard]] static std::size_t link_count(const Config& cfg) {
-    return static_cast<std::size_t>(cfg.width) * cfg.height * 4;
-  }
-
- private:
-  [[nodiscard]] DurationPs serialization_time(std::uint64_t bytes) const;
-
-  Kernel& kernel_;
-  Config cfg_;
-  std::vector<TimePs> link_busy_until_;
-  std::vector<double> link_degrade_;  // lazily sized; empty == all nominal
+/// The fabric fields of a PlatformConfig (which derives from this).
+struct FabricConfig {
+  enum class Icn { kSharedBus, kMesh } interconnect = Icn::kSharedBus;
+  BusConfig bus;
+  MeshConfig mesh;
 };
 
-/// Static fabric timing model, exposed as pure functions of the configs so
-/// planners (maps::comm_cost_from_platform) and trace-driven analysis
-/// (rw::critpath) use exactly the arithmetic the live fabric uses — any
-/// drift would silently bias mappings and what-if predictions, so the
-/// member functions delegate here.
-[[nodiscard]] DurationPs bus_transfer_duration(const SharedBus::Config& cfg,
+[[nodiscard]] DurationPs bus_transfer_duration(const BusConfig& cfg,
                                                std::uint64_t bytes);
-[[nodiscard]] DurationPs mesh_serialization_time(const MeshNoc::Config& cfg,
+[[nodiscard]] DurationPs mesh_serialization_time(const MeshConfig& cfg,
                                                  std::uint64_t bytes);
-/// Call `fn(link)` for each directed link of the XY route between two
-/// cores under `cfg`'s geometry, in route order (same encoding as MeshNoc:
-/// node*4 + direction, with directions 0=+x, 1=-x, 2=+y, 3=-y). X first,
-/// then Y: a deterministic, deadlock-free dimension ordering. Cores map
-/// row-major onto the nodes, wrapping when there are more cores than
-/// nodes. Allocates nothing.
+
+/// Directed links of the fabric: 1 on the bus, width*height*4 on the mesh
+/// (four per node is an upper bound; unused slots stay idle).
+[[nodiscard]] std::size_t link_count(const FabricConfig& cfg);
+
+/// Time one link is occupied by a `bytes`-sized transfer: arbitration plus
+/// beats on the bus; serialization plus the hop latency on a mesh link.
+[[nodiscard]] DurationPs link_occupancy(const FabricConfig& cfg,
+                                        std::uint64_t bytes);
+
+/// Call `fn(link)` for each link of the route between two cores, in route
+/// order. On the bus the route is always link 0, a core's transfer to
+/// itself included. On the mesh it is the XY walk: links are node*4 +
+/// direction (0=+x, 1=-x, 2=+y, 3=-y), X first, then Y — a deterministic,
+/// deadlock-free dimension ordering. Cores map row-major onto the nodes,
+/// wrapping when there are more cores than nodes, so a core's route to
+/// itself or to a core on its node is empty. Allocates nothing.
 template <typename Fn>
-void for_each_mesh_link(const MeshNoc::Config& cfg, CoreId src, CoreId dst,
-                        Fn&& fn) {
-  const std::uint32_t nodes = cfg.width * cfg.height;
+void for_each_route_link(const FabricConfig& cfg, CoreId src, CoreId dst,
+                         Fn&& fn) {
+  if (cfg.interconnect == FabricConfig::Icn::kSharedBus) {
+    fn(std::size_t{0});
+    return;
+  }
+  const MeshConfig& m = cfg.mesh;
+  const std::uint32_t nodes = m.width * m.height;
   const std::uint32_t from = src.value() % nodes;
   const std::uint32_t to = dst.value() % nodes;
-  std::uint32_t x = from % cfg.width;
-  std::uint32_t y = from / cfg.width;
-  const std::uint32_t ex = to % cfg.width;
-  const std::uint32_t ey = to / cfg.width;
-  const auto link = [&cfg](std::uint32_t nx, std::uint32_t ny,
-                           std::size_t dir) {
-    return (static_cast<std::size_t>(ny) * cfg.width + nx) * 4 + dir;
+  std::uint32_t x = from % m.width;
+  std::uint32_t y = from / m.width;
+  const std::uint32_t ex = to % m.width;
+  const std::uint32_t ey = to / m.width;
+  const auto link = [&m](std::uint32_t nx, std::uint32_t ny, std::size_t dir) {
+    return (static_cast<std::size_t>(ny) * m.width + nx) * 4 + dir;
   };
   for (; x < ex; ++x) fn(link(x, y, 0));
   for (; x > ex; --x) fn(link(x, y, 1));
   for (; y < ey; ++y) fn(link(x, y, 2));
   for (; y > ey; --y) fn(link(x, y, 3));
 }
-/// Length of that route (Manhattan distance), without building it. Distinct
-/// cores that wrap onto one node are zero hops apart.
-[[nodiscard]] std::uint32_t mesh_hops(const MeshNoc::Config& cfg, CoreId src,
-                                      CoreId dst);
 
-/// Smallest latency the fabric can impose on any cross-core message — the
-/// conservative lookahead floor of the tiled engine (parallel.hpp). For
-/// the bus it is the per-transfer arbitration overhead (paid before the
-/// first beat lands); for the mesh it is one hop's latency. A config that
-/// makes these zero cannot bound cross-tile causality and is rejected by
-/// validate_tiling().
-[[nodiscard]] DurationPs bus_min_latency(const SharedBus::Config& cfg);
-[[nodiscard]] DurationPs mesh_min_latency(const MeshNoc::Config& cfg);
+/// Number of links on that route.
+[[nodiscard]] std::uint32_t route_length(const FabricConfig& cfg, CoreId src,
+                                         CoreId dst);
+
+/// Router hops of a route of `links` links: one per mesh link, none on the
+/// bus, which has no routers. Observer::on_transfer reports it.
+[[nodiscard]] inline std::uint32_t route_hops(const FabricConfig& cfg,
+                                              std::uint32_t links) {
+  return cfg.interconnect == FabricConfig::Icn::kMesh ? links : 0;
+}
+
+/// Pure latency (no contention, no faults) of a transfer: the route's
+/// link count times the per-link occupancy. The planner's view.
+[[nodiscard]] DurationPs nominal_latency(const FabricConfig& cfg, CoreId src,
+                                         CoreId dst, std::uint64_t bytes);
+
+/// Name of a link in reports: "bus" for the bus, "link<i>" on the mesh.
+[[nodiscard]] std::string link_name(const FabricConfig& cfg, std::size_t link);
+
+/// One-line description: "shared-bus(200MHz, 8B wide)" or
+/// "mesh-noc(4x4, 500MHz links)".
+[[nodiscard]] std::string describe_fabric(const FabricConfig& cfg);
+
+/// Busy-until time of each link: the fabric's one reservation rule.
+class LinkCalendar {
+ public:
+  explicit LinkCalendar(std::size_t links) : busy_until_(links, 0) {}
+
+  /// Book `link` for `occupancy` from the first instant it is free and
+  /// not before `ready`. Returns {start, finish}.
+  std::pair<TimePs, TimePs> reserve(std::size_t link, TimePs ready,
+                                    DurationPs occupancy) {
+    const TimePs start = std::max(ready, busy_until_[link]);
+    busy_until_[link] = start + occupancy;
+    return {start, busy_until_[link]};
+  }
+
+  [[nodiscard]] std::size_t size() const { return busy_until_.size(); }
+
+ private:
+  std::vector<TimePs> busy_until_;
+};
+
+/// The live transfer fabric between cores.
+class Interconnect {
+ public:
+  /// `observers` is the list of the platform the fabric belongs to.
+  Interconnect(Kernel& kernel, const FabricConfig& cfg,
+               const ObserverList& observers = kNoObservers);
+
+  /// Reserve the route of a `bytes`-sized transfer from core `src` to core
+  /// `dst` starting no earlier than `earliest` (nor before now). Returns
+  /// {start, finish}: the first link's start and the last link's finish.
+  /// An empty route is local delivery at {ready, ready}.
+  std::pair<TimePs, TimePs> reserve_transfer(CoreId src, CoreId dst,
+                                             std::uint64_t bytes,
+                                             TimePs earliest);
+
+  /// sim::nominal_latency under this fabric's config.
+  [[nodiscard]] DurationPs nominal_latency(CoreId src, CoreId dst,
+                                           std::uint64_t bytes) const {
+    return sim::nominal_latency(cfg_, src, dst, bytes);
+  }
+
+  [[nodiscard]] std::string describe() const { return describe_fabric(cfg_); }
+
+  /// Aggregate time transfers spent waiting for their first link.
+  [[nodiscard]] DurationPs total_contention() const { return contention_; }
+  [[nodiscard]] std::uint64_t transfer_count() const { return transfers_; }
+
+  /// Fault model (rw::fault). set_degrade() scales every subsequent link
+  /// occupancy by `factor` (>= 1.0; 1.0 restores nominal) — a degraded
+  /// fabric that still delivers, just slower. set_link_degrade() scales
+  /// one link on top of that. inject_drops() arms the next `n` transfers
+  /// that use a link to each lose one packet: the first link is occupied
+  /// twice as long (drop + retransmit at the injecting end) and the drop
+  /// counts in packets_dropped(). nominal_latency() stays un-faulted on
+  /// purpose: it is the *planner's* view, and the gap between plan and
+  /// faulted reality is exactly what E14 measures.
+  void set_degrade(double factor) { degrade_ = factor < 1.0 ? 1.0 : factor; }
+  void set_link_degrade(std::size_t link, double factor);
+  void inject_drops(std::uint64_t n) { pending_drops_ += n; }
+  [[nodiscard]] double degrade_factor() const { return degrade_; }
+  [[nodiscard]] std::uint64_t packets_dropped() const { return dropped_; }
+
+ private:
+  Kernel& kernel_;
+  FabricConfig cfg_;
+  const ObserverList* observers_;
+  LinkCalendar calendar_;
+  std::vector<double> link_degrade_;  // lazily sized; empty == all nominal
+  DurationPs contention_ = 0;
+  std::uint64_t transfers_ = 0;
+  double degrade_ = 1.0;
+  std::uint64_t pending_drops_ = 0;
+  std::uint64_t dropped_ = 0;
+};
 
 }  // namespace rw::sim

@@ -14,8 +14,9 @@ namespace rw::sim {
 
 DurationPs min_cross_tile_latency(const PlatformConfig& cfg) {
   switch (cfg.interconnect) {
-    case PlatformConfig::Icn::kSharedBus: return bus_min_latency(cfg.bus);
-    case PlatformConfig::Icn::kMesh: return mesh_min_latency(cfg.mesh);
+    case PlatformConfig::Icn::kSharedBus:
+      return cycles_to_ps(cfg.bus.arbitration_cycles, cfg.bus.frequency);
+    case PlatformConfig::Icn::kMesh: return cfg.mesh.hop_latency;
   }
   return 0;
 }

@@ -59,7 +59,8 @@ namespace rw::sim {
 struct PlatformConfig;
 
 /// Smallest latency the platform's fabric can impose on a cross-tile
-/// message: the conservative lookahead bound. Zero means the config
+/// message — the bus's arbitration overhead or one mesh hop's latency:
+/// the conservative lookahead bound. Zero means the config
 /// cannot support tiled execution (validate_tiling rejects it).
 [[nodiscard]] DurationPs min_cross_tile_latency(const PlatformConfig& cfg);
 

@@ -98,19 +98,12 @@ Platform::Platform(PlatformConfig cfg)
     memory_.set_core_tiles(std::move(core_tiles));
   }
 
-  switch (cfg_.interconnect) {
-    case PlatformConfig::Icn::kSharedBus:
-      icn_ = std::make_unique<SharedBus>(kernel_, cfg_.bus, observers_);
-      break;
-    case PlatformConfig::Icn::kMesh:
-      icn_ = std::make_unique<MeshNoc>(kernel_, cfg_.mesh, observers_);
-      break;
-  }
+  icn_.emplace(kernel_, cfg_, observers_);
 
   irqc_ = std::make_unique<InterruptController>(kernel_, tracer_);
   timer_ = std::make_unique<TimerPeripheral>(kernel_, tracer_, *irqc_,
                                              kIrqTimer);
-  dma_ = std::make_unique<DmaEngine>(kernel_, tracer_, memory_, icn_.get(),
+  dma_ = std::make_unique<DmaEngine>(kernel_, tracer_, memory_, &*icn_,
                                      *irqc_, kIrqDma);
   hwsem_ = std::make_unique<HwSemaphores>(kernel_, tracer_);
 

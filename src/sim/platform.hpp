@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/result.hpp"
@@ -20,7 +21,9 @@
 
 namespace rw::sim {
 
-struct PlatformConfig {
+/// The fabric fields `interconnect`, `bus` and `mesh` come from
+/// FabricConfig (interconnect.hpp).
+struct PlatformConfig : FabricConfig {
   struct CoreCfg {
     PeClass cls = PeClass::kRisc;
     HertzT frequency = mhz(400);
@@ -37,10 +40,6 @@ struct PlatformConfig {
   std::uint64_t shared_mem_bytes = 1 << 20;
   Cycles shared_mem_latency = 12;  // cycles per access (uncontended)
   Cycles scratchpad_latency = 1;
-
-  enum class Icn { kSharedBus, kMesh } interconnect = Icn::kSharedBus;
-  SharedBus::Config bus;
-  MeshNoc::Config mesh;
 
   /// Event-queue implementation and calendar-wheel geometry. The policy
   /// choice must never be observable in simulation results; the kernel
@@ -162,7 +161,7 @@ class Platform {
   std::vector<std::unique_ptr<Tracer>> extra_tracers_;
   MemorySystem memory_;
   std::vector<std::unique_ptr<Core>> cores_;
-  std::unique_ptr<Interconnect> icn_;
+  std::optional<Interconnect> icn_;  // built once the config is checked
   std::unique_ptr<InterruptController> irqc_;
   std::unique_ptr<TimerPeripheral> timer_;
   std::unique_ptr<DmaEngine> dma_;

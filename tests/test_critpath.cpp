@@ -152,6 +152,31 @@ TEST(Retime, BaselineReproducesObservedTimesExactly) {
   }
 }
 
+TEST(Retime, BaselineReproducesObservedTimesOnAWrappedMesh) {
+  // 9 cores on a 4x2 mesh (ArchInfo::cell_like(8)): core 8 wraps onto
+  // core 0's node, so transfers between them take a route of no links.
+  sim::PlatformConfig cfg = sim::PlatformConfig::homogeneous(9);
+  cfg.interconnect = sim::PlatformConfig::Icn::kMesh;
+  cfg.mesh.width = 4;
+  cfg.mesh.height = 2;
+  const maps::TaskGraph pipeline = three_stage();
+  const maps::TaskGraph h264 = maps::h264_encoder_taskgraph(3);
+  std::vector<std::size_t> spread(h264.tasks().size());
+  for (std::size_t i = 0; i < spread.size(); ++i)
+    spread[i] = i % 2 == 0 ? 0 : 8 - i % 3;
+  const std::pair<const maps::TaskGraph*, std::vector<std::size_t>> cases[] = {
+      {&pipeline, {8, 0, 8}}, {&h264, spread}};
+  for (const auto& [app, map] : cases) {
+    const DepGraph g = trace_mapping(*app, cfg, map);
+    const Retimed r = retime(g, {}, app);
+    EXPECT_EQ(r.makespan, g.observed_makespan()) << app->name;
+    for (const Segment& s : g.nodes()) {
+      EXPECT_EQ(r.start[s.id], s.obs_start) << app->name << " " << s.label;
+      EXPECT_EQ(r.finish[s.id], s.obs_finish) << app->name << " " << s.label;
+    }
+  }
+}
+
 TEST(Retime, OpsLinearInTraceSize) {
   // The O(trace events) contract in deterministic operation counts: ops
   // per node stays bounded as the trace grows.

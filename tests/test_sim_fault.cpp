@@ -260,18 +260,17 @@ TEST(IcnFault, MeshPerLinkDegradeSlowsOnlyRoutesUsingThatLink) {
   cfg.mesh.width = 2;
   cfg.mesh.height = 2;
   Platform p(std::move(cfg));
-  auto* mesh = dynamic_cast<sim::MeshNoc*>(&p.interconnect());
-  ASSERT_NE(mesh, nullptr);
-  ASSERT_GT(mesh->num_links(), 0u);
-  EXPECT_THROW(mesh->set_link_degrade(mesh->num_links(), 2.0),
-               std::out_of_range);
+  auto* mesh = &p.interconnect();
+  const std::size_t links = sim::link_count(p.config());
+  ASSERT_GT(links, 0u);
+  EXPECT_THROW(mesh->set_link_degrade(links, 2.0), std::out_of_range);
 
   // Degrading every link one at a time must slow at least one route.
   const auto [s0, e0] = mesh->reserve_transfer(sim::CoreId{0}, sim::CoreId{3}, 512, 0);
   const DurationPs nominal = e0 - s0;
   bool slowed = false;
   TimePs t = e0;
-  for (std::size_t l = 0; l < mesh->num_links() && !slowed; ++l) {
+  for (std::size_t l = 0; l < links && !slowed; ++l) {
     mesh->set_link_degrade(l, 3.0);
     const auto [s1, e1] = mesh->reserve_transfer(sim::CoreId{0}, sim::CoreId{3}, 512, t);
     t = e1;
@@ -446,6 +445,30 @@ TEST(Injector, ExplicitPlanAppliesAtTheScheduledPicosecond) {
   EXPECT_EQ(injector.timeline().records()[0].time, microseconds(5));
   EXPECT_EQ(injector.timeline().records()[0].what, "core_crash");
   EXPECT_EQ(count_prefix(injector.timeline(), "core_"), 2u);
+}
+
+TEST(Injector, LinkDegradeTargetsMeshLinksAndFallsBackOnABus) {
+  PlatformConfig mesh_cfg = PlatformConfig::homogeneous(4);
+  mesh_cfg.interconnect = PlatformConfig::Icn::kMesh;
+  mesh_cfg.mesh.width = 2;
+  mesh_cfg.mesh.height = 2;
+  // Plans see every mesh link and none on the bus.
+  EXPECT_EQ(degradable_links(PlatformConfig::homogeneous(4)), 0u);
+  EXPECT_EQ(degradable_links(mesh_cfg), 16u);
+  for (const bool mesh : {false, true}) {
+    Platform p(mesh ? mesh_cfg : PlatformConfig::homogeneous(4));
+    FaultInjector injector(p, FaultPlan{}.degrade_link(microseconds(1), 21,
+                                                       2.5));
+    injector.arm();
+    spawn(p.kernel(), busy_loop(p, 2));
+    p.kernel().run();
+    ASSERT_EQ(injector.timeline().size(), 1u);
+    // On the mesh link 21 % 16 is slowed alone; on the bus, its one link
+    // is the whole fabric.
+    EXPECT_EQ(injector.timeline().records()[0].note,
+              mesh ? "" : "fabric_wide_fallback");
+    EXPECT_EQ(p.interconnect().degrade_factor(), mesh ? 1.0 : 2.5);
+  }
 }
 
 TEST(Injector, TimelineJsonIsByteStable) {

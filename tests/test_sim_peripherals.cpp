@@ -128,7 +128,7 @@ TEST_F(PeriphTest, DmaCopiesAndInterrupts) {
   MemorySystem mem(kernel, tracer);
   mem.add_region("src", 0x0, 256, 1);
   mem.add_region("dst", 0x1000, 256, 1);
-  SharedBus bus(kernel, {});
+  Interconnect bus(kernel, FabricConfig{});
   DmaEngine dma(kernel, tracer, mem, &bus, irqc, 1);
 
   std::vector<std::uint8_t> payload{9, 8, 7, 6};
