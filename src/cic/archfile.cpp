@@ -1,6 +1,8 @@
 #include "cic/archfile.hpp"
 
+#include <cstdint>
 #include <memory>
+#include <string_view>
 
 #include "common/xml.hpp"
 
@@ -43,6 +45,21 @@ ArchInfo ArchInfo::smp_like(std::size_t cores) {
   a.platform.bus.width_bytes = 8;
   return a;
 }
+
+namespace {
+
+/// A 32-bit attribute; a larger value is an error, not a silent wrap.
+Result<std::uint32_t> attr_u32(const xml::Element& e, std::string_view name,
+                               std::uint32_t fallback) {
+  const std::uint64_t v = e.attr_u64(name, fallback);
+  if (v > UINT32_MAX)
+    return make_error("<" + e.name + "> " + std::string(name) + " " +
+                          std::to_string(v) + " does not fit 32 bits",
+                      e.line);
+  return static_cast<std::uint32_t>(v);
+}
+
+}  // namespace
 
 Result<ArchInfo> parse_arch_file(const std::string& xml_text) {
   const auto doc = RW_TRY(xml::parse(xml_text));
@@ -101,19 +118,18 @@ Result<ArchInfo> parse_arch_file(const std::string& xml_text) {
     if (kind == "bus" || kind.empty()) {
       arch.platform.interconnect = sim::PlatformConfig::Icn::kSharedBus;
       arch.platform.bus.frequency = icn->attr_u64("freq", mhz(200));
-      arch.platform.bus.width_bytes =
-          static_cast<std::uint32_t>(icn->attr_u64("width", 8));
+      arch.platform.bus.width_bytes = RW_TRY(attr_u32(*icn, "width", 8));
     } else if (kind == "mesh") {
       arch.platform.interconnect = sim::PlatformConfig::Icn::kMesh;
-      arch.platform.mesh.width =
-          static_cast<std::uint32_t>(icn->attr_u64("width", 4));
-      arch.platform.mesh.height =
-          static_cast<std::uint32_t>(icn->attr_u64("height", 4));
+      arch.platform.mesh.width = RW_TRY(attr_u32(*icn, "width", 4));
+      arch.platform.mesh.height = RW_TRY(attr_u32(*icn, "height", 4));
       arch.platform.mesh.link_frequency = icn->attr_u64("freq", mhz(500));
     } else {
       return make_error("unknown interconnect kind '" + std::string(kind) +
                         "'", icn->line);
     }
+    if (const Status st = arch.platform.validate(); !st.ok())
+      return make_error(st.error().message, icn->line);
   }
   if (const auto* lock = root.child("lock")) {
     arch.lock_cycles = lock->attr_u64("cycles", 40);

@@ -182,14 +182,12 @@ Result<CritOptions> parse_crit_args(const std::vector<std::string>& args) {
       opts.cores = static_cast<std::size_t>(RW_TRY(cli::arg_u64(args, i, a)));
       if (opts.cores == 0) return make_error("--cores must be >= 1");
     } else if (a == "--rounds") {
-      opts.rounds = static_cast<int>(RW_TRY(cli::arg_u64(args, i, a)));
+      opts.rounds = RW_TRY(cli::arg_uint<int>(args, i, a));
     } else if (a == "--blocks") {
-      opts.blocks =
-          static_cast<std::uint32_t>(RW_TRY(cli::arg_u64(args, i, a)));
+      opts.blocks = RW_TRY(cli::arg_uint<std::uint32_t>(args, i, a));
       if (opts.blocks == 0) return make_error("--blocks must be >= 1");
     } else if (a == "--slices") {
-      opts.slices =
-          static_cast<std::uint32_t>(RW_TRY(cli::arg_u64(args, i, a)));
+      opts.slices = RW_TRY(cli::arg_uint<std::uint32_t>(args, i, a));
       if (opts.slices == 0) return make_error("--slices must be >= 1");
     } else if (a == "--help" || a == "-h") {
       return make_error(std::string("usage: rwcritpath ") +

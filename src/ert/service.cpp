@@ -11,6 +11,14 @@
 #include "maps/perf_bounds.hpp"
 
 namespace rw::ert {
+namespace {
+
+/// Link bandwidth of the pool's mapping cost model (4 GB/s).
+constexpr double kCommBytesPerPs = 0.004;
+/// Jobs granted per arbitration pass (per pool).
+constexpr std::size_t kBatchMax = 8;
+
+}  // namespace
 
 const char* qos_name(QosClass q) {
   switch (q) {
@@ -96,7 +104,7 @@ DurationPs static_makespan_bound_ps(const JobSpec& spec,
   return maps::static_makespan_bound_any_gang(
              spec.graph,
              maps::PeDesc{sim::PeClass::kRisc, cfg.core_frequency},
-             maps::simple_comm_cost(cfg.comm_latency, cfg.comm_bytes_per_ps))
+             maps::simple_comm_cost(cfg.comm_latency, kCommBytesPerPs))
       .bound;
 }
 
@@ -105,7 +113,7 @@ RunMetrics job_execution_metrics(const JobSpec& spec, std::size_t cores,
   const std::vector<maps::PeDesc> pes(
       cores, maps::PeDesc{sim::PeClass::kRisc, cfg.core_frequency});
   const maps::CommCost comm =
-      maps::simple_comm_cost(cfg.comm_latency, cfg.comm_bytes_per_ps);
+      maps::simple_comm_cost(cfg.comm_latency, kCommBytesPerPs);
   const maps::MappingResult mr = maps::heft_map(spec.graph, pes, comm);
 
   RunMetrics m;
@@ -520,10 +528,9 @@ void Service::grant_pass_locked() {
 
   // Batcher: grants are packed into arbitration batches per pool; batch
   // k of a pool is granted at now + (k+1)*arbitration_latency (one
-  // arbitration operation covers up to batch_max gangs).
+  // arbitration operation covers up to kBatchMax gangs).
   std::vector<std::size_t>& pool_grants = sc.pool_grants;
   pool_grants.assign(im.tenants.size() + 1, 0);
-  const std::size_t batch_max = std::max<std::size_t>(1, cfg_.batch_max);
   // A realtime job the shared pool cannot serve yet blocks lower classes
   // from backfilling in front of it (head-of-line only across classes —
   // within a class, moldable jobs keep backfilling).
@@ -564,7 +571,7 @@ void Service::grant_pass_locked() {
         pool.allocate(job.spec.min_cores, want_max);
     if (cores.empty()) return false;
 
-    const std::size_t batch_index = pool_grants[pool_id] / batch_max;
+    const std::size_t batch_index = pool_grants[pool_id] / kBatchMax;
     ++pool_grants[pool_id];
     const TimePs start =
         im.now +

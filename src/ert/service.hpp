@@ -56,9 +56,7 @@ struct ServiceConfig {
   // Homogeneous RISC pool: reservations carve index ranges, so per-core
   // heterogeneity would make "which cores" observable; keep it uniform.
   DurationPs comm_latency = nanoseconds(150);
-  double comm_bytes_per_ps = 0.004;
   DurationPs arbitration_latency = microseconds(5);  // per grant batch
-  std::size_t batch_max = 8;  // jobs granted per arbitration pass (per pool)
   bool record_trace = true;   // per-job compute events for rw::perf export
 
   // Static admission precheck (ISSUE 7): reject a kRealtime job at

@@ -108,7 +108,7 @@ Result<FaultOptions> parse_fault_args(const std::vector<std::string>& args) {
     } else if (a == "--rate") {
       opts.rate_per_ms = RW_TRY(cli::arg_u64(args, i, a));
     } else if (a == "--timeout-us") {
-      opts.watchdog_timeout = microseconds(RW_TRY(cli::arg_u64(args, i, a)));
+      opts.watchdog_timeout = RW_TRY(cli::arg_us(args, i, a));
       if (opts.watchdog_timeout == 0)
         return make_error("--timeout-us must be >= 1");
     } else if (a == "--plan") {

@@ -15,7 +15,7 @@
 
 namespace rw::fault {
 
-/// Shared flags (--list/--json/--legacy-json/--no-files/--seed/--out-dir)
+/// Shared flags (--list/--json/--no-files/--seed/--out-dir)
 /// come from cli::CommonOptions; only the tool-specific ones live here.
 struct FaultOptions : cli::CommonOptions {
   std::vector<RecoveryPolicy> policies;  // empty = all three

@@ -3,6 +3,14 @@
 #include <limits>
 
 namespace rw::fault {
+namespace {
+
+/// Consecutive expiries with no progress and nothing recoverable before
+/// the supervisor disarms the watchdog and lets the run wind down (the
+/// termination guarantee for unrecoverable situations).
+constexpr std::uint64_t kMaxFutileExpiries = 3;
+
+}  // namespace
 
 const char* recovery_policy_name(RecoveryPolicy p) {
   switch (p) {
@@ -84,7 +92,7 @@ void RecoverySupervisor::on_expiry() {
   progress_at_last_expiry_ = progress_;
   if (dead.empty()) {
     futile_ = progressed ? 0 : futile_ + 1;
-    if (futile_ >= cfg_.max_futile_expiries) {
+    if (futile_ >= kMaxFutileExpiries) {
       gave_up_ = true;
       wdt_.disarm();
       if (timeline_) timeline_->record(now, "recovery.gave_up", 0, futile_, 0);

@@ -57,10 +57,6 @@ struct RetryPolicy {
 struct SupervisorConfig {
   RecoveryPolicy policy = RecoveryPolicy::kWatchdogRestart;
   DurationPs watchdog_timeout = microseconds(20);
-  /// Consecutive expiries with no progress and nothing recoverable before
-  /// the supervisor disarms the watchdog and lets the run wind down (the
-  /// termination guarantee for unrecoverable situations).
-  std::uint64_t max_futile_expiries = 3;
 };
 
 /// Listens on the watchdog IRQ and applies the configured policy.

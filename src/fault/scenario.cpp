@@ -25,6 +25,8 @@ constexpr std::uint64_t kEndOfStream = UINT64_MAX;
 constexpr std::size_t kSharedCell = 0;
 /// Runaway safety net for kernel.run(); a healthy E14 run is far below.
 constexpr std::uint64_t kMaxEvents = 50'000'000;
+/// Channel timeout/retry behaviour of the timed stages.
+constexpr RetryPolicy kRetry{};
 
 struct RunCtx {
   sim::Platform& plat;
@@ -62,9 +64,9 @@ sim::Process source_proc(RunCtx& ctx) {
     const std::uint64_t item = (i == ctx.cfg.items) ? kEndOfStream : i;
     if (ctx.timed()) {
       bool sent = false;
-      for (int a = 0; a < ctx.cfg.retry.max_attempts && !sent; ++a) {
+      for (int a = 0; a < kRetry.max_attempts && !sent; ++a) {
         const DurationPs budget =
-            ctx.cfg.watchdog_timeout + ctx.cfg.retry.delay_for(a);
+            ctx.cfg.watchdog_timeout + kRetry.delay_for(a);
         sent = co_await out.send_for(item, budget);
       }
       if (!sent && item != kEndOfStream) ++ctx.items_dropped;
@@ -88,9 +90,9 @@ sim::Process stage_proc(RunCtx& ctx, std::size_t s) {
     std::uint64_t item = 0;
     if (ctx.timed()) {
       bool got = false;
-      for (int a = 0; a < ctx.cfg.retry.max_attempts && !got; ++a) {
+      for (int a = 0; a < kRetry.max_attempts && !got; ++a) {
         const DurationPs budget =
-            ctx.cfg.watchdog_timeout + ctx.cfg.retry.delay_for(a);
+            ctx.cfg.watchdog_timeout + kRetry.delay_for(a);
         if (const auto r = co_await in.recv_for(budget)) {
           item = *r;
           got = true;
@@ -128,9 +130,9 @@ sim::Process stage_proc(RunCtx& ctx, std::size_t s) {
 
     if (ctx.timed()) {
       bool sent = false;
-      for (int a = 0; a < ctx.cfg.retry.max_attempts && !sent; ++a) {
+      for (int a = 0; a < kRetry.max_attempts && !sent; ++a) {
         const DurationPs budget =
-            ctx.cfg.watchdog_timeout + ctx.cfg.retry.delay_for(a);
+            ctx.cfg.watchdog_timeout + kRetry.delay_for(a);
         sent = co_await out.send_for(item, budget);
       }
       if (!sent && item != kEndOfStream) ++ctx.items_dropped;
@@ -151,9 +153,9 @@ sim::Process sink_proc(RunCtx& ctx) {
     std::uint64_t item = 0;
     if (ctx.timed()) {
       bool got = false;
-      for (int a = 0; a < ctx.cfg.retry.max_attempts && !got; ++a) {
+      for (int a = 0; a < kRetry.max_attempts && !got; ++a) {
         const DurationPs budget =
-            ctx.cfg.watchdog_timeout + ctx.cfg.retry.delay_for(a);
+            ctx.cfg.watchdog_timeout + kRetry.delay_for(a);
         if (const auto r = co_await in.recv_for(budget)) {
           item = *r;
           got = true;
@@ -422,7 +424,6 @@ ScenarioOutcome run_fault_scenario(const ScenarioConfig& cfg) {
     spec.num_links = static_cast<std::uint32_t>(degradable_links(pc));
     spec.mem_base = sim::kSharedBase;
     spec.mem_size = pc.shared_mem_bytes;
-    spec.kind_mask = cfg.kind_mask;
     if (cfg.crashes_only) {
       // Legacy spelling of only_kind(kCoreCrash); also flattens the
       // weight so historical plans stay byte-identical.

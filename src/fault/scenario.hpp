@@ -31,14 +31,8 @@ struct ScenarioConfig {
   double fault_rate_per_ms = 0.0;        // random-plan arrival rate
   RecoveryPolicy policy = RecoveryPolicy::kNone;
   DurationPs watchdog_timeout = microseconds(50);
-  RetryPolicy retry;                     // channel timeout/retry behaviour
   bool crashes_only = false;             // restrict the random plan to
                                          // core crashes (policy ablations)
-  /// Per-kind enable mask for the random plan (rw::fuzz targets
-  /// individual coverage cells with single-kind masks). crashes_only
-  /// above is the legacy spelling of only_kind(kCoreCrash) and wins
-  /// when set.
-  std::uint32_t kind_mask = kAllFaultKinds;
   /// Event-queue policy for the simulation kernel. Outcomes and
   /// timelines are bit-identical across policies — the fuzz oracle's
   /// determinism.policy invariant checks exactly that.

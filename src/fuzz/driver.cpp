@@ -93,9 +93,9 @@ Result<FuzzOptions> parse_fuzz_args(const std::vector<std::string>& args) {
     if (RW_TRY(cli::parse_common_flag(args, i, opts))) {
       continue;
     } else if (a == "--threads") {
-      const std::uint64_t t = RW_TRY(cli::arg_u64(args, i, a));
-      if (t == 0) return make_error("--threads must be at least 1");
-      opts.threads = static_cast<std::uint32_t>(t);
+      opts.threads = RW_TRY(cli::arg_uint<std::uint32_t>(args, i, a));
+      if (opts.threads == 0)
+        return make_error("--threads must be at least 1");
     } else if (a == "--seeds") {
       opts.seeds = RW_TRY(cli::arg_u64(args, i, a));
       if (opts.seeds == 0) return make_error("--seeds must be >= 1");

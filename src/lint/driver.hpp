@@ -16,7 +16,7 @@
 
 namespace rw::lint {
 
-/// Shared flags (--list/--json/--legacy-json/--no-files/--seed/--out-dir)
+/// Shared flags (--list/--json/--no-files/--seed/--out-dir)
 /// come from cli::CommonOptions; only the tool-specific ones live here.
 struct DriverOptions : cli::CommonOptions {
   std::vector<std::string> programs;  // empty = the whole corpus

@@ -29,10 +29,10 @@ Result<ProfOptions> parse_prof_args(const std::vector<std::string>& args) {
       opts.scale = RW_TRY(cli::arg_u64(args, i, a));
       if (opts.scale == 0) return make_error("--scale must be >= 1");
     } else if (a == "--period-us") {
-      opts.period = microseconds(RW_TRY(cli::arg_u64(args, i, a)));
+      opts.period = RW_TRY(cli::arg_us(args, i, a));
       if (opts.period == 0) return make_error("--period-us must be >= 1");
     } else if (a == "--epoch-us") {
-      opts.epoch = microseconds(RW_TRY(cli::arg_u64(args, i, a)));
+      opts.epoch = RW_TRY(cli::arg_us(args, i, a));
       if (opts.epoch == 0) return make_error("--epoch-us must be >= 1");
     } else if (a == "--help" || a == "-h") {
       return make_error(std::string("usage: rwprof ") + cli::common_usage() +

@@ -15,7 +15,7 @@
 
 namespace rw::perf {
 
-/// Shared flags (--list/--json/--legacy-json/--no-files/--seed/--out-dir)
+/// Shared flags (--list/--json/--no-files/--seed/--out-dir)
 /// come from cli::CommonOptions; only the tool-specific ones live here.
 struct ProfOptions : cli::CommonOptions {
   std::vector<std::string> workloads;  // empty = every registered workload

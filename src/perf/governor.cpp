@@ -9,8 +9,7 @@ PmuGovernor::PmuGovernor(sim::Platform& platform, const Pmu& pmu,
   per_core_.reserve(platform_.core_count());
   prev_busy_ps_.assign(platform_.core_count(), 0);
   for (std::size_t i = 0; i < platform_.core_count(); ++i)
-    per_core_.emplace_back(cfg_.ladder, cfg_.up_threshold,
-                           cfg_.down_threshold);
+    per_core_.emplace_back(cfg_.ladder);
 }
 
 void PmuGovernor::start() {

@@ -22,8 +22,6 @@ namespace rw::perf {
 struct GovernorConfig {
   DurationPs window = microseconds(20);
   sched::FrequencyLadder ladder = sched::FrequencyLadder::typical();
-  double up_threshold = 0.85;
-  double down_threshold = 0.30;
 };
 
 class PmuGovernor {

@@ -4,6 +4,14 @@
 #include <map>
 
 namespace rw::perf {
+namespace {
+
+/// Tick event priority. Positive = after model events at the same
+/// instant, so a block ending exactly on a tick is seen as finished —
+/// the deterministic analogue of real sampling skew.
+constexpr int kTickPriority = 100;
+
+}  // namespace
 
 SamplingProfiler::SamplingProfiler(sim::Platform& platform, ProfilerConfig cfg)
     : platform_(platform),
@@ -18,7 +26,7 @@ void SamplingProfiler::start() {
   started_ = true;
   for (std::uint32_t t = 0; t < platform_.tile_count(); ++t) {
     platform_.tile_kernel(t).schedule_daemon_in(
-        cfg_.period, [this, t] { tick(t); }, cfg_.tick_priority);
+        cfg_.period, [this, t] { tick(t); }, kTickPriority);
   }
 }
 
@@ -52,7 +60,7 @@ void SamplingProfiler::tick(std::uint32_t tile) {
   // Daemon rescheduling: the kernel drops pending daemons once the model
   // drains, so the sampler never prevents kernel.run() from returning.
   kernel.schedule_daemon_in(cfg_.period, [this, tile] { tick(tile); },
-                            cfg_.tick_priority);
+                            kTickPriority);
 }
 
 SamplingProfiler::Profile SamplingProfiler::profile() const {

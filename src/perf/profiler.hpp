@@ -32,10 +32,6 @@ struct ProfilerConfig {
   DurationPs period = microseconds(10);
   /// Cycles stolen from every core per sample (0 = non-intrusive).
   Cycles cost_cycles = 0;
-  /// Tick event priority. Positive = after model events at the same
-  /// instant, so a block ending exactly on a tick is seen as finished —
-  /// the deterministic analogue of real sampling skew.
-  int tick_priority = 100;
 };
 
 /// Label buckets for samples that hit no labelled compute block.

@@ -1,21 +1,10 @@
 #include "sched/analysis.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <set>
 
 namespace rw::sched {
-
-double rm_utilization_bound(std::size_t n) {
-  if (n == 0) return 1.0;
-  const double nn = static_cast<double>(n);
-  return nn * (std::pow(2.0, 1.0 / nn) - 1.0);
-}
-
-bool rm_bound_test(const TaskSet& ts) {
-  return ts.total_utilization() <= rm_utilization_bound(ts.tasks.size());
-}
 
 namespace {
 
@@ -157,27 +146,6 @@ bool edf_demand_test(const TaskSet& ts) {
     if (demand > t) return false;
   }
   return true;
-}
-
-std::optional<HertzT> min_feasible_frequency(const TaskSet& ts, HertzT lo,
-                                             HertzT hi,
-                                             Cycles switch_overhead) {
-  auto feasible_at = [&](HertzT f) {
-    TaskSet copy = ts;
-    copy.frequency = f;
-    return response_time_analysis(copy, switch_overhead)
-        .all_schedulable(copy);
-  };
-  if (!feasible_at(hi)) return std::nullopt;
-  while (lo < hi) {
-    const HertzT mid = lo + (hi - lo) / 2;
-    if (feasible_at(mid)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return hi;
 }
 
 }  // namespace rw::sched

@@ -4,7 +4,6 @@
 // dead-line requirements". Predictability means design-time tests; this
 // header implements the standard ones so the hybrid scheduler can do
 // admission control instead of hoping:
-//   - Liu & Layland utilization bound for rate-monotonic scheduling,
 //   - exact response-time analysis for fixed-priority preemptive
 //     scheduling (Joseph & Pandya iteration), with context-switch overhead,
 //   - EDF utilization test (implicit deadlines) and the processor-demand
@@ -17,13 +16,6 @@
 #include "sched/task.hpp"
 
 namespace rw::sched {
-
-/// Liu–Layland bound: n tasks are RM-schedulable if U <= n(2^(1/n) - 1).
-/// Sufficient, not necessary.
-double rm_utilization_bound(std::size_t n);
-
-/// True when the task set passes the Liu–Layland test at its frequency.
-bool rm_bound_test(const TaskSet& ts);
 
 /// Assign rate-monotonic priorities in place (shorter period = higher
 /// priority = smaller fixed_priority value). Ties broken by task order.
@@ -54,12 +46,5 @@ bool edf_demand_test(const TaskSet& ts);
 
 /// Least common multiple of all task periods (saturates at ~1e18 ps).
 DurationPs hyperperiod(const TaskSet& ts);
-
-/// Minimum uniform frequency at which the set passes response-time
-/// analysis, found by binary search over [lo, hi]; nullopt if even `hi`
-/// fails. This is the knob the DVFS governor turns (Sec. II-B).
-std::optional<HertzT> min_feasible_frequency(const TaskSet& ts, HertzT lo,
-                                             HertzT hi,
-                                             Cycles switch_overhead = 0);
 
 }  // namespace rw::sched

@@ -5,6 +5,12 @@
 #include <stdexcept>
 
 namespace rw::sched {
+namespace {
+
+/// Context-switch cost charged by admission's response-time analysis.
+constexpr Cycles kSwitchOverhead = 200;
+
+}  // namespace
 
 HybridScheduler::HybridScheduler(HybridConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.time_shared_cores == 0 && cfg_.pool_cores == 0)
@@ -26,7 +32,7 @@ Admission HybridScheduler::admit_rt(const TaskSet& ts) {
     // constrained deadlines; analyse under it.
     assign_dm_priorities(merged);
     const auto freq =
-        governor_pick_frequency(merged, cfg_.ladder, cfg_.switch_overhead);
+        governor_pick_frequency(merged, cfg_.ladder, kSwitchOverhead);
     if (freq.has_value()) {
       merged.frequency = *freq;
       rt_cores_[c] = std::move(merged);

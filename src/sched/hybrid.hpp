@@ -38,7 +38,6 @@ struct HybridConfig {
   FrequencyLadder ladder = FrequencyLadder::typical();
   HertzT pool_frequency = mhz(400);
   double serial_boost = 2.0;   // boost factor for serial phases in the pool
-  Cycles switch_overhead = 200;
 };
 
 /// Result of hard-RT admission: which time-shared core, at what frequency.

@@ -109,69 +109,6 @@ PartitionedResult partition_tasks(const std::vector<RtTask>& tasks,
   return res;
 }
 
-RepartitionResult repartition_on_failure(const std::vector<RtTask>& tasks,
-                                         const PartitionedResult& before,
-                                         std::size_t dead_core,
-                                         HertzT frequency, PerCoreTest test,
-                                         Cycles switch_overhead) {
-  RepartitionResult res;
-  res.after = before;
-  if (dead_core >= res.after.per_core.size()) {
-    res.feasible = before.feasible;
-    return res;  // no such core: nothing displaced
-  }
-
-  // Displaced tasks, in their original declaration order (deterministic).
-  std::vector<std::size_t> displaced;
-  for (std::size_t i = 0; i < before.task_to_core.size(); ++i)
-    if (before.task_to_core[i] == static_cast<int>(dead_core))
-      displaced.push_back(i);
-  res.after.per_core[dead_core] = TaskSet{};
-  res.after.per_core[dead_core].frequency = frequency;
-
-  for (const std::size_t idx : displaced) {
-    res.after.task_to_core[idx] = -1;
-    // Worst-fit over the survivors: lowest-utilization core that still
-    // admits the task under the per-core test.
-    std::optional<std::size_t> chosen;
-    double chosen_u = 2.0;
-    for (std::size_t c = 0; c < res.after.per_core.size(); ++c) {
-      if (c == dead_core) continue;
-      TaskSet trial = res.after.per_core[c];
-      const RtTask& t = tasks[idx];
-      trial.add(t.name, t.wcet, t.period, t.deadline, t.criticality);
-      if (!core_feasible(trial, test, switch_overhead)) continue;
-      const double u = res.after.per_core[c].total_utilization();
-      if (u < chosen_u) {
-        chosen_u = u;
-        chosen = c;
-      }
-    }
-    if (!chosen.has_value()) {
-      res.unplaced.push_back(idx);
-      continue;
-    }
-    const RtTask& t = tasks[idx];
-    res.after.per_core[*chosen].add(t.name, t.wcet, t.period, t.deadline,
-                                    t.criticality);
-    res.after.task_to_core[idx] = static_cast<int>(*chosen);
-    ++res.moved;
-  }
-
-  res.feasible = res.unplaced.empty();
-  res.after.unplaced = res.unplaced;
-  res.after.feasible = res.feasible && before.feasible;
-  res.after.cores_used = 0;
-  res.after.max_core_utilization = 0;
-  for (std::size_t c = 0; c < res.after.per_core.size(); ++c) {
-    if (!res.after.per_core[c].tasks.empty()) res.after.cores_used = c + 1;
-    res.after.max_core_utilization =
-        std::max(res.after.max_core_utilization,
-                 res.after.per_core[c].total_utilization());
-  }
-  return res;
-}
-
 std::optional<std::size_t> min_cores_needed(
     const std::vector<RtTask>& tasks, HertzT frequency,
     PackingHeuristic heuristic, std::size_t max_cores, PerCoreTest test) {

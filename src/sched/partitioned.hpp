@@ -53,22 +53,4 @@ std::optional<std::size_t> min_cores_needed(
     PackingHeuristic heuristic, std::size_t max_cores = 128,
     PerCoreTest test = PerCoreTest::kEdfDensity);
 
-/// Graceful degradation after a core death (rw::fault): re-home only the
-/// dead core's tasks onto the survivors (worst-fit, to balance the added
-/// load), leaving every surviving placement untouched — partitioned
-/// scheduling's no-migration property for the tasks that didn't fault.
-/// Each move is re-admitted with the same per-core test, so `feasible`
-/// means the degraded system still meets every deadline guarantee.
-struct RepartitionResult {
-  bool feasible = false;             // every displaced task found a home
-  std::size_t moved = 0;             // displaced tasks successfully re-homed
-  std::vector<std::size_t> unplaced; // displaced tasks no survivor admits
-  PartitionedResult after;           // dead core's set left empty
-};
-
-RepartitionResult repartition_on_failure(
-    const std::vector<RtTask>& tasks, const PartitionedResult& before,
-    std::size_t dead_core, HertzT frequency,
-    PerCoreTest test = PerCoreTest::kEdfDensity, Cycles switch_overhead = 0);
-
 }  // namespace rw::sched

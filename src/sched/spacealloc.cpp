@@ -27,31 +27,6 @@ std::vector<std::size_t> SpaceAllocator::allocate(std::size_t min_cores,
   return granted;
 }
 
-std::vector<std::size_t> SpaceAllocator::allocate_preferred(
-    std::size_t min_cores, std::size_t max_cores,
-    const std::vector<std::size_t>& preferred) {
-  if (min_cores == 0 || min_cores > max_cores || min_cores > free_count_)
-    return {};
-  const std::size_t want = std::min(max_cores, free_count_);
-  std::vector<std::size_t> granted;
-  granted.reserve(want);
-  for (const std::size_t p : preferred) {
-    if (granted.size() >= want) break;
-    if (p < base_ || p - base_ >= free_.size()) continue;  // foreign: skip
-    if (!free_[p - base_]) continue;
-    free_[p - base_] = false;
-    granted.push_back(p);
-  }
-  for (std::size_t i = 0; i < free_.size() && granted.size() < want; ++i) {
-    if (!free_[i]) continue;
-    free_[i] = false;
-    granted.push_back(base_ + i);
-  }
-  free_count_ -= granted.size();
-  std::sort(granted.begin(), granted.end());
-  return granted;
-}
-
 void SpaceAllocator::release(const std::vector<std::size_t>& cores) {
   for (const std::size_t c : cores) {
     assert(c >= base_ && c - base_ < free_.size() && "foreign core index");

@@ -47,17 +47,6 @@ class SpaceAllocator {
   [[nodiscard]] std::vector<std::size_t> allocate(std::size_t min_cores,
                                                   std::size_t max_cores);
 
-  /// As allocate(), but grants `preferred` global indices first (in the
-  /// given order, skipping busy or foreign ones) before falling back to
-  /// lowest-free-first for the remainder. With an empty preference list
-  /// this is exactly allocate(). rw::critpath's advise_remap emits its
-  /// critical-path-hot cores through here so the gang scheduler places
-  /// work where the trace says the time goes; grants stay deterministic,
-  /// and the result is sorted ascending like allocate()'s.
-  [[nodiscard]] std::vector<std::size_t> allocate_preferred(
-      std::size_t min_cores, std::size_t max_cores,
-      const std::vector<std::size_t>& preferred);
-
   /// Return previously granted cores to the pool. Double-release or a
   /// foreign index is a programming error (asserted).
   void release(const std::vector<std::size_t>& cores);

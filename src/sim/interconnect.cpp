@@ -8,6 +8,24 @@ namespace rw::sim {
 
 // ------------------------------------------------ static timing model
 
+Status validate_fabric(const FabricConfig& cfg) {
+  if (cfg.interconnect == FabricConfig::Icn::kSharedBus) {
+    if (cfg.bus.width_bytes == 0)
+      return make_error("bus width must be positive");
+    return Status::ok_status();
+  }
+  const MeshConfig& m = cfg.mesh;
+  if (m.width == 0 || m.height == 0)
+    return make_error("mesh dimensions must be positive");
+  if (std::uint64_t{m.width} * m.height > kMaxMeshNodes)
+    return make_error(strformat(
+        "mesh of %ux%u nodes exceeds the %llu-node limit", m.width, m.height,
+        static_cast<unsigned long long>(kMaxMeshNodes)));
+  if (m.link_width_bytes == 0)
+    return make_error("mesh link width must be positive");
+  return Status::ok_status();
+}
+
 DurationPs bus_transfer_duration(const BusConfig& cfg, std::uint64_t bytes) {
   const std::uint64_t beats =
       (bytes + cfg.width_bytes - 1) / cfg.width_bytes;
@@ -59,16 +77,22 @@ std::string describe_fabric(const FabricConfig& cfg) {
 
 // ------------------------------------------------------------ live fabric
 
+namespace {
+
+const FabricConfig& checked(const FabricConfig& cfg) {
+  if (const Status st = validate_fabric(cfg); !st.ok())
+    throw std::invalid_argument(st.error().message);
+  return cfg;
+}
+
+}  // namespace
+
 Interconnect::Interconnect(Kernel& kernel, const FabricConfig& cfg,
                            const ObserverList& observers)
     : kernel_(kernel),
-      cfg_(cfg),
+      cfg_(checked(cfg)),
       observers_(&observers),
-      calendar_(link_count(cfg)) {
-  if (cfg_.interconnect == FabricConfig::Icn::kMesh &&
-      (cfg_.mesh.width == 0 || cfg_.mesh.height == 0))
-    throw std::invalid_argument("mesh dimensions must be positive");
-}
+      calendar_(link_count(cfg)) {}
 
 void Interconnect::set_link_degrade(std::size_t link, double factor) {
   if (link >= calendar_.size())

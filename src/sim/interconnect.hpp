@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/result.hpp"
 #include "common/units.hpp"
 #include "sim/kernel.hpp"
 #include "sim/observer.hpp"
@@ -51,6 +52,15 @@ struct FabricConfig {
   BusConfig bus;
   MeshConfig mesh;
 };
+
+/// Most mesh nodes a fabric may have: the link calendar holds four links
+/// per node, so this caps it at 2 MiB.
+inline constexpr std::uint64_t kMaxMeshNodes = std::uint64_t{1} << 16;
+
+/// Typed check of the active fabric's dimensions: a positive bus width,
+/// or a mesh of 1..kMaxMeshNodes nodes with a positive link width. Every
+/// timing and route function below divides by these.
+[[nodiscard]] Status validate_fabric(const FabricConfig& cfg);
 
 [[nodiscard]] DurationPs bus_transfer_duration(const BusConfig& cfg,
                                                std::uint64_t bytes);

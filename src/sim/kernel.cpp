@@ -17,14 +17,6 @@ const char* queue_policy_name(QueuePolicy p) {
   return "?";
 }
 
-const char* exec_mode_name(ExecMode m) {
-  switch (m) {
-    case ExecMode::kSequential: return "seq";
-    case ExecMode::kParallel: return "par";
-  }
-  return "?";
-}
-
 Kernel::Kernel(const KernelConfig& cfg) : cfg_(cfg) {
   if (cfg_.bucket_width_log2 >= 32 || cfg_.num_buckets_log2 >= 24)
     throw std::invalid_argument("KernelConfig: wheel parameters too large");

@@ -1,9 +1,10 @@
 // Discrete-event simulation kernel.
 //
-// The kernel is the time base for the whole toolkit: the MPSoC platform
-// model (Sec. VII's "virtual platform"), the scheduling experiments
-// (Sec. II), and the dataflow executors (Sec. III) all advance time by
-// posting events here. Determinism is a design requirement — two runs with
+// The kernel is the time base of the MPSoC platform model (Sec. VII's
+// "virtual platform") and of everything that runs on it: perf workloads,
+// fault scenarios and the debugger. The scheduling simulators (Sec. II)
+// and the dataflow executors (Sec. III) run their own event loops and do
+// not post here. Determinism is a design requirement — two runs with
 // the same seed must produce identical event orders (the foundation of the
 // non-intrusive-debugging claims) — so ties in time are broken by an
 // explicit priority and then by insertion sequence, never by queue
@@ -57,8 +58,6 @@ enum class QueuePolicy { kCalendar, kBinaryHeap };
 /// the choice is never observable in simulation results — only in wall
 /// clock. Sequential stays the default reference path.
 enum class ExecMode { kSequential, kParallel };
-
-[[nodiscard]] const char* exec_mode_name(ExecMode m);
 
 struct KernelConfig {
   QueuePolicy policy = QueuePolicy::kCalendar;

@@ -6,6 +6,11 @@
 #include "common/strings.hpp"
 
 namespace rw::sim {
+namespace {
+
+constexpr Cycles kScratchpadLatency = 1;  // cycles per scratchpad access
+
+}  // namespace
 
 PlatformConfig PlatformConfig::homogeneous(std::size_t n, HertzT freq) {
   PlatformConfig cfg;
@@ -30,6 +35,7 @@ Status PlatformConfig::validate() const {
         "at 0x80000000 must end at or below 2^32)",
         static_cast<unsigned long long>(shared_mem_bytes),
         static_cast<unsigned long long>(kMaxSharedMemBytes)));
+  RW_TRY_STATUS(validate_fabric(*this));
   return validate_tiling(*this);
 }
 
@@ -77,7 +83,7 @@ Platform::Platform(PlatformConfig cfg)
       char* end = std::to_chars(name + 3, name + sizeof name, i).ptr;
       const RegionId rid = memory_.add_region(
           std::string(name, static_cast<std::size_t>(end - name)), scratchpad_base(id), cc.scratchpad_bytes,
-          cfg_.scratchpad_latency, id);
+          kScratchpadLatency, id);
       if (cc.tile != 0)
         memory_.set_region_context(rid, cc.tile, &tile_kernel(cc.tile),
                                    &tile_tracer(cc.tile));

@@ -39,7 +39,6 @@ struct PlatformConfig : FabricConfig {
   /// (validate()).
   std::uint64_t shared_mem_bytes = 1 << 20;
   Cycles shared_mem_latency = 12;  // cycles per access (uncontended)
-  Cycles scratchpad_latency = 1;
 
   /// Event-queue implementation and calendar-wheel geometry. The policy
   /// choice must never be observable in simulation results; the kernel
@@ -50,8 +49,9 @@ struct PlatformConfig : FabricConfig {
   bool trace_enabled = false;
 
   /// Typed validation of the shared-region size (at most
-  /// kMaxSharedMemBytes) and of the tiling parameters (kernel.num_tiles vs
-  /// the core list, per-core tile indices, fabric lookahead). The Platform
+  /// kMaxSharedMemBytes), the fabric dimensions (validate_fabric) and the
+  /// tiling parameters (kernel.num_tiles vs the core list, per-core tile
+  /// indices, fabric lookahead). The Platform
   /// constructor enforces this; callers that want an error value instead
   /// of a throw check it first.
   [[nodiscard]] Status validate() const;

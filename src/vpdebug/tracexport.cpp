@@ -8,21 +8,35 @@
 
 namespace rw::vpdebug {
 
-std::vector<ExecutedBlock> function_history(
-    const std::vector<sim::TraceEvent>& trace, sim::CoreId core) {
-  std::vector<ExecutedBlock> out;
+namespace {
+
+/// The retired compute blocks of cores 0..num_cores-1, one list per core
+/// in start-time order, from a single pass over the paired trace.
+std::vector<std::vector<ExecutedBlock>> blocks_by_core(
+    const std::vector<sim::TraceEvent>& trace, std::size_t num_cores) {
+  std::vector<std::vector<ExecutedBlock>> out(num_cores);
   const std::vector<std::size_t> partner = sim::pair_records(trace);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const sim::TraceEvent& ev = trace[i];
-    if (ev.kind == sim::TraceKind::kComputeEnd && ev.core == core &&
-        partner[i] != sim::kNoPartner)
-      out.push_back(ExecutedBlock{ev.label, trace[partner[i]].time, ev.time});
+    if (ev.kind == sim::TraceKind::kComputeEnd &&
+        partner[i] != sim::kNoPartner && ev.core.index() < num_cores)
+      out[ev.core.index()].push_back(
+          ExecutedBlock{ev.label, trace[partner[i]].time, ev.time});
   }
-  std::sort(out.begin(), out.end(),
-            [](const ExecutedBlock& a, const ExecutedBlock& b) {
-              return a.start < b.start;
-            });
+  for (auto& blocks : out)
+    std::sort(blocks.begin(), blocks.end(),
+              [](const ExecutedBlock& a, const ExecutedBlock& b) {
+                return a.start < b.start;
+              });
   return out;
+}
+
+}  // namespace
+
+std::vector<ExecutedBlock> function_history(
+    const std::vector<sim::TraceEvent>& trace, sim::CoreId core) {
+  if (!core.is_valid()) return {};
+  return std::move(blocks_by_core(trace, core.index() + 1).back());
 }
 
 std::string render_gantt(const std::vector<sim::TraceEvent>& trace,
@@ -39,11 +53,11 @@ std::string render_gantt(const std::vector<sim::TraceEvent>& trace,
     return c;
   };
 
+  const auto per_core = blocks_by_core(trace, num_cores);
   std::string out;
   for (std::size_t c = 0; c < num_cores; ++c) {
     std::string row(width, '.');
-    for (const auto& blk : function_history(
-             trace, sim::CoreId{static_cast<std::uint32_t>(c)})) {
+    for (const auto& blk : per_core[c]) {
       if (blk.end <= t0 || blk.start >= t1) continue;
       const TimePs s = std::max(blk.start, t0);
       const TimePs e = std::min(blk.end, t1);

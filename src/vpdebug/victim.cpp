@@ -8,6 +8,10 @@
 namespace rw::vpdebug {
 namespace {
 
+constexpr Cycles kWorkCycles = 300;          // between RMW accesses
+constexpr Cycles kRmwGapCycles = 60;         // read->write: the race window
+constexpr std::uint64_t kJitterCycles = 40;  // per-iteration random jitter
+
 sim::Process incrementer(sim::Platform& p, std::size_t core_idx,
                          const RacyCounterConfig cfg, sim::Addr counter,
                          std::uint64_t seed) {
@@ -21,7 +25,7 @@ sim::Process incrementer(sim::Platform& p, std::size_t core_idx,
   for (std::uint64_t i = 0; i < cfg.increments_per_core; ++i) {
     // Think time with jitter: interleavings vary with the seed.
     const Cycles think =
-        cfg.work_cycles + rng.next_below(cfg.jitter_cycles + 1);
+        kWorkCycles + rng.next_below(kJitterCycles + 1);
     co_await core.compute(think, "think");
 
     // Intrusive probe: a single-core debug stall right before the access.
@@ -36,7 +40,7 @@ sim::Process incrementer(sim::Platform& p, std::size_t core_idx,
 
     // The racy read-modify-write: read, compute, write later.
     const std::uint64_t v = mem.read_u64(cid, counter);
-    co_await core.compute(cfg.rmw_gap_cycles, "rmw");
+    co_await core.compute(kRmwGapCycles, "rmw");
     mem.write_u64(cid, counter, v + 1);
 
     if (cfg.use_semaphore) sem.release(0, cid);

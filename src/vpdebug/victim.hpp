@@ -16,9 +16,6 @@ namespace rw::vpdebug {
 struct RacyCounterConfig {
   std::uint64_t increments_per_core = 50;
   std::uint64_t seed = 1;
-  Cycles work_cycles = 300;       // computation between RMW accesses
-  Cycles rmw_gap_cycles = 60;     // read->write window (the race window)
-  std::uint64_t jitter_cycles = 40;  // per-iteration random jitter
   /// Intrusive-debugging model: extra stall injected on core 0 at every
   /// counter access (a JTAG single-core halt perturbs exactly like this;
   /// 0 = non-intrusive).

@@ -172,6 +172,67 @@ TEST(ArchFile, RoundTripsNamesWithXmlSpecialCharacters) {
   EXPECT_EQ(r.value().platform.cores.size(), 4u);
 }
 
+TEST(ArchFile, BuiltinTargetsAndTheirFilesValidate) {
+  for (const ArchInfo& arch :
+       {ArchInfo::cell_like(), ArchInfo::cell_like(1), ArchInfo::cell_like(15),
+        ArchInfo::smp_like(), ArchInfo::smp_like(1), ArchInfo::smp_like(16)}) {
+    EXPECT_TRUE(arch.platform.validate().ok()) << arch.name;
+    const auto r = round_trip_arch_file(arch);
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    EXPECT_TRUE(r.value().platform.validate().ok()) << arch.name;
+  }
+}
+
+/// A two-core file around one <interconnect> element (on line 4).
+std::string file_with_interconnect(const std::string& icn) {
+  return "<architecture name=\"f\">\n"
+         "  <processor class=\"RISC\" count=\"2\"/>\n"
+         "  <memory kind=\"shared\" bytes=\"4096\"/>\n"
+         "  " + icn + "\n"
+         "</architecture>\n";
+}
+
+TEST(ArchFile, RejectsFabricDimensionsThatDoNotFit) {
+  for (const char* icn : {
+           R"(<interconnect kind="mesh" width="0"/>)",
+           R"(<interconnect kind="mesh" height="0"/>)",
+           R"(<interconnect kind="mesh" width="4294967296" height="1"/>)",
+           R"(<interconnect kind="mesh" width="4294967297" height="1"/>)",
+           R"(<interconnect kind="mesh" width="1" height="4294967296"/>)",
+           R"(<interconnect kind="mesh" width="65536" height="65536"/>)",
+           R"(<interconnect kind="mesh" width="257" height="256"/>)",
+           R"(<interconnect kind="bus" width="0"/>)",
+           R"(<interconnect kind="bus" width="4294967296"/>)",
+       }) {
+    const auto r = parse_arch_file(file_with_interconnect(icn));
+    ASSERT_FALSE(r.ok()) << icn;
+    EXPECT_EQ(r.error().line, 4) << icn << ": " << r.error().to_string();
+  }
+  EXPECT_TRUE(parse_arch_file(file_with_interconnect(
+                  R"(<interconnect kind="mesh" width="256" height="256"/>)"))
+                  .ok());
+}
+
+TEST(ArchFile, EveryAcceptedFabricTimesATransfer) {
+  // Each of these files used to parse, and the first route then divided
+  // by a zero fabric dimension.
+  for (const char* icn : {
+           R"(<interconnect kind="mesh" width="0"/>)",
+           R"(<interconnect kind="mesh" width="65536" height="65536"/>)",
+           R"(<interconnect kind="bus" width="0"/>)",
+           R"(<interconnect kind="bus" width="4294967296"/>)",
+           R"(<interconnect kind="mesh" width="2" height="1"/>)",
+           R"(<interconnect kind="bus" width="16"/>)",
+       }) {
+    const auto r = parse_arch_file(file_with_interconnect(icn));
+    if (!r.ok()) continue;
+    const sim::PlatformConfig& pc = r.value().platform;
+    EXPECT_GT(sim::nominal_latency(pc, sim::CoreId{0}, sim::CoreId{1}, 64),
+              0u)
+        << icn;
+  }
+}
+
 TEST(Mapping, AutomaticCoversAllTasks) {
   const auto p = pipeline_program();
   const auto arch = ArchInfo::cell_like(4);

@@ -14,7 +14,6 @@
 #include "maps/perf_bounds.hpp"
 #include "maps/workloads.hpp"
 #include "perf/traceview.hpp"
-#include "sched/spacealloc.hpp"
 
 namespace rw::critpath {
 namespace {
@@ -340,40 +339,6 @@ TEST(Advise, HintsReflectAttribution) {
   EXPECT_GE(adv.hints.gang_cores, 1u);
 }
 
-// ------------------------------------------------- allocator integration
-
-TEST(AllocatePreferred, PreferredIndicesWinOverLowestFree) {
-  sched::SpaceAllocator alloc(8);
-  const auto got = alloc.allocate_preferred(3, 3, {5, 2, 7});
-  EXPECT_EQ(got, (std::vector<std::size_t>{2, 5, 7}));  // sorted, as spec'd
-}
-
-TEST(AllocatePreferred, FallsBackToLowestFreeAndSkipsBusy) {
-  sched::SpaceAllocator alloc(8);
-  const auto first = alloc.allocate(2, 2);  // grabs 0, 1
-  ASSERT_EQ(first.size(), 2u);
-  // 0 busy, 9 foreign: both skipped; remainder from the lowest free.
-  const auto got = alloc.allocate_preferred(3, 3, {0, 9, 6});
-  EXPECT_EQ(got, (std::vector<std::size_t>{2, 3, 6}));
-  alloc.release(got);
-  alloc.release(first);
-  EXPECT_EQ(alloc.available(), alloc.capacity());
-}
-
-TEST(AllocatePreferred, EmptyPreferenceEqualsAllocate) {
-  sched::SpaceAllocator a(6), b(6);
-  EXPECT_EQ(a.allocate_preferred(4, 4, {}), b.allocate(4, 4));
-}
-
-TEST(AllocatePreferred, HonoursMinCoresContract) {
-  sched::SpaceAllocator alloc(4);
-  const auto all = alloc.allocate(4, 4);
-  ASSERT_EQ(all.size(), 4u);
-  EXPECT_TRUE(alloc.allocate_preferred(1, 2, {0, 1}).empty());
-  alloc.release(all);
-  EXPECT_TRUE(alloc.allocate_preferred(0, 2, {0}).empty());  // min 0 invalid
-}
-
 // ------------------------------------------------------------ CLI driver
 
 TEST(Driver, ParseArgs) {
@@ -388,6 +353,25 @@ TEST(Driver, ParseArgs) {
   EXPECT_EQ(opts.value().workloads.front(), "jpeg");
   EXPECT_FALSE(parse_crit_args({"--bogus"}).ok());
   EXPECT_FALSE(parse_crit_args({"--cores"}).ok());
+}
+
+TEST(Driver, ParseRejectsNumbersThatDoNotFit) {
+  // Each of these used to narrow silently: 2^64 + 1 -> 1 core, 2^32 + 1
+  // -> 1 block or slice, 2^31 -> a negative round count.
+  EXPECT_FALSE(parse_crit_args({"--cores", "18446744073709551617"}).ok());
+  EXPECT_FALSE(parse_crit_args({"--seed", "18446744073709551617"}).ok());
+  EXPECT_FALSE(parse_crit_args({"--blocks", "4294967297"}).ok());
+  EXPECT_FALSE(parse_crit_args({"--slices", "4294967296"}).ok());
+  EXPECT_FALSE(parse_crit_args({"--rounds", "2147483648"}).ok());
+  const auto r = parse_crit_args({"--blocks", "4294967297"});
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("--blocks"), std::string::npos)
+      << r.error().to_string();
+  const auto edge = parse_crit_args(
+      {"--blocks", "4294967295", "--slices", "1", "--rounds", "2147483647"});
+  ASSERT_TRUE(edge.ok()) << edge.error().to_string();
+  EXPECT_EQ(edge.value().blocks, 4294967295u);
+  EXPECT_EQ(edge.value().rounds, 2147483647);
 }
 
 TEST(Driver, ListPrintsCorpus) {

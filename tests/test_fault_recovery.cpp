@@ -1,6 +1,6 @@
 // rw::fault policy layer: retry budgets, seed-reproducible plans, the
 // E14 scenario under directed and random faults, and degradation-aware
-// remapping in maps/sched.
+// remapping in maps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "fault/recovery.hpp"
 #include "fault/scenario.hpp"
 #include "maps/mapping.hpp"
-#include "sched/partitioned.hpp"
 
 namespace rw::fault {
 namespace {
@@ -402,54 +401,3 @@ TEST(Degradation, OracleReplanNeverUsesTheDeadPe) {
 
 }  // namespace
 }  // namespace rw::maps
-
-namespace rw::sched {
-namespace {
-
-RtTask util_task(const std::string& name, double u,
-                 DurationPs period = milliseconds(10)) {
-  RtTask t;
-  t.name = name;
-  t.wcet = static_cast<Cycles>(u * static_cast<double>(period) / 1e12 *
-                               mhz(100));
-  t.period = period;
-  return t;
-}
-
-std::vector<RtTask> uniform_tasks(int n, double u) {
-  std::vector<RtTask> out;
-  for (int i = 0; i < n; ++i)
-    out.push_back(util_task(strformat("t%d", i), u));
-  return out;
-}
-
-TEST(Repartition, SurvivorsAbsorbTheDeadCoresTasks) {
-  const auto tasks = uniform_tasks(6, 0.3);  // 1.8 total over 3 cores
-  const auto before = partition_tasks(tasks, 3, mhz(100),
-                                      PackingHeuristic::kFirstFit);
-  ASSERT_TRUE(before.feasible);
-
-  const auto r = repartition_on_failure(tasks, before, 0, mhz(100));
-  EXPECT_TRUE(r.feasible);
-  EXPECT_GT(r.moved, 0u);
-  EXPECT_TRUE(r.unplaced.empty());
-  EXPECT_TRUE(r.after.per_core[0].tasks.empty());  // dead core stays empty
-  std::size_t placed = 0;
-  for (const auto& core : r.after.per_core) placed += core.tasks.size();
-  EXPECT_EQ(placed, tasks.size());
-}
-
-TEST(Repartition, OverloadedSurvivorsReportUnplacedTasks) {
-  const auto tasks = uniform_tasks(6, 0.45);  // 2.7 total: fits 3, not 2
-  const auto before = partition_tasks(tasks, 3, mhz(100),
-                                      PackingHeuristic::kFirstFit);
-  ASSERT_TRUE(before.feasible);
-
-  const auto r = repartition_on_failure(tasks, before, 0, mhz(100));
-  EXPECT_FALSE(r.feasible);
-  EXPECT_FALSE(r.unplaced.empty());
-  EXPECT_TRUE(r.after.per_core[0].tasks.empty());
-}
-
-}  // namespace
-}  // namespace rw::sched

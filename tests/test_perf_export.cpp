@@ -222,6 +222,24 @@ TEST(DriverTest, ParseRejectsUnknownOptionsAndWorkloads) {
   ASSERT_EQ(ok.value().workloads.size(), 1u);
 }
 
+TEST(DriverTest, ParseRejectsNumbersThatDoNotFit) {
+  // 2^64 + 1 used to wrap to 1: one core, seed 1.
+  for (const char* flag : {"--cores", "--seed", "--scale"}) {
+    const auto r = parse_prof_args({flag, "18446744073709551617"});
+    ASSERT_FALSE(r.ok()) << flag;
+    EXPECT_NE(r.error().message.find("out of range"), std::string::npos)
+        << r.error().to_string();
+  }
+  // Microsecond flags are held in picoseconds: 2^64 / 10^6 us wraps.
+  EXPECT_FALSE(parse_prof_args({"--period-us", "18446744073710"}).ok());
+  EXPECT_FALSE(parse_prof_args({"--epoch-us", "18446744073710"}).ok());
+  const auto edge = parse_prof_args({"--seed", "18446744073709551615",
+                                     "--period-us", "18446744073709"});
+  ASSERT_TRUE(edge.ok()) << edge.error().to_string();
+  EXPECT_EQ(edge.value().seed, 18446744073709551615ULL);
+  EXPECT_EQ(edge.value().period, microseconds(18446744073709ULL));
+}
+
 TEST(DriverTest, JsonOutputIsDeterministic) {
   auto run_json = [] {
     auto opts = parse_prof_args({"--json", "--no-files", "--scale", "1",

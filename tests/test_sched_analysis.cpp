@@ -5,10 +5,8 @@
 namespace rw::sched {
 namespace {
 
-TaskSet classic_liu_layland() {
-  // A classic feasible RM example: U = 0.2 + 0.25 + 0.3 = 0.75 > bound(3)
-  // would fail the bound but pass RTA, so use a lighter variant for the
-  // bound test.
+TaskSet light_harmonic_set() {
+  // A light harmonic RM set: U = 0.1 + 0.1 + 0.1 = 0.3.
   TaskSet ts;
   ts.frequency = mhz(100);  // 10 ns per cycle
   ts.add("t1", 100'000, milliseconds(10));  // C=1ms, T=10ms, U=0.1
@@ -18,29 +16,8 @@ TaskSet classic_liu_layland() {
 }
 
 TEST(Analysis, UtilizationComputation) {
-  const TaskSet ts = classic_liu_layland();
+  const TaskSet ts = light_harmonic_set();
   EXPECT_NEAR(ts.total_utilization(), 0.3, 1e-9);
-}
-
-TEST(Analysis, RmBoundValues) {
-  EXPECT_DOUBLE_EQ(rm_utilization_bound(1), 1.0);
-  EXPECT_NEAR(rm_utilization_bound(2), 0.8284, 1e-3);
-  EXPECT_NEAR(rm_utilization_bound(3), 0.7798, 1e-3);
-  // The bound approaches ln 2 for large n.
-  EXPECT_NEAR(rm_utilization_bound(10000), 0.6931, 1e-3);
-}
-
-TEST(Analysis, RmBoundTestAcceptsLightSet) {
-  EXPECT_TRUE(rm_bound_test(classic_liu_layland()));
-}
-
-TEST(Analysis, RmBoundTestRejectsOverloadedSet) {
-  TaskSet ts;
-  ts.frequency = mhz(100);
-  ts.add("a", 600'000, milliseconds(10));  // U=0.6
-  ts.add("b", 600'000, milliseconds(20));  // U=0.3
-  ts.add("c", 600'000, milliseconds(30));  // U=0.2 -> total 1.1
-  EXPECT_FALSE(rm_bound_test(ts));
 }
 
 TEST(Analysis, RmPriorityAssignment) {
@@ -114,12 +91,11 @@ TEST(Analysis, EdfUtilizationBoundary) {
 }
 
 TEST(Analysis, EdfBeatsRmOnHighUtilization) {
-  // U = 0.97 set: fails the RM bound, passes EDF.
+  // U = 0.97 set: passes both EDF tests.
   TaskSet ts;
   ts.frequency = mhz(100);
   ts.add("a", 485'000, milliseconds(10));
   ts.add("b", 970'000, milliseconds(20));
-  EXPECT_FALSE(rm_bound_test(ts));
   EXPECT_TRUE(edf_utilization_test(ts));
   EXPECT_TRUE(edf_demand_test(ts));
 }
@@ -145,31 +121,6 @@ TEST(Analysis, Hyperperiod) {
   ts.add("b", 1, 6);
   ts.add("c", 1, 10);
   EXPECT_EQ(hyperperiod(ts), 60u);
-}
-
-TEST(Analysis, MinFeasibleFrequencyMonotone) {
-  TaskSet ts;
-  ts.frequency = mhz(100);
-  ts.add("t1", 300'000, milliseconds(4));
-  ts.add("t2", 300'000, milliseconds(6));
-  assign_rm_priorities(ts);
-  const auto f = min_feasible_frequency(ts, mhz(10), mhz(1000));
-  ASSERT_TRUE(f.has_value());
-  // Feasible at the found frequency...
-  TaskSet at = ts;
-  at.frequency = *f;
-  EXPECT_TRUE(response_time_analysis(at).all_schedulable(at));
-  // ...and infeasible a notch below.
-  TaskSet below = ts;
-  below.frequency = *f - mhz(5);
-  EXPECT_FALSE(response_time_analysis(below).all_schedulable(below));
-}
-
-TEST(Analysis, MinFeasibleFrequencyRejectsImpossible) {
-  TaskSet ts;
-  ts.frequency = mhz(100);
-  ts.add("t", 2'000'000'000, milliseconds(1));  // 2e9 cycles per ms
-  EXPECT_FALSE(min_feasible_frequency(ts, mhz(10), ghz(1)).has_value());
 }
 
 TEST(Analysis, AmdahlSpeedupShape) {

@@ -109,6 +109,43 @@ TEST(Platform, SharedRegionPastTwoToThe32IsATypedError) {
   EXPECT_FALSE(cfg.validate().ok());
 }
 
+TEST(Platform, FabricDimensionsAreValidated) {
+  const auto rejects = [](const PlatformConfig& cfg, const char* what) {
+    const Status st = cfg.validate();
+    ASSERT_FALSE(st.ok()) << what;
+    EXPECT_THROW(Platform{cfg}, std::invalid_argument) << what;
+  };
+  PlatformConfig bus = PlatformConfig::homogeneous(2);
+  bus.bus.width_bytes = 0;
+  rejects(bus, "zero bus width");
+
+  PlatformConfig mesh = PlatformConfig::homogeneous(2);
+  mesh.use_square_mesh();
+  ASSERT_TRUE(mesh.validate().ok());
+  PlatformConfig m = mesh;
+  m.mesh.width = 0;
+  rejects(m, "zero mesh width");
+  m = mesh;
+  m.mesh.height = 0;
+  rejects(m, "zero mesh height");
+  m = mesh;
+  m.mesh.width = m.mesh.height = 65536;  // the u32 product is 0
+  rejects(m, "node count overflowing 32 bits");
+  m = mesh;
+  m.mesh.width = 257;
+  m.mesh.height = 256;
+  rejects(m, "more than kMaxMeshNodes nodes");
+  m = mesh;
+  m.mesh.link_width_bytes = 0;
+  rejects(m, "zero link width");
+
+  m = mesh;
+  m.mesh.width = m.mesh.height = 256;
+  EXPECT_TRUE(m.validate().ok());
+  m.bus.width_bytes = 0;  // the bus is not the active fabric
+  EXPECT_TRUE(m.validate().ok());
+}
+
 TEST(Platform, LargestSharedRegionBuildsAndReachesItsLastWord) {
   PlatformConfig cfg = PlatformConfig::homogeneous(1);
   cfg.shared_mem_bytes = kMaxSharedMemBytes;

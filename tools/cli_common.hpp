@@ -8,14 +8,17 @@
 // tool's own document travels inside the envelope as `payload`.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
 #include "common/result.hpp"
+#include "common/units.hpp"
 
 namespace rw::cli {
 
@@ -29,20 +32,42 @@ struct CommonOptions {
   std::string out_dir = ".";  // --out-dir DIR (also --out=DIR)
 };
 
-/// Numeric value following flag `args[i]`; advances `i` past it.
-inline Result<std::uint64_t> arg_u64(const std::vector<std::string>& args,
-                                     std::size_t& i,
-                                     const std::string& flag) {
+/// Numeric value following flag `args[i]`; advances `i` past it. A value
+/// above `max` is an error, never a silent wrap.
+inline Result<std::uint64_t> arg_u64(
+    const std::vector<std::string>& args, std::size_t& i,
+    const std::string& flag,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   if (i + 1 >= args.size()) return make_error(flag + " requires a value");
   const std::string& v = args[++i];
-  std::uint64_t out = 0;
-  for (const char c : v) {
-    if (c < '0' || c > '9')
-      return make_error(flag + " requires a number, got '" + v + "'");
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
-  }
   if (v.empty()) return make_error(flag + " requires a number");
+  std::uint64_t out = 0;
+  const char* const last = v.data() + v.size();
+  const auto [end, ec] = std::from_chars(v.data(), last, out);
+  if (ec == std::errc::invalid_argument || end != last)
+    return make_error(flag + " requires a number, got '" + v + "'");
+  if (ec == std::errc::result_out_of_range || out > max)
+    return make_error(flag + " " + v + " is out of range (at most " +
+                      std::to_string(max) + ")");
   return out;
+}
+
+/// arg_u64 for a flag stored as T: a value T cannot hold is an error.
+template <typename T>
+Result<T> arg_uint(const std::vector<std::string>& args, std::size_t& i,
+                   const std::string& flag) {
+  return static_cast<T>(RW_TRY(arg_u64(
+      args, i, flag,
+      static_cast<std::uint64_t>(std::numeric_limits<T>::max()))));
+}
+
+/// A microsecond count following flag `args[i]`, returned in picoseconds;
+/// a count whose picoseconds do not fit 64 bits is an error.
+inline Result<DurationPs> arg_us(const std::vector<std::string>& args,
+                                 std::size_t& i, const std::string& flag) {
+  return microseconds(RW_TRY(arg_u64(
+      args, i, flag,
+      std::numeric_limits<std::uint64_t>::max() / microseconds(1))));
 }
 
 /// Try to consume `args[i]` as one of the shared flags. Returns true when

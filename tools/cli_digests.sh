@@ -15,6 +15,9 @@
 # bus bytes); the governor's DVFS-shifted times give every file distinct
 # bytes.
 #
+# Last, two usage errors: a number that does not fit its flag must exit 2
+# with nothing on stdout (the digest of the empty string), not wrap.
+#
 # The argument is a CMake build tree that holds the built tools/ binaries
 # (default: build). A nonzero exit status is recorded, not fatal: rwlint
 # exits 1 when its corpus has findings, which it is meant to.
@@ -58,3 +61,5 @@ files rwprof_bus rwprof
 files rwprof_mesh rwprof --mesh shared_hammer tiled_pipeline
 files rwprof_gov rwprof --governor
 files rwert rwert
+run rwprof_cores_overflow rwprof --no-files --cores 18446744073709551617
+run rwcritpath_blocks_overflow rwcritpath --no-files --blocks 4294967297
